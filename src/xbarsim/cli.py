@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import container
+from . import fixedpoint as fp
 from . import graph as gr
 from . import models
 from .compiler import CompileOptions, compile_model
@@ -43,16 +44,6 @@ def _load_cfg(args):
     return cfg
 
 
-def _hex_vec(vec):
-    return "".join(f"{int(v) & 0xFFFF:04x}" for v in vec)
-
-
-def _unhex_vec(s):
-    vals = [int(s[k:k + 4], 16) for k in range(0, len(s), 4)]
-    return np.array([v - 0x10000 if v >= 0x8000 else v for v in vals],
-                    dtype=np.int64)
-
-
 def read_tensors(path):
     """Input/output tensor file: name -> raw words (hex string or ints)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -60,14 +51,14 @@ def read_tensors(path):
     out = {}
     for name, val in doc.items():
         if isinstance(val, str):
-            out[name] = _unhex_vec(val)
+            out[name] = fp.from_hex(val)
         else:
             out[name] = np.asarray(val, dtype=np.int64)
     return out
 
 
 def write_tensors(path, tensors):
-    doc = {name: _hex_vec(vec) for name, vec in tensors.items()}
+    doc = {name: fp.to_hex(vec) for name, vec in tensors.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
 
@@ -178,7 +169,7 @@ def cmd_sweep(args):
             doc = json.load(fh)
         output_name = doc["output"]
         labels = doc["labels"]
-        eval_set = [{doc["input"]: _unhex_vec(h)} for h in doc["points"]]
+        eval_set = [{doc["input"]: fp.from_hex(h)} for h in doc["points"]]
     values = [v for v in args.range.split(",") if v]
     rows = []
     for v in values:

@@ -8,10 +8,10 @@ consecutive windows when input shuffling is enabled: only the fresh window
 elements are copied in and the MVM instruction carries a shuffle-pattern
 id that re-routes XbarIn slots to DAC rows.
 
-Memory addresses are assigned after linearization: statically resident
-symbols (inputs, constants, outputs, spill slots) first, then transient
-values by linear scan over their global-order lifetimes, reusing words
-once their consumer count drains.
+Memory addresses are assigned after register allocation: every symbol
+(input, constant, output, transient value, spill slot) gets its own
+range of its tile's memory, and no word is reused for a second value
+(see _assign_memory).
 """
 
 from dataclasses import dataclass, field
@@ -149,10 +149,9 @@ class _Lowerer:
         consecutive = (state is not None and state[0][0] == gat.win[0]
                        and state[0][1] == gat.win[1] - 1
                        and len(state[1]) == rows)
-        xin = self.rs.xbar_in(mvmu)
         if not consecutive:
             slots = list(needed)
-            self._copy_runs(actor, needed, range(rows), xin)
+            fills = list(zip(needed, range(rows)))
             perm = tuple(range(rows))
         else:
             slots = list(state[1])
@@ -165,33 +164,19 @@ class _Lowerer:
                 slots[s] = item
                 pos[item] = s
                 fills.append((item, s))
-            self._copy_runs(actor, [f[0] for f in fills],
-                            [f[1] for f in fills], xin)
             perm = tuple(pos[item] for item in needed)
+        xin = self.rs.xbar_in(mvmu)
+        self.emit_copies(actor, [(xin + dst, self.val(src) + off)
+                                 for (src, off), dst in fills])
         self.win_state[key] = (gat.win, slots)
         return perm
 
-    def _copy_runs(self, actor, items, dests, xin_base):
-        """Copy (source vreg element) items into XbarIn slots, batching
-        maximal contiguous runs into single vector copies."""
-        run = None
-        for item, dst in zip(items, dests):
-            src, off = item
-            v = self.val(src)
-            if (run and run[0] == v.v and off == run[2] + run[4]
-                    and dst == run[3] + run[4]):
-                run = (run[0], run[1], run[2], run[3], run[4] + 1)
-            else:
-                if run:
-                    self._flush_run(actor, run, xin_base)
-                run = (v.v, v.off, off, dst, 1)
-        if run:
-            self._flush_run(actor, run, xin_base)
-
-    def _flush_run(self, actor, run, xin_base):
-        vv, vbase, off, dst, ln = run
-        self.emit(actor, LowInstr("copy", 0, xin_base + dst,
-                                  VReg(vv, vbase + off), 0, ln))
+    def emit_copies(self, actor, pairs):
+        """Element copies (dest, source) batched into maximal contiguous
+        vector copies."""
+        for li in _merge_copy_runs([LowInstr("copy", 0, dst, src, 0, 1)
+                                    for dst, src in pairs]):
+            self.emit(actor, li)
 
     # -- unit lowering -------------------------------------------------------
 
@@ -237,23 +222,9 @@ class _Lowerer:
             if lead.id in self.elided:
                 return
             v = self.new_vreg(actor)
-            run = None
-            for dst, (slot, off) in enumerate(lead.indices):
-                src = self.val(lead.inputs[slot])
-                if (run and run[0] == src.v and run[1] == src.off
-                        and off == run[2] + run[4]
-                        and dst == run[3] + run[4]):
-                    run = (run[0], run[1], run[2], run[3], run[4] + 1)
-                else:
-                    if run:
-                        self.emit(actor, LowInstr(
-                            "copy", 0, VReg(v.v, run[3]),
-                            VReg(run[0], run[1] + run[2]), 0, run[4]))
-                    run = (src.v, src.off, off, dst, 1)
-            if run:
-                self.emit(actor, LowInstr("copy", 0, VReg(v.v, run[3]),
-                                          VReg(run[0], run[1] + run[2]), 0,
-                                          run[4]))
+            self.emit_copies(actor, [(v + dst, self.val(lead.inputs[slot]) + off)
+                                     for dst, (slot, off)
+                                     in enumerate(lead.indices)])
             self.value_vreg[lead.id] = v
         elif k == "load":
             v = self.new_vreg(actor)
@@ -334,7 +305,7 @@ def _assign_memory(tg, machine):
     return used
 
 
-def _emit_container(tg, machine, code, reg_maps, meta):
+def _emit_container(tg, machine, code, bases, meta):
     prog = container.Program(machine.xbar_dim, machine.mvmus_per_core,
                              machine.cores_per_tile, machine.tiles,
                              machine.frac_bits, machine.bits_per_device)
@@ -346,7 +317,8 @@ def _emit_container(tg, machine, code, reg_maps, meta):
         return s.addr + mem.off
 
     for actor in sorted(code):
-        instrs = finalize(code[actor], reg_maps.get(actor, lambda v: v),
+        base = bases.get(actor)
+        instrs = finalize(code[actor], lambda vr: base[vr.v] + vr.off,
                           addr_of)
         cap = machine.tile_imem_capacity if actor[1] == TILE_UNIT \
             else machine.core_imem_capacity
@@ -396,6 +368,50 @@ def _emit_container(tg, machine, code, reg_maps, meta):
     return prog
 
 
+def _back_end(tg, machine, code, patterns, coalesce_groups, maxlive,
+              loop_mode):
+    """Shared tail of both compile modes: allocate registers per core,
+    assign tile memory, emit the container and fill the report. Code that
+    already names physical registers has no virtual registers and passes
+    allocation unchanged."""
+    report = CompileReport(coalesce_groups=coalesce_groups, maxlive=maxlive,
+                           fifo_pairs=len(tg.fifo_map))
+    bases = {}
+    for actor in sorted(code):
+        if actor[1] == TILE_UNIT:
+            continue
+
+        def mk_spill(size, _tile=actor[0]):
+            return tg.new_symbol(_tile, size, "spill").id
+
+        try:
+            res = regalloc.allocate(code[actor], machine, mk_spill)
+        except regalloc.RegAllocError as e:
+            raise CompileError(
+                f"tile {actor[0]} core {actor[1]}: {e}") from e
+        code[actor] = res.instrs
+        bases[actor] = res.base
+        report.spill_count += res.spill_count
+    report.spill_slots = sum(1 for s in tg.symbols if s.kind == "spill")
+    report.dmem_words_used = _assign_memory(tg, machine)
+
+    meta = {"coalesce_groups": coalesce_groups, "maxlive": maxlive,
+            "spill_count": report.spill_count, "loop_mode": loop_mode}
+    prog = _emit_container(tg, machine, code, bases, meta)
+    prog.patterns.extend(patterns)
+    report.static_histogram = prog.static_histogram()
+    report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
+                               for s in prog.segments}
+    rs = machine.regspace()
+    for seg in prog.segments:
+        if seg.core != TILE_UNIT:
+            _, peak = regalloc.xbar_liveness(seg.instrs, rs)
+            for cls, v in peak.items():
+                report.xbar_maxlive[cls] = max(report.xbar_maxlive.get(cls, 0), v)
+    report.plan = plan_dump(tg)
+    return prog, report
+
+
 def compile_model(graph, machine, opts=None):
     """Full pipeline: tile, place, insert data movement, coalesce,
     linearize, lower, allocate registers, assign memory, emit."""
@@ -419,52 +435,8 @@ def compile_model(graph, machine, opts=None):
     for unit in sched.units:
         low.lower_unit(unit)
 
-    report = CompileReport()
-    report.coalesce_groups = sched.coalesce_groups
-    report.maxlive = sched.maxlive
-    report.fifo_pairs = len(tg.fifo_map)
-
-    reg_maps = {}
-    for actor in sorted(low.code):
-        if actor[1] == TILE_UNIT:
-            continue
-        tile = actor[0]
-
-        def mk_spill(size, _tile=tile):
-            return tg.new_symbol(_tile, size, "spill").id
-
-        try:
-            res = regalloc.allocate(low.code[actor], machine, mk_spill)
-        except regalloc.RegAllocError as e:
-            raise CompileError(
-                f"tile {actor[0]} core {actor[1]}: {e}") from e
-        low.code[actor] = res.instrs
-        base = res.base
-        reg_maps[actor] = (lambda b: lambda vr: b[vr.v] + vr.off)(base)
-        report.spill_count += res.spill_count
-    report.spill_slots = sum(1 for s in tg.symbols if s.kind == "spill")
-
-    used = _assign_memory(tg, machine)
-    report.dmem_words_used = used
-
-    meta = {"coalesce_groups": sched.coalesce_groups,
-            "maxlive": sched.maxlive,
-            "spill_count": report.spill_count,
-            "loop_mode": 0}
-    prog = _emit_container(tg, machine, low.code, reg_maps, meta)
-    for pat in low.patterns.rows():
-        prog.patterns.append(pat)
-    report.static_histogram = prog.static_histogram()
-    report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
-                               for s in prog.segments}
-    rs = machine.regspace()
-    for seg in prog.segments:
-        if seg.core != TILE_UNIT:
-            _, peak = regalloc.xbar_liveness(seg.instrs, rs)
-            for cls, v in peak.items():
-                report.xbar_maxlive[cls] = max(report.xbar_maxlive.get(cls, 0), v)
-    report.plan = plan_dump(tg)
-    return prog, report
+    return _back_end(tg, machine, low.code, low.patterns.rows(),
+                     sched.coalesce_groups, sched.maxlive, loop_mode=0)
 
 
 # ---------------------------------------------------------------------------
@@ -600,43 +572,20 @@ def _compile_conv_loop(graph, machine, opts):
         code[collector].append(LowInstr("store", 0, Mem(out_syms[w].id), v, 1,
                                         cols))
 
-    reg_maps = {}
-    report = CompileReport()
-    for actor in (feeder, collector):
-        def mk_spill(size, _tile=actor[0]):
-            return tg.new_symbol(_tile, size, "spill").id
-        res = regalloc.allocate(code[actor], machine, mk_spill)
-        code[actor] = res.instrs
-        base = res.base
-        reg_maps[actor] = (lambda b: lambda vreg: b[vreg.v] + vreg.off)(base)
-        report.spill_count += res.spill_count
-    reg_maps[looper] = lambda vreg: vreg  # already physical
-
-    used = _assign_memory(tg, machine)
-    report.dmem_words_used = used
-
-    meta = {"coalesce_groups": 1 if len(parts) > 1 else 0,
-            "maxlive": 0, "spill_count": report.spill_count, "loop_mode": 1}
-    prog = _emit_container(tg, machine, code, reg_maps, meta)
-    report.static_histogram = prog.static_histogram()
-    report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
-                               for s in prog.segments}
-    report.plan = plan_dump(tg)
-    return prog, report
+    return _back_end(tg, machine, code, (), 1 if len(parts) > 1 else 0,
+                     maxlive=0, loop_mode=1)
 
 
 def _merge_copy_runs(instrs):
-    """Fuse adjacent single-element copies with contiguous operands."""
+    """Fuse adjacent copies whose destination and source both continue the
+    previous copy's ranges. Operands are VRegs or, for XbarIn
+    destinations, plain register indices."""
     out = []
     for li in instrs:
-        if (out and li.op == "copy" and out[-1].op == "copy"
-                and isinstance(li.a, VReg) and isinstance(out[-1].a, VReg)
-                and isinstance(li.b, VReg) and isinstance(out[-1].b, VReg)
-                and li.a.v == out[-1].a.v and li.b.v == out[-1].b.v
-                and li.a.off == out[-1].a.off + out[-1].w
-                and li.b.off == out[-1].b.off + out[-1].w):
-            out[-1] = LowInstr("copy", 0, out[-1].a, out[-1].b, 0,
-                               out[-1].w + li.w)
+        prev = out[-1] if out else None
+        if (prev and li.op == prev.op == "copy"
+                and li.a == prev.a + prev.w and li.b == prev.b + prev.w):
+            out[-1] = LowInstr("copy", 0, prev.a, prev.b, 0, prev.w + li.w)
         else:
             out.append(li)
     return out

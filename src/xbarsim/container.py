@@ -92,12 +92,6 @@ class Program:
     regions: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def segment_for(self, tile, core):
-        for s in self.segments:
-            if s.tile == tile and s.core == core:
-                return s
-        return None
-
     def static_histogram(self):
         hist = Counter()
         for s in self.segments:

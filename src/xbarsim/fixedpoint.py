@@ -81,73 +81,92 @@ def _div_round_even(num, den):
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ALU semantics (raw in, raw out, saturating)
+# Vector-ALU semantics (raw in, raw out, saturating): the one op table
 # ---------------------------------------------------------------------------
 
-def fx_add(a, b):
-    return saturate(np.asarray(a, np.int64) + np.asarray(b, np.int64))
-
-
-def fx_sub(a, b):
-    return saturate(np.asarray(a, np.int64) - np.asarray(b, np.int64))
-
-
-def fx_mul(a, b, frac_bits=DEFAULT_FRAC_BITS):
-    prod = np.asarray(a, np.int64) * np.asarray(b, np.int64)
-    return saturate(rshift_round_even(prod, frac_bits))
-
-
-def fx_div(a, b, frac_bits=DEFAULT_FRAC_BITS):
-    """Fixed-point divide; division by zero saturates toward the sign of a."""
-    a = np.asarray(a, np.int64)
-    b = np.asarray(b, np.int64)
-    num = a << frac_bits
-    safe = np.where(b == 0, 1, b)
-    sign = np.where(safe < 0, -1, 1)
-    q = _div_round_even(num * sign, safe * sign)
-    q = np.where(b == 0, np.where(a > 0, RAW_MAX + 1, np.where(a < 0, RAW_MIN - 1, 0)), q)
-    return saturate(q)
-
-
-def fx_shl(a, k):
-    return saturate(np.asarray(a, np.int64) << np.asarray(k, np.int64))
-
-
-def fx_shr(a, k):
-    return np.asarray(a, np.int64) >> np.asarray(k, np.int64)
-
-
-def _to_bits(a):
+def to_bits(a):
+    """Raw values -> their 16-bit two's-complement word patterns."""
     return np.asarray(a, np.int64) & WORD_MASK
 
 
-def _from_bits(bits):
+def from_bits(bits):
+    """16-bit word patterns -> signed raw values."""
     bits = np.asarray(bits, np.int64) & WORD_MASK
     return np.where(bits >= 1 << 15, bits - (1 << 16), bits)
 
 
-def fx_and(a, b):
-    return _from_bits(_to_bits(a) & _to_bits(b))
+def _clipped(raw):
+    return saturate(raw), saturation_count(raw)
 
 
-def fx_or(a, b):
-    return _from_bits(_to_bits(a) | _to_bits(b))
+def _div_unclipped(a, b, frac_bits):
+    """round-half-even a/b; division by zero lands one step past the range
+    on the side of a's sign (0/0 is 0), so it saturates."""
+    safe = np.where(b == 0, 1, b)
+    sign = np.where(safe < 0, -1, 1)
+    q = _div_round_even((a << frac_bits) * sign, safe * sign)
+    return np.where(b == 0, np.where(a > 0, RAW_MAX + 1,
+                                     np.where(a < 0, RAW_MIN - 1, 0)), q)
 
 
-def fx_not(a):
-    return _from_bits(~_to_bits(a))
+# op name -> f(a, b, frac_bits) over int64 arrays -> (value, saturated
+# element count). Unary ops ignore b. The transcendental ALU ops are ROM
+# reads instead (LUT_FUNCTIONS below).
+VECTOR_OPS = {
+    "add": lambda a, b, f: _clipped(a + b),
+    "sub": lambda a, b, f: _clipped(a - b),
+    "mul": lambda a, b, f: _clipped(rshift_round_even(a * b, f)),
+    "div": lambda a, b, f: _clipped(_div_unclipped(a, b, f)),
+    "shl": lambda a, b, f: _clipped(a << b),
+    "shr": lambda a, b, f: (a >> b, 0),
+    "and": lambda a, b, f: (from_bits(to_bits(a) & to_bits(b)), 0),
+    "or": lambda a, b, f: (from_bits(to_bits(a) | to_bits(b)), 0),
+    "not": lambda a, b, f: (from_bits(~to_bits(a)), 0),
+    "min": lambda a, b, f: (np.minimum(a, b), 0),
+    "max": lambda a, b, f: (np.maximum(a, b), 0),
+    "relu": lambda a, b, f: (np.maximum(a, 0), 0),
+}
 
 
-def fx_min_(a, b):
-    return np.minimum(np.asarray(a, np.int64), np.asarray(b, np.int64))
+def vector_op(op, a, b=0, frac_bits=DEFAULT_FRAC_BITS):
+    """One vector-ALU op on raw operands -> (value, saturated element count)."""
+    return VECTOR_OPS[op](np.asarray(a, np.int64), np.asarray(b, np.int64),
+                          frac_bits)
 
 
-def fx_max_(a, b):
-    return np.maximum(np.asarray(a, np.int64), np.asarray(b, np.int64))
+def _value_of(op):
+    def fx(a, b=0, frac_bits=DEFAULT_FRAC_BITS):
+        return vector_op(op, a, b, frac_bits)[0]
+    fx.__name__ = f"fx_{op}"
+    return fx
 
 
-def fx_relu(a):
-    return np.maximum(np.asarray(a, np.int64), 0)
+# Single-op shorthands that return only the value.
+(fx_add, fx_sub, fx_mul, fx_div, fx_shl, fx_shr, fx_and, fx_or, fx_not,
+ fx_min_, fx_max_, fx_relu) = (_value_of(op) for op in (
+    "add", "sub", "mul", "div", "shl", "shr", "and", "or", "not", "min",
+    "max", "relu"))
+
+
+# ---------------------------------------------------------------------------
+# Word codec: raw values <-> base-16 Fixed16 words, 4 digits per word
+# ---------------------------------------------------------------------------
+
+def to_hex(raw):
+    """Raw values -> their 16-bit two's-complement words as hex text."""
+    return to_bits(raw).astype(">u2").tobytes().hex()
+
+
+def from_hex(text):
+    """Hex text of whole 4-digit words -> raw int64 values."""
+    try:
+        data = bytes.fromhex(text)
+    except ValueError:
+        data = None
+    if len(text) % 4 or data is None or 2 * len(data) != len(text):
+        raise ValueError(f"not whole 4-digit hex words ({len(text)} "
+                         f"characters)")
+    return np.frombuffer(data, ">i2").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

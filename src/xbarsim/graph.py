@@ -12,6 +12,7 @@ machine computes them, so every downstream stage can be checked
 bit-for-bit against it.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -20,18 +21,8 @@ from . import fixedpoint as fp
 from .crossbar import crossbar_mvm, slice_weights
 
 ACT_FUNCS = ("relu", "sigmoid", "tanh", "log", "exp")
-ALU_BINOPS = {
-    "add": fp.fx_add,
-    "sub": fp.fx_sub,
-    "mul": None,  # needs frac_bits, handled below
-    "div": None,
-    "shl": fp.fx_shl,
-    "shr": fp.fx_shr,
-    "and": fp.fx_and,
-    "or": fp.fx_or,
-    "min": fp.fx_min_,
-    "max": fp.fx_max_,
-}
+ALU_BINOPS = ("add", "sub", "mul", "div", "shl", "shr", "and", "or", "min",
+              "max")
 
 
 class GraphError(Exception):
@@ -273,65 +264,43 @@ def evaluate(graph, inputs, xbar_dim=128, luts=None, collect=False):
             w = values[node.inputs[0]]
             x = values[node.inputs[1]]
             values[node.id] = mvm_blockwise(w, x, xbar_dim, frac)
-        elif k == "alu":
-            a, b = values[node.inputs[0]], values[node.inputs[1]]
-            values[node.id] = apply_binop(node.op, a, b, frac)
-        elif k == "alu_imm":
-            a = values[node.inputs[0]]
-            signed = node.imm - 0x10000 if node.imm & 0x8000 else node.imm
-            imm = np.full(len(a), signed, dtype=np.int64)
-            values[node.id] = apply_binop(node.op, a, imm, frac)
-        elif k == "act":
-            values[node.id] = apply_act(node.op, values[node.inputs[0]], luts)
-        elif k == "gather":
-            srcs = [values[i] for i in node.inputs]
-            flat = [s.reshape(-1) if s.ndim > 1 else s for s in srcs]
-            values[node.id] = np.array(
-                [flat[slot][elem] for slot, elem in node.indices], dtype=np.int64)
-        elif k == "merge":
-            acc = values[node.inputs[0]]
-            for i in node.inputs[1:]:
-                acc = fp.fx_add(acc, values[i])
-            values[node.id] = acc
         elif k == "output":
             v = values[node.inputs[0]]
             values[node.id] = v
             outputs[node.name] = v
         else:
-            raise GraphError(f"interpreter: unknown node kind {k!r}")
+            values[node.id] = apply_node(
+                node, [values[i] for i in node.inputs], frac, luts)
     if collect:
         return outputs, values
     return outputs
 
 
-def apply_binop(op, a, b, frac_bits):
-    if op == "mul":
-        return fp.fx_mul(a, b, frac_bits)
-    if op == "div":
-        return fp.fx_div(a, b, frac_bits)
-    fn = ALU_BINOPS[op]
-    return fn(a, b)
-
-
-def apply_act(op, a, luts):
-    if op == "relu":
-        return fp.fx_relu(a)
-    return np.asarray(luts[op].lookup(np.asarray(a, np.int64)), dtype=np.int64)
+def apply_node(node, args, frac_bits, luts):
+    """Value of one alu / alu_imm / act / gather / merge node from its input
+    values; shared by this interpreter and the tiled-graph one."""
+    k = node.kind
+    if k == "alu":
+        return fp.vector_op(node.op, args[0], args[1], frac_bits)[0]
+    if k == "alu_imm":
+        return fp.vector_op(node.op, args[0], fp.from_bits(node.imm),
+                            frac_bits)[0]
+    if k == "act":
+        if node.op in fp.LUT_FUNCTIONS:
+            return luts[node.op].lookup(np.asarray(args[0], np.int64))
+        return fp.vector_op(node.op, args[0])[0]
+    if k == "gather":
+        flat = [a.reshape(-1) for a in args]
+        return np.array([flat[slot][elem] for slot, elem in node.indices],
+                        dtype=np.int64)
+    if k == "merge":
+        return functools.reduce(fp.fx_add, args)
+    raise GraphError(f"interpreter: unknown node kind {k!r}")
 
 
 # ---------------------------------------------------------------------------
 # Serialization (versioned JSON; constants as base-16 Fixed16 words)
 # ---------------------------------------------------------------------------
-
-def _hex_words(arr):
-    return "".join(f"{int(v) & 0xFFFF:04x}" for v in np.asarray(arr).reshape(-1))
-
-
-def _unhex_words(s):
-    vals = [int(s[k:k + 4], 16) for k in range(0, len(s), 4)]
-    return np.array([v - 0x10000 if v >= 0x8000 else v for v in vals],
-                    dtype=np.int64)
-
 
 def to_json(graph):
     nodes = []
@@ -355,11 +324,22 @@ def to_json(graph):
             d["indices"] = [[s, e] for s, e in n.indices]
         if n.kind == "const_matrix":
             d["rows"], d["cols"] = (int(v) for v in n.shape)
-            d["data"] = _hex_words(graph.constants[n.id])
+            d["data"] = fp.to_hex(graph.constants[n.id])
         nodes.append(d)
     doc = {"version": 1, "frac_bits": graph.frac_bits,
            "streams": graph.stream_steps, "nodes": nodes}
     return json.dumps(doc, indent=1)
+
+
+def _matrix_from_hex(text, shape, nid):
+    try:
+        words = fp.from_hex(text)
+    except ValueError as e:
+        raise GraphError(f"node {nid}: constant data: {e}") from None
+    if len(words) != shape[0] * shape[1]:
+        raise GraphError(f"node {nid}: constant data holds {len(words)} words,"
+                         f" want {shape[0]} x {shape[1]}")
+    return words.reshape(shape)
 
 
 def from_json(text):
@@ -380,7 +360,7 @@ def from_json(text):
             raise GraphError("node ids must be dense and ordered")
         g.nodes.append(node)
         if node.kind == "const_matrix":
-            g.constants[node.id] = _unhex_words(d["data"]).reshape(shape)
+            g.constants[node.id] = _matrix_from_hex(d["data"], shape, node.id)
         if node.kind == "input":
             g.input_names.append(node.name)
         if node.kind == "output":

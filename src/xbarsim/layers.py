@@ -29,21 +29,6 @@ def mlp_layer(g, x, w, b=None, f="sigmoid"):
     return out
 
 
-def mlp(g, x, layer_widths, weights=None, f="sigmoid", rng=None):
-    """Chain of fully connected layers; random weights unless provided."""
-    rng = rng or np.random.default_rng(0)
-    h = x
-    for li, m in enumerate(layer_widths):
-        n = h.length
-        if weights is not None:
-            w, b = weights[li]
-        else:
-            w = rng.uniform(-0.5, 0.5, size=(n, m)) / np.sqrt(n)
-            b = rng.uniform(-0.25, 0.25, size=m)
-        h = mlp_layer(g, h, w, b, f)
-    return h
-
-
 def lstm_cell(g, x, h_prev, c_prev, wx, wh, b=None):
     """One LSTM step with stacked gate weights.
 

@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TILE_UNIT = 0xFFFF
+from . import fixedpoint as fp
+from .container import TILE_UNIT
+from .graph import apply_node, mvm_blockwise
+from .isa import ALUI_OPS
 
 
 class CompileError(Exception):
@@ -123,9 +126,10 @@ def _block_bounds(length, d):
 def tile_tensors(graph, xbar_dim=128):
     """Original graph -> tiled graph of block-level operations.
 
-    alu_imm nodes whose constant exceeds the instruction immediate are
-    rewritten with constant-vector operands here. Gathers whose sources
-    are all constant fold to preloaded const blocks.
+    alu_imm nodes whose constant exceeds the instruction immediate, or
+    whose op has no immediate form, are rewritten with constant-vector
+    operands here. Gathers whose sources are all constant fold to
+    preloaded const blocks.
     """
     if not graph.frozen:
         raise CompileError("freeze the model before compiling")
@@ -189,9 +193,10 @@ def tile_tensors(graph, xbar_dim=128):
                     t = tg.add("alu", op=node.op, inputs=[src[b], b2],
                                length=ln, block=b, orig=node.id)
                 elif k == "alu_imm":
-                    signed = node.imm - 65536 if node.imm & 0x8000 else node.imm
-                    fits = (-2048 <= signed <= 2047) if node.op in ("add", "sub") \
-                        else (0 <= node.imm <= 4095)
+                    signed = int(fp.from_bits(node.imm))
+                    fits = node.op in ALUI_OPS and (
+                        -2048 <= signed <= 2047 if node.op in ("add", "sub")
+                        else 0 <= node.imm <= 4095)
                     if fits:
                         t = tg.add("alu_imm", op=node.op, imm=node.imm,
                                    inputs=[src[b]], length=ln, block=b,
@@ -594,55 +599,26 @@ def topo_order(tg):
 def evaluate_tiled(tg, graph, inputs, luts=None):
     """Execute the tiled graph blockwise; used to check that partitioning
     and data movement preserve interpreter semantics exactly."""
-    from . import fixedpoint as fp
-    from .crossbar import crossbar_mvm, slice_weights
-    from .graph import apply_act, apply_binop
-
     luts = luts or fp.build_default_luts(graph.frac_bits)
+    d = tg.xbar_dim
     vals = {}
     for nid in topo_order(tg):
         n = tg.tnodes[nid]
-        k = n.kind
-        if k == "input":
+        args = [vals[i] for i in n.inputs]
+        if n.kind == "input":
             full = np.asarray(inputs[n.name], dtype=np.int64)
-            d = tg.xbar_dim
-            vals[n.id] = full[n.block * d: n.block * d + n.length]
-        elif k == "const":
-            vals[n.id] = np.asarray(n.words, dtype=np.int64)
-        elif k == "mvm":
-            mt = tg.matrix_tiles[n.matrix]
-            sm = slice_weights(mt.w_raw, tg.xbar_dim)
-            vals[n.id] = crossbar_mvm(sm, vals[n.inputs[0]], None,
-                                      graph.frac_bits, tg.xbar_dim)
-        elif k == "merge":
-            acc = vals[n.inputs[0]]
-            for i in n.inputs[1:]:
-                acc = fp.fx_add(acc, vals[i])
-            vals[n.id] = acc
-        elif k == "alu":
-            vals[n.id] = apply_binop(n.op, vals[n.inputs[0]], vals[n.inputs[1]],
-                                     graph.frac_bits)
-        elif k == "alu_imm":
-            a = vals[n.inputs[0]]
-            signed = n.imm - 0x10000 if n.imm & 0x8000 else n.imm
-            imm = np.full(len(a), signed, dtype=np.int64)
-            vals[n.id] = apply_binop(n.op, a, imm, graph.frac_bits)
-        elif k == "act":
-            vals[n.id] = apply_act(n.op, vals[n.inputs[0]], luts)
-        elif k == "gather":
-            srcs = [vals[i] for i in n.inputs]
-            vals[n.id] = np.array([srcs[s][e] for s, e in n.indices],
-                                  dtype=np.int64)
-        elif k in ("store", "load", "send", "receive"):
-            vals[n.id] = vals[n.inputs[0]]
-        elif k == "output":
-            vals[n.id] = vals[n.inputs[0]]
+            vals[nid] = full[n.block * d: n.block * d + n.length]
+        elif n.kind == "const":
+            vals[nid] = np.asarray(n.words, dtype=np.int64)
+        elif n.kind == "mvm":
+            vals[nid] = mvm_blockwise(tg.matrix_tiles[n.matrix].w_raw, args[0],
+                                      d, graph.frac_bits)
+        elif n.kind in ("store", "load", "send", "receive", "output"):
+            vals[nid] = args[0]
         else:
-            raise CompileError(f"evaluate_tiled: unknown kind {k!r}")
-    outputs = {}
-    for name, ids in tg.output_blocks.items():
-        outputs[name] = np.concatenate([vals[i] for i in ids])
-    return outputs
+            vals[nid] = apply_node(n, args, graph.frac_bits, luts)
+    return {name: np.concatenate([vals[i] for i in ids])
+            for name, ids in tg.output_blocks.items()}
 
 
 def plan_dump(tg):

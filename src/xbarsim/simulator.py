@@ -26,8 +26,8 @@ import numpy as np
 from . import fixedpoint as fp
 from .container import TILE_UNIT, loads as load_container
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
-from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALUINT_OP_NAMES, \
-    BRN_OP_NAMES, disassemble_one, sign_extend_12
+from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, \
+    ALUINT_OP_NAMES, BRN_OP_NAMES, disassemble_one, sign_extend_12
 from .machine import MachineConfig
 
 log = logging.getLogger("xbarsim")
@@ -218,6 +218,7 @@ class Machine:
             raise GeometryError("fixed-point format mismatch")
         self.cfg = cfg
         self.prog = prog
+        self.has_run = False
         luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
         core_programs = {}
         tile_programs = {}
@@ -378,11 +379,6 @@ class _Sim:
                 return True
         return False
 
-    def sat_count(self, unclipped):
-        n = fp.saturation_count(unclipped)
-        self.report.saturations += n
-        return n
-
     # -- instruction semantics ------------------------------------------------
 
     def attempt(self, actor):
@@ -490,25 +486,25 @@ class _Sim:
             busy = (w + lanes - 1) // lanes
             cycles = 1 + busy
             name = ALU_OP_NAMES[i.sub]
-            a = np.asarray(core.read_regs(i.b, w, op), dtype=np.int64)
+            a = core.read_regs(i.b, w, op)
             if op == "alui":
-                imm = i.c
-                if name in ("add", "sub"):
-                    imm = sign_extend_12(imm)
-                b = np.full(w, imm, dtype=np.int64)
+                b = sign_extend_12(i.c) if name in ("add", "sub") else i.c
                 reg_elems = 2 * w
-            elif name in ("not", "relu", "sigmoid", "tanh", "log", "exp"):
-                b = None
+            elif name in ALU_UNARY:
+                b = 0
                 reg_elems = 2 * w
             else:
-                b = np.asarray(core.read_regs(i.c, w, op), dtype=np.int64)
+                b = core.read_regs(i.c, w, op)
                 reg_elems = 3 * w
-            out = self.vfu_compute(core, name, a, b)
             if name in ALU_TRANSCENDENTAL:
                 # ROM mode: buffer RAM, read entries, restore RAM
+                out = core.rom_lookup(name, a)
                 cycles += cfg.mode_switch_cycles
                 self.charge("regfile", cfg.mode_switch_cycles)
                 self.report.mode_switches += 1
+            else:
+                out, saturated = fp.vector_op(name, a, b, cfg.frac_bits)
+                self.report.saturations += saturated
             core.write_regs(i.a, out, op)
             self.charge("vfu", busy)
             self.charge("regfile", busy)
@@ -547,7 +543,7 @@ class _Sim:
                 v = 1 if a > b else 0
             else:
                 v = 1 if a != b else 0
-            self.sat_count([v])
+            self.report.saturations += fp.saturation_count(v)
             core.write_regs(i.a, fp.saturate(np.array([v])), op)
             self.charge("sfu", 1)
             self.issue()
@@ -574,38 +570,6 @@ class _Sim:
             self.push(t + 1, actor)
             return True
         raise SimError(f"core cannot execute {op!r}")
-
-    def vfu_compute(self, core, name, a, b):
-        f = self.cfg.frac_bits
-        if name == "add":
-            self.sat_count(a + b)
-            return fp.fx_add(a, b)
-        if name == "sub":
-            self.sat_count(a - b)
-            return fp.fx_sub(a, b)
-        if name == "mul":
-            self.sat_count(fp.rshift_round_even(a * b, f))
-            return fp.fx_mul(a, b, f)
-        if name == "div":
-            return fp.fx_div(a, b, f)
-        if name == "shl":
-            self.sat_count(a << b)
-            return fp.fx_shl(a, b)
-        if name == "shr":
-            return fp.fx_shr(a, b)
-        if name == "and":
-            return fp.fx_and(a, b)
-        if name == "or":
-            return fp.fx_or(a, b)
-        if name == "not":
-            return fp.fx_not(a)
-        if name == "min":
-            return fp.fx_min_(a, b)
-        if name == "max":
-            return fp.fx_max_(a, b)
-        if name == "relu":
-            return fp.fx_relu(a)
-        return core.rom_lookup(name, a)
 
     def exec_tile(self, tile_id, unit, i):
         cfg = self.cfg
@@ -747,8 +711,15 @@ class _Sim:
 
 
 def run(machine, inputs, step_limit=1_000_000, order_seed=None):
-    """Execute a configured machine with bound inputs -> RunReport."""
+    """Execute a configured machine with bound inputs -> RunReport.
+
+    A run consumes the machine's state (program counters, memory counts),
+    so each Machine runs once."""
+    if machine.has_run:
+        raise SimError("this machine has already run; configure a new "
+                       "Machine for each run")
     machine.bind_inputs(inputs)
+    machine.has_run = True
     log.info("run: %d instructions over %d tiles",
              machine.prog.total_instructions(), machine.cfg.tiles)
     sim = _Sim(machine, order_seed)
@@ -763,11 +734,3 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
         report.outputs = {k: v for k, v in machine.collect_outputs().items()}
     return report
 
-
-def compile_and_run(graph, cfg, inputs, opts=None, step_limit=1_000_000,
-                    order_seed=None):
-    """Convenience: compile a frozen model and simulate it once."""
-    from .compiler import compile_model
-    prog, _ = compile_model(graph, cfg, opts)
-    machine = Machine(cfg, prog)
-    return run(machine, inputs, step_limit, order_seed)

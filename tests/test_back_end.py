@@ -1,0 +1,54 @@
+"""One compile back end for unrolled and loop mode, and one run per
+configured Machine."""
+
+import pytest
+
+from xbarsim import graph as gr, models
+from xbarsim.compiler import CompileError, CompileOptions, compile_model
+from xbarsim.machine import MachineConfig
+from xbarsim.simulator import Machine, SimError, run
+
+LOOP = CompileOptions(conv_loop=True)
+
+
+@pytest.mark.parametrize("opts", [CompileOptions(), LOOP],
+                         ids=["unrolled", "loop"])
+def test_register_file_overflow_is_a_compile_error_naming_the_actor(opts):
+    g, _ = models.conv_model(side=8, channels=1, filters=2,
+                             pixel_outputs=True)
+    with pytest.raises(CompileError, match=r"^tile 0 core 0: "):
+        compile_model(g, MachineConfig(register_size=32), opts)
+
+
+def test_loop_mode_fills_xbar_maxlive():
+    g, _ = models.build_example("conv_loop")
+    _, report = compile_model(g, models.default_config_for("conv_loop"), LOOP)
+    assert report.xbar_maxlive["xbar_in"] > 0
+    assert report.xbar_maxlive["xbar_out"] > 0
+
+
+@pytest.mark.parametrize("name, opts", [("conv_loop", LOOP),
+                                        ("conv_loop", CompileOptions()),
+                                        ("lstm8", CompileOptions())])
+def test_report_coalesce_groups_match_container_meta(name, opts):
+    # 8-wide crossbars split the 9-row conv window over two MVMUs
+    g, _ = models.build_example(name)
+    prog, report = compile_model(g, MachineConfig(xbar_dim=8, tiles=2), opts)
+    assert report.coalesce_groups > 0
+    assert report.coalesce_groups == prog.meta["coalesce_groups"]
+    assert report.maxlive == prog.meta["maxlive"]
+    assert report.spill_count == prog.meta["spill_count"]
+
+
+def test_machine_runs_once():
+    g, pts, _ = models.trained_tiny_classifier()
+    cfg = MachineConfig(tiles=1)
+    prog, _ = compile_model(g, cfg)
+    m = Machine(cfg, prog)
+    first = run(m, pts[0])
+    assert first.outputs["y"].tolist() == gr.evaluate(g, pts[0])["y"].tolist()
+    with pytest.raises(SimError, match="already run"):
+        run(m, pts[40])
+    again = run(Machine(cfg, prog), pts[40])
+    assert again.outputs["y"].tolist() == [-275, -149, 4297]
+    assert again.outputs["y"].tolist() == gr.evaluate(g, pts[40])["y"].tolist()

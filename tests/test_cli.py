@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from xbarsim import cli, container, graph as gr, isa, models
+from xbarsim import cli, container, fixedpoint as fp, graph as gr, isa, models
 from xbarsim.compiler import CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
@@ -170,7 +170,7 @@ def test_sweep_noise_with_eval_accuracy(tmp_path):
     evalf = tmp_path / "eval.json"
     evalf.write_text(json.dumps({
         "input": "x", "output": "y", "labels": [int(v) for v in labels],
-        "points": [cli._hex_vec(p["x"]) for p in pts],
+        "points": [fp.to_hex(p["x"]) for p in pts],
     }))
     cfgf = tmp_path / "m.cfg"
     cfgf.write_text(MachineConfig(tiles=1).to_text())

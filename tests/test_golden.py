@@ -1,0 +1,128 @@
+"""Golden hashes: refactors must keep emitted bytes and reports identical.
+
+Each case pins the sha256 of the container bytes (`container.save`), of
+the model JSON (`graph.to_json`) and of the run report
+(`RunReport.to_dict`, serialised with sorted keys). A change to any of
+them is a change in behaviour and must be deliberate.
+
+To print the table for the current code:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from xbarsim import container, graph as gr, models
+from xbarsim.compiler import CompileOptions, compile_model
+from xbarsim.machine import MachineConfig
+from xbarsim.simulator import Machine, run
+
+
+def _sha(data):
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cases():
+    for name in sorted(models.EXAMPLES):
+        yield name, name, models.default_config_for(name), CompileOptions()
+        if name == "conv_loop":
+            yield ("conv_loop/loop", name, models.default_config_for(name),
+                   CompileOptions(conv_loop=True))
+    yield "mlp512/4tiles", None, MachineConfig(tiles=4), CompileOptions()
+
+
+def _hashes(example, cfg, opts):
+    g, inputs = (models.build_example(example) if example
+                 else models.mlp_model(512))
+    prog, _ = compile_model(g, cfg, opts)
+    report = run(Machine(cfg, prog), inputs)
+    return (_sha(container.save(prog)), _sha(gr.to_json(g)),
+            _sha(json.dumps(report.to_dict(), sort_keys=True)))
+
+
+GOLDEN = {
+    'cnn_small': (
+        '74d69a0c914af4dac699a5d3db62051420bcd1ba761a5b2404e7c21efabe588d',
+        'dc80e7c9874b55da4c5a58ed34fc00020b33f8765447939ea9b976e51f676d86',
+        '24b02cb0f9e878ec9d6d53822690fcc4fd4de53828f23e1f5a276302769a0161',
+    ),
+    'conv8x8': (
+        '76cd8c54fffd705ec837ea585796a17a2d6dd64166ff00fc506990e5f67845da',
+        'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
+        '503ff9356222bc74202d928025078df50e2ef29493276332b5b94a2e555996be',
+    ),
+    'conv_loop': (
+        'e9cad712273d226ed09f69501ef724cf948f59c5fc95a17bd5109f6cefcbc7c9',
+        '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
+        '15c373c689f5dfa5f5277c0e193da7fa4ec157c442cd3ef947a6b9fe2b2a160f',
+    ),
+    'conv_loop/loop': (
+        '1c12a3290622c2ca41a20a1e17dc41ebbd844936f0d55b8b7fe97b423b9c5982',
+        '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
+        '74a2d49bb5fe779525b39ba0f72a48fa530449224c2bf37110e3babc20bae706',
+    ),
+    'lstm128': (
+        'afbc8ea8260fb2afdf642ae541aa330c84299a58389af3e53a93d4b84484a620',
+        '6229375791dfc5780f15b0af3c21867ea0a74afc3032fb4f2a3b05ef448e8512',
+        'ba179920332620b1308533c869a19138f99ab5489d1e9980ba708b368f0c5f45',
+    ),
+    'lstm8': (
+        '45a33930365ada62ac1bc80ce9c395fb5cb0af13cc04d7ed5a4f8094c5998749',
+        'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
+        '3594c833d439fbc87d11e1d684fd9370fb98dcb726f162fc1f4b2531ed8c1965',
+    ),
+    'mlp128': (
+        '4d41fce0fc8e84e2eb2bd5c5eb93d14d4f0e83fc77e6875ccd6f129282888c6d',
+        '5d213750cab0793a7b3b260d475b1958eba7ef81b645b051151c7faacd38663a',
+        '8193ed4bf1f211d079545f7372440fe683fef83217e17e250f04158098c53a34',
+    ),
+    'mlp256': (
+        'b8b612f3a69a480ebeb7aefbeb009b36923f0426ba321d8acd7a88b78d44e681',
+        '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
+        '4546462077e59574388bce51cd8b20b316aad771cc484f084667575bf9047ff5',
+    ),
+    'mlp4': (
+        '3c5000c1222ade6611f458b2ca23388871af357925fbd612e5d0387db68302b1',
+        'e3a14bd5683be4bf604e071f11fbc25089520ee70daea90ce68b0f15d5ff227c',
+        '9bcb3628fdcec0abbb085b17374c9e50e4498832cb666fd97722f5d74c728ca9',
+    ),
+    'mlp_l4': (
+        'cbeebe8ab2b9d83c12460cae0f0c8bc8e61d854a4b2c366170d1689bb70a8e77',
+        '46d5c6db94e2bc1ff0280cfa8d6cfb6685961b960afe02ae2ccc8e4ffd0fe51c',
+        'e164a902925df01219a98e4052484adb6fc0eafb82b448d02fe2545b33bae765',
+    ),
+    'mvm_pair': (
+        'aaa99326e2005d73a862eedbae9174b22ed8c3586ab8df063d6cabdbe3f6d041',
+        'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
+        '815e9ca23a377bf4823475de9ec33b170a8131b94846a81199cdc4a6e1fcf9b8',
+    ),
+    'vector': (
+        '48746bd85e7025bc711868a34e212c8d2fde5b6aa0470d007ab47b1bf6af7a4c',
+        'bf6e138c2e7b15140ca9d292abd43feca625862bde66719c0eab25d534a98aa1',
+        '0506fa496a342f387b37b75ee29850f94df61201cf6af1718893351271b95861',
+    ),
+    'mlp512/4tiles': (
+        '4d4e91ccc8b398f075d82e05e723b694a1159661aebe4680fb13be66035e4a4a',
+        '6c5cf0b379b7380d91dbebe4bffe5e0b57b70ce4bdb9b1f543185cfe7bd1cfee',
+        'b2bc219e2d5c54367dffd401e1a8e24ff03c1e94ae28206e29659e2f949d8ba1',
+    ),
+}
+
+
+@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
+                         ids=[c[0] for c in _cases()])
+def test_golden_bytes(case, example, cfg, opts):
+    assert _hashes(example, cfg, opts) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case, example, cfg, opts in _cases():
+        print(f"    {case!r}: (")
+        for h in _hashes(example, cfg, opts):
+            print(f"        {h!r},")
+        print("    ),")
