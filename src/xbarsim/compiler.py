@@ -16,8 +16,6 @@ range of its tile's memory, and no word is reused for a second value
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import container, isa, regalloc, schedule
 from .lowir import LowInstr, Mem, VReg, finalize
 from .partition import (
@@ -334,8 +332,7 @@ def _emit_container(tg, machine, code, bases, meta):
         if mt.mvmu is None:
             continue
         t, c, u = mt.mvmu
-        prog.weights.append(container.WeightBlock(
-            t, c, u, [list(map(int, row)) for row in np.asarray(mt.w_raw)]))
+        prog.weights.append(container.WeightBlock(t, c, u, mt.w_raw))
 
     for s in tg.symbols:
         if s.kind == "const":

@@ -5,12 +5,15 @@ then per-core and per-tile instruction segments each prefixed by
 (tile id, core id or TILE marker, instruction count) followed by raw
 7-byte records. Configuration sections follow: crossbar weights, shuffle
 patterns, preloaded data-memory words, input/output bindings, memory
-region tags, and integer metadata from the compiler.
+region tags, and integer metadata from the compiler. A weight block is a
+2-D int64 ndarray in memory and row-major little-endian int16 words here.
 """
 
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import isa
 
@@ -37,7 +40,7 @@ class WeightBlock:
     tile: int
     core: int
     mvmu: int
-    w_raw: object      # rows x cols int array (raw fixed point)
+    w_raw: np.ndarray  # rows x cols raw int64 weights
 
 
 @dataclass
@@ -146,11 +149,13 @@ def save(prog):
         out.append(isa.encode_program(s.instrs))
     out.append(struct.pack("<H", len(prog.weights)))
     for wb in prog.weights:
-        rows = len(wb.w_raw)
-        cols = len(wb.w_raw[0]) if rows else 0
-        out.append(struct.pack("<HHBHH", wb.tile, wb.core, wb.mvmu, rows, cols))
-        flat = [int(v) for row in wb.w_raw for v in row]
-        out.append(struct.pack(f"<{rows * cols}h", *flat))
+        w = np.asarray(wb.w_raw, dtype=np.int64)
+        words = w.astype("<i2")
+        if w.ndim != 2 or np.any(words != w):
+            raise ContainerError(f"tile {wb.tile} core {wb.core} mvmu "
+                                 f"{wb.mvmu}: weights are not 2-D int16")
+        out.append(struct.pack("<HHBHH", wb.tile, wb.core, wb.mvmu, *w.shape))
+        out.append(words.tobytes())
     out.append(struct.pack("<H", len(prog.patterns)))
     for p in prog.patterns:
         out.append(struct.pack("<HHBHHH", p.tile, p.core, p.mvmu, p.filt,
@@ -194,9 +199,8 @@ def loads(blob):
     (nw,) = r.unpack("<H")
     for _ in range(nw):
         tile, core, mvmu, rows, cols = r.unpack("<HHBHH")
-        flat = r.unpack(f"<{rows * cols}h")
-        w = [list(flat[k * cols:(k + 1) * cols]) for k in range(rows)]
-        prog.weights.append(WeightBlock(tile, core, mvmu, w))
+        w = np.frombuffer(r.take(2 * rows * cols), "<i2").reshape(rows, cols)
+        prog.weights.append(WeightBlock(tile, core, mvmu, w.astype(np.int64)))
     (np_,) = r.unpack("<H")
     for _ in range(np_):
         tile, core, mvmu, filt, stride, n = r.unpack("<HHBHHH")

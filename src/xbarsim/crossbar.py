@@ -2,9 +2,11 @@
 
 A 16-bit weight is biased by +2^15 into an unsigned integer and decomposed
 into base-(2^b) digits, one digit per physical crossbar (b bits per device,
-default 2 -> 8 slices). Each slice computes an integer dot product with the
-full-precision input; slice outputs pass through an ADC transfer function,
-are recombined by shift-and-add, and the bias contribution is subtracted.
+default 2 -> 8 slices). The ideal MVM (no ADC, no write noise) is the exact
+integer MAC over the raw weights and reads no slice. Under noise or an ADC
+each slice computes a dot product with the full-precision input; slice
+outputs pass through an ADC transfer function, are recombined by
+shift-and-add, and the bias contribution is subtracted.
 """
 
 import numpy as np
@@ -30,14 +32,14 @@ def slices_for_bits(bits_per_device):
 class SlicedMatrix:
     """Per-device digit planes of one weight matrix on one MVMU.
 
-    slices[i] holds digit i (least significant first) of the biased
-    weights; digits are ints in [0, 2^b - 1] before noise and real-valued
-    conductances after.
+    w_raw is the programmed raw weight matrix (int64). slices[i] holds
+    digit i (least significant first) of the biased weights; digits are
+    ints in [0, 2^b - 1] before noise and real-valued conductances after.
     """
 
-    def __init__(self, rows, cols, slices, bits_per_device=2, noise_sigma=0.0):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, w_raw, slices, bits_per_device=2, noise_sigma=0.0):
+        self.w_raw = w_raw
+        self.rows, self.cols = w_raw.shape
         self.slices = slices
         self.bits_per_device = bits_per_device
         self.noise_sigma = noise_sigma
@@ -73,10 +75,9 @@ def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
     biased = w_raw + WEIGHT_BIAS
     if biased.min() < 0 or biased.max() >= 1 << WEIGHT_BITS:
         raise ValueError("weights outside 16-bit raw range")
-    slices = []
-    for i in range(nslices):
-        slices.append(((biased >> (bits_per_device * i)) & (radix - 1)).astype(np.int64))
-    return SlicedMatrix(rows, cols, slices, bits_per_device)
+    slices = [(biased >> (bits_per_device * i)) & (radix - 1)
+              for i in range(nslices)]
+    return SlicedMatrix(w_raw, slices, bits_per_device)
 
 
 def apply_write_noise(m, sigma, seed):
@@ -88,16 +89,15 @@ def apply_write_noise(m, sigma, seed):
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
-        return SlicedMatrix(
-            m.rows, m.cols, [s.copy() for s in m.slices], m.bits_per_device, 0.0
-        )
+        return SlicedMatrix(m.w_raw, [s.copy() for s in m.slices],
+                            m.bits_per_device)
     rng = np.random.default_rng(seed)
     g_range = (1 << m.bits_per_device) - 1
     noisy = []
     for digits in m.slices:
         eps = rng.normal(0.0, sigma * g_range, size=digits.shape)
         noisy.append(np.clip(np.asarray(digits, np.float64) + eps, 0.0, g_range))
-    return SlicedMatrix(m.rows, m.cols, noisy, m.bits_per_device, sigma)
+    return SlicedMatrix(m.w_raw, noisy, m.bits_per_device, sigma)
 
 
 def default_adc_bits(xbar_dim=128):
@@ -112,23 +112,24 @@ def adc_transfer(values, adc_bits, full_scale):
     return np.clip(q, -full_scale + step / 2, full_scale - step / 2)
 
 
+def ideal_mvm(w_raw, x_raw, frac_bits=DEFAULT_FRAC_BITS):
+    """Exact integer MAC over raw weights, rounded half-even, saturated."""
+    return saturate(rshift_round_even(x_raw @ w_raw, frac_bits))
+
+
 def crossbar_mvm(m, x_raw, adc_bits=None, frac_bits=DEFAULT_FRAC_BITS, xbar_dim=128):
     """One analog MVM: out[c] = sat(round(sum_r W[r][c] * x[r] * 2^-f)).
 
-    adc_bits=None is the ideal mode (no ADC quantization); with integer
-    digits and sigma=0 it is bit-exact to a double-width integer MAC.
+    adc_bits=None is the ideal mode (no ADC quantization); at sigma=0 it is
+    ideal_mvm, and only write noise or an ADC reads the slices.
     """
     x_raw = np.asarray(x_raw, dtype=np.int64)
     if x_raw.shape != (m.rows,):
         raise ValueError(f"input length {x_raw.shape} does not match {m.rows} rows")
-    radix = 1 << m.bits_per_device
-    ideal = adc_bits is None and all(
-        np.issubdtype(np.asarray(s).dtype, np.integer) for s in m.slices
-    )
-    if ideal:
-        acc = x_raw @ m.reconstruct_raw()          # int64, exact
-        return saturate(rshift_round_even(acc, frac_bits))
+    if adc_bits is None and m.noise_sigma == 0:
+        return ideal_mvm(m.w_raw, x_raw, frac_bits)
 
+    radix = 1 << m.bits_per_device
     full_scale = float(xbar_dim * (radix - 1) * WEIGHT_BIAS)
     combined = np.zeros(m.cols, dtype=np.float64)
     for i, digits in enumerate(m.slices):

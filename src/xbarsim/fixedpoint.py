@@ -110,15 +110,16 @@ def _div_unclipped(a, b, frac_bits):
 
 
 # op name -> f(a, b, frac_bits) over int64 arrays -> (value, saturated
-# element count). Unary ops ignore b. The transcendental ALU ops are ROM
-# reads instead (LUT_FUNCTIONS below).
+# element count). Unary ops ignore b. Shift counts are read as unsigned
+# 16-bit words and clamped to 16 (shl) or 15 (shr). The transcendental ALU
+# ops are ROM reads instead (LUT_FUNCTIONS below).
 VECTOR_OPS = {
     "add": lambda a, b, f: _clipped(a + b),
     "sub": lambda a, b, f: _clipped(a - b),
     "mul": lambda a, b, f: _clipped(rshift_round_even(a * b, f)),
     "div": lambda a, b, f: _clipped(_div_unclipped(a, b, f)),
-    "shl": lambda a, b, f: _clipped(a << b),
-    "shr": lambda a, b, f: (a >> b, 0),
+    "shl": lambda a, b, f: _clipped(a << np.minimum(to_bits(b), 16)),
+    "shr": lambda a, b, f: (a >> np.minimum(to_bits(b), 15), 0),
     "and": lambda a, b, f: (from_bits(to_bits(a) & to_bits(b)), 0),
     "or": lambda a, b, f: (from_bits(to_bits(a) | to_bits(b)), 0),
     "not": lambda a, b, f: (from_bits(~to_bits(a)), 0),

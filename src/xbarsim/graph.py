@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from . import fixedpoint as fp
-from .crossbar import crossbar_mvm, slice_weights
+from .crossbar import ideal_mvm
 
 ACT_FUNCS = ("relu", "sigmoid", "tanh", "log", "exp")
 ALU_BINOPS = ("add", "sub", "mul", "div", "shl", "shr", "and", "or", "min",
@@ -77,7 +77,7 @@ class ModelGraph:
     def __init__(self, frac_bits=fp.DEFAULT_FRAC_BITS):
         self.frac_bits = frac_bits
         self.nodes = []
-        self.constants = {}        # node id -> raw int matrix (rows x cols)
+        self.constants = {}        # node id -> raw int64 matrix (rows x cols)
         self.input_names = []
         self.output_names = []
         self.stream_steps = {}     # stream name -> step count
@@ -124,21 +124,21 @@ class ModelGraph:
         self.stream_steps[name] = steps
         return [self.input(f"{name}#{t}", n) for t in range(steps)]
 
-    def const_matrix(self, w, raw=False):
+    def const_matrix(self, w):
         w = np.asarray(w)
         if w.ndim != 2:
             raise ShapeError("constant matrix must be 2-D")
-        w_raw = np.asarray(w, np.int64) if raw else fp.quantize(w, self.frac_bits)
+        w_raw = fp.quantize(w, self.frac_bits)
         ref = self._add("const_matrix", shape=w_raw.shape)
         self.constants[ref.id] = w_raw
         return ref
 
-    def const_vector(self, v, raw=False):
+    def const_vector(self, v):
         """Constant vector, stored as a 1 x n matrix consumed via gather."""
         v = np.asarray(v)
         if v.ndim != 1:
             raise ShapeError("constant vector must be 1-D")
-        mat = self.const_matrix(v.reshape(1, -1), raw=raw)
+        mat = self.const_matrix(v.reshape(1, -1))
         return self.gather([mat], [(0, k) for k in range(v.shape[0])])
 
     def mvm(self, w, x):
@@ -233,8 +233,7 @@ def mvm_blockwise(w_raw, x_raw, xbar_dim, frac_bits):
         acc = None
         for ri in range(0, rows, xbar_dim):
             re = min(ri + xbar_dim, rows)
-            m = slice_weights(w_raw[ri:re, cj:ce], xbar_dim)
-            part = crossbar_mvm(m, x_raw[ri:re], None, frac_bits, xbar_dim)
+            part = ideal_mvm(w_raw[ri:re, cj:ce], x_raw[ri:re], frac_bits)
             acc = part if acc is None else fp.fx_add(acc, part)
         out[cj:ce] = acc
     return out

@@ -35,7 +35,9 @@ OPCODES = {
 }
 OPCODE_NAMES = {v: k for k, v in OPCODES.items()}
 
-# Vector ALU subops (shared by alu and alui where meaningful).
+# Vector ALU subops (shared by alu and alui where meaningful). shl and shr
+# read the shift count as an unsigned 16-bit word; shl clamps it to 16 and
+# saturates, shr clamps it to 15 (fixedpoint.VECTOR_OPS).
 ALU_OPS = {
     "add": 0, "sub": 1, "mul": 2, "div": 3,
     "shl": 4, "shr": 5, "and": 6, "or": 7, "not": 8,

@@ -64,7 +64,7 @@ class MatrixTile:
     orig: int              # const_matrix node id
     row_block: int
     col_block: int
-    w_raw: np.ndarray      # rows x cols raw weights
+    w_raw: np.ndarray      # rows x cols raw int64 weights (a view)
     mvmu: tuple = None     # (tile, core, mvmu index)
 
     @property
@@ -169,7 +169,7 @@ def tile_tensors(graph, xbar_dim=128):
                     mt = mt_cache.get(key)
                     if mt is None:
                         mt = MatrixTile(len(tg.matrix_tiles), node.inputs[0],
-                                        bi, bj, np.asarray(w_raw[rl:rh, cl:ch]))
+                                        bi, bj, w_raw[rl:rh, cl:ch])
                         tg.matrix_tiles.append(mt)
                         mt_cache[key] = mt
                     t = tg.add("mvm", inputs=[xblocks[bi]], length=ch - cl,
@@ -214,16 +214,15 @@ def tile_tensors(graph, xbar_dim=128):
         elif k == "gather":
             srcs = node.inputs
             all_const = all(graph.nodes[s].kind == "const_matrix" for s in srcs)
+            if all_const:
+                flat = [graph.constants[s].reshape(-1) for s in srcs]
             ids = []
             for b, (lo, hi) in enumerate(_block_bounds(node.length, d)):
                 part = node.indices[lo:hi]
                 if all_const:
-                    words = []
-                    for slot, elem in part:
-                        flat = np.asarray(graph.constants[srcs[slot]]).reshape(-1)
-                        words.append(int(flat[elem]))
                     t = tg.add("const", length=hi - lo, block=b, orig=node.id,
-                               words=words)
+                               words=[int(flat[slot][elem])
+                                      for slot, elem in part])
                 else:
                     used = []       # block tnode ids in first-use order
                     rewritten = []

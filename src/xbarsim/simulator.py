@@ -242,8 +242,7 @@ class Machine:
                       for t in range(cfg.tiles)}
 
         for wb in prog.weights:
-            sliced = slice_weights(np.asarray(wb.w_raw, dtype=np.int64),
-                                   cfg.xbar_dim, cfg.bits_per_device)
+            sliced = slice_weights(wb.w_raw, cfg.xbar_dim, cfg.bits_per_device)
             if cfg.noise_sigma > 0:
                 seed = np.random.SeedSequence(
                     [cfg.seed, wb.tile, wb.core, wb.mvmu])
@@ -254,8 +253,7 @@ class Machine:
             core.patterns.setdefault(pat.filt, {})[pat.mvmu] = \
                 np.asarray(pat.perm, dtype=np.int64)
         for db in prog.data:
-            self.tiles[db.tile].mem.write(
-                db.addr, np.asarray(db.words, dtype=np.int64), db.count)
+            self.tiles[db.tile].mem.write(db.addr, db.words, db.count)
         self.spill_ranges = {}
         for r in prog.regions:
             if r.kind == "spill":
@@ -601,8 +599,7 @@ class _Sim:
             self.serial += 1
             heapq.heappush(self.ready,
                            (arrival, -1.0, self.serial,
-                            ("_arrival", target, fid, tile_id,
-                             tuple(int(v) for v in vals))))
+                            ("_arrival", target, fid, tile_id, vals)))
             end = bus_start + flits
             for d in drained:
                 self.wake(("mem_free", tile_id, addr + int(d)), end)
@@ -633,7 +630,7 @@ class _Sim:
             if len(vals) != w:
                 raise SimError(
                     f"receive of {w} words got a {len(vals)}-word message")
-            tile.mem.write(addr, np.asarray(vals, dtype=np.int64), count)
+            tile.mem.write(addr, vals, count)
             cycles = 1 + w
             end = t + cycles
             self.wake(("fifo_space", tile_id, fid), end)
@@ -691,7 +688,7 @@ class _Sim:
                 _, target, fid, src, vals = actor
                 fifo = self.m.tiles[target].fifos[fid]
                 fifo.in_flight -= 1
-                fifo.queue.append((src, list(vals)))
+                fifo.queue.append((src, vals))
                 self.wake(("fifo_data", target, fid), t)
                 continue
             self.attempt(actor)

@@ -271,6 +271,8 @@ def test_json_round_trip_preserves_evaluation():
                           rng.uniform(-0.2, 0.2, 5), "tanh")
     h2 = layers.mlp_layer(g, h1, rng.uniform(-0.5, 0.5, (5, 3)), None, "relu")
     g.output("y", h2)
+    # constants beyond +-8.0 saturate when built, so JSON cannot wrap them
+    g.output("z", g.alu("sub", h2, g.const_vector([9.5, -12.0, 0.25])))
     g.freeze()
     text = gr.to_json(g)
     back = gr.from_json(text)
@@ -278,6 +280,8 @@ def test_json_round_trip_preserves_evaluation():
     a = gr.evaluate(g, {"x": xs})
     b = gr.evaluate(back, {"x": xs})
     assert a["y"].tolist() == b["y"].tolist()
+    assert a["z"].tolist() == b["z"].tolist()
+    assert a["z"][1] == fp.fx_sub(a["y"][1], fp.RAW_MIN)
     assert gr.to_json(back) == text
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from xbarsim import container, isa
@@ -195,7 +196,9 @@ def test_container_round_trip():
     assert back.xbar_dim == 128 and back.tiles == 2
     assert back.segments[0].instrs == prog.segments[0].instrs
     assert back.segments[1].core == container.TILE_UNIT
-    assert back.weights[0].w_raw == [[1, -2], [3, 4]]
+    w = back.weights[0].w_raw
+    assert isinstance(w, np.ndarray) and w.dtype == np.int64 and w.ndim == 2
+    assert np.array_equal(w, [[1, -2], [3, 4]])
     assert back.patterns[0].perm == [1, 0, 2, 3]
     assert back.data[0].words == [7, -8, 9]
     assert [b.name for b in back.io] == ["x", "y"]
@@ -209,6 +212,14 @@ def test_container_rejects_bad_magic_and_truncation():
         container.loads(b"XXXX" + blob[4:])
     with pytest.raises(container.ContainerError, match="truncated"):
         container.loads(blob[:-3])
+
+
+def test_container_rejects_weight_outside_int16_naming_the_mvmu():
+    prog = _tiny_program()
+    prog.weights.append(container.WeightBlock(1, 3, 1, [[0, 40000]]))
+    with pytest.raises(container.ContainerError,
+                       match="tile 1 core 3 mvmu 1: .*int16"):
+        container.save(prog)
 
 
 def test_container_static_histogram_sums_to_length():

@@ -33,6 +33,27 @@ def test_table_counts_each_saturated_element_once():
     assert fp.vector_op("min", a, b)[1] == 0
 
 
+def test_out_of_range_shift_counts_clamp():
+    value, saturated = fp.vector_op("shl", [30000, 5, 5], [64, 70, -1])
+    assert value.tolist() == [32767] * 3 and saturated == 3
+    value, saturated = fp.vector_op("shr", [-30000, 30000, 4], [64, -1, 1])
+    assert value.tolist() == [-1, 0, 2] and saturated == 0
+    g = gr.ModelGraph()
+    a = g.input("a", 3)
+    b = g.input("b", 3)
+    g.output("y", g.alu("shl", a, b))
+    g.freeze()
+    inputs = {"a": np.array([30000, 5, 5]), "b": np.array([64, 70, -1])}
+    assert gr.evaluate(g, inputs, 8)["y"].tolist() == [32767] * 3
+    cfg = MachineConfig(xbar_dim=8, tiles=1)
+    prog, _ = compile_model(g, cfg)
+    assert "alu shl" in "\n".join(
+        isa.disassemble_one(i) for s in prog.segments for i in s.instrs)
+    rep = run(Machine(cfg, prog), inputs)
+    assert rep.outputs["y"].tolist() == [32767] * 3
+    assert rep.saturations == 3
+
+
 def _div_model():
     g = gr.ModelGraph()
     a = g.input("a", 4)
