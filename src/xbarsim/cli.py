@@ -45,7 +45,8 @@ def _load_cfg(args):
 
 
 def read_tensors(path):
-    """Input/output tensor file: name -> raw words (hex string or ints)."""
+    """Input/output tensor file: name -> one vector of raw words (hex
+    string or ints)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     out = {}
@@ -54,6 +55,9 @@ def read_tensors(path):
             out[name] = fp.from_hex(val)
         else:
             out[name] = np.asarray(val, dtype=np.int64)
+            if out[name].ndim != 1:
+                raise ValueError(f"tensor {name!r} is not one vector of "
+                                 f"words")
     return out
 
 
@@ -142,19 +146,26 @@ def _cfg_for_point(cfg, axis, value):
 
 def sweep_point(graph, cfg, inputs, opts, eval_set=None, labels=None,
                 output_name=None, step_limit=2_000_000):
-    """One compile+run; returns (latency_ns, energy_nj, accuracy|None)."""
+    """One compile and one run -> (latency_ns, energy_nj, accuracy|None).
+
+    The eval points ride along as extra lanes of the timed run: the
+    modeled figures are those of one inference, and accuracy is scored on
+    the eval lanes."""
     prog, _ = compile_model(graph, cfg, opts)
+    if eval_set is not None:
+        # an input some lane lacks stays out, and the run reports it missing
+        lanes = [inputs] + list(eval_set)
+        inputs = {name: np.stack([p[name] for p in lanes])
+                  for name in {b.name for b in prog.inputs()}
+                  if all(name in p for p in lanes)}
     report = sim_run(Machine(cfg, prog), inputs, step_limit=step_limit)
     if not report.halted:
         raise RuntimeError("sweep point did not terminate: "
                            + "; ".join(report.diagnosis))
     accuracy = None
     if eval_set is not None:
-        outs = []
-        for point in eval_set:
-            rep = sim_run(Machine(cfg, prog), point, step_limit=step_limit)
-            outs.append(rep.outputs[output_name])
-        accuracy = models.classifier_accuracy(outs, labels)
+        accuracy = models.classifier_accuracy(
+            report.outputs[output_name][1:], labels)
     return report.latency_ns, report.energy_total_nj, accuracy
 
 

@@ -149,11 +149,12 @@ def save(prog):
         out.append(isa.encode_program(s.instrs))
     out.append(struct.pack("<H", len(prog.weights)))
     for wb in prog.weights:
-        w = np.asarray(wb.w_raw, dtype=np.int64)
+        w = np.asarray(wb.w_raw)
         words = w.astype("<i2")
         if w.ndim != 2 or np.any(words != w):
             raise ContainerError(f"tile {wb.tile} core {wb.core} mvmu "
-                                 f"{wb.mvmu}: weights are not 2-D int16")
+                                 f"{wb.mvmu}: weights are not 2-D int16 "
+                                 f"integers")
         out.append(struct.pack("<HHBHH", wb.tile, wb.core, wb.mvmu, *w.shape))
         out.append(words.tobytes())
     out.append(struct.pack("<H", len(prog.patterns)))

@@ -35,14 +35,24 @@ class SlicedMatrix:
     w_raw is the programmed raw weight matrix (int64). slices[i] holds
     digit i (least significant first) of the biased weights; digits are
     ints in [0, 2^b - 1] before noise and real-valued conductances after.
+    Planes not given at construction are built on first read of slices.
     """
 
-    def __init__(self, w_raw, slices, bits_per_device=2, noise_sigma=0.0):
+    def __init__(self, w_raw, slices=None, bits_per_device=2, noise_sigma=0.0):
         self.w_raw = w_raw
         self.rows, self.cols = w_raw.shape
-        self.slices = slices
+        self._slices = slices
         self.bits_per_device = bits_per_device
         self.noise_sigma = noise_sigma
+
+    @property
+    def slices(self):
+        if self._slices is None:
+            b = self.bits_per_device
+            biased = self.w_raw + WEIGHT_BIAS
+            self._slices = [(biased >> (b * i)) & ((1 << b) - 1)
+                            for i in range(slices_for_bits(b))]
+        return self._slices
 
     @property
     def num_slices(self):
@@ -60,7 +70,10 @@ class SlicedMatrix:
 def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
     """Decompose a raw Fixed16 weight matrix into unsigned digit planes.
 
-    Digit d of slice i equals floor((raw + 2^15) / (2^b)^i) mod 2^b.
+    Digit d of slice i equals floor((raw + 2^15) / (2^b)^i) mod 2^b. The
+    matrix is checked against the crossbar and the 16-bit range here; the
+    planes are built on their first read, since the ideal MVM never reads
+    them.
     """
     w_raw = np.asarray(w_raw, dtype=np.int64)
     if w_raw.ndim != 2:
@@ -70,14 +83,10 @@ def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
         raise ValueError(
             f"matrix {rows}x{cols} exceeds crossbar dimension {xbar_dim}"
         )
-    nslices = slices_for_bits(bits_per_device)
-    radix = 1 << bits_per_device
-    biased = w_raw + WEIGHT_BIAS
-    if biased.min() < 0 or biased.max() >= 1 << WEIGHT_BITS:
+    slices_for_bits(bits_per_device)
+    if w_raw.min() < RAW_MIN or w_raw.max() > RAW_MAX:
         raise ValueError("weights outside 16-bit raw range")
-    slices = [(biased >> (bits_per_device * i)) & (radix - 1)
-              for i in range(nslices)]
-    return SlicedMatrix(w_raw, slices, bits_per_device)
+    return SlicedMatrix(w_raw, None, bits_per_device)
 
 
 def apply_write_noise(m, sigma, seed):
@@ -113,30 +122,35 @@ def adc_transfer(values, adc_bits, full_scale):
 
 
 def ideal_mvm(w_raw, x_raw, frac_bits=DEFAULT_FRAC_BITS):
-    """Exact integer MAC over raw weights, rounded half-even, saturated."""
+    """Exact integer MAC over raw weights, rounded half-even, saturated.
+    x_raw is one input vector or a (batch, rows) stack of them."""
     return saturate(rshift_round_even(x_raw @ w_raw, frac_bits))
 
 
 def crossbar_mvm(m, x_raw, adc_bits=None, frac_bits=DEFAULT_FRAC_BITS, xbar_dim=128):
     """One analog MVM: out[c] = sat(round(sum_r W[r][c] * x[r] * 2^-f)).
 
-    adc_bits=None is the ideal mode (no ADC quantization); at sigma=0 it is
-    ideal_mvm, and only write noise or an ADC reads the slices.
+    x_raw is one input vector (rows,) or a (batch, rows) stack of them;
+    the output has the same leading shape. adc_bits=None is the ideal mode
+    (no ADC quantization); at sigma=0 it is ideal_mvm, and only write noise
+    or an ADC reads the slices. There each input row is multiplied as its
+    own vector, so a row's floating-point sums do not depend on the batch.
     """
     x_raw = np.asarray(x_raw, dtype=np.int64)
-    if x_raw.shape != (m.rows,):
+    if x_raw.ndim not in (1, 2) or x_raw.shape[-1] != m.rows:
         raise ValueError(f"input length {x_raw.shape} does not match {m.rows} rows")
     if adc_bits is None and m.noise_sigma == 0:
         return ideal_mvm(m.w_raw, x_raw, frac_bits)
 
     radix = 1 << m.bits_per_device
     full_scale = float(xbar_dim * (radix - 1) * WEIGHT_BIAS)
-    combined = np.zeros(m.cols, dtype=np.float64)
+    x = np.ascontiguousarray(x_raw, dtype=np.float64)[..., None, :]
+    combined = np.zeros(x_raw.shape[:-1] + (m.cols,), dtype=np.float64)
     for i, digits in enumerate(m.slices):
-        s = x_raw.astype(np.float64) @ np.asarray(digits, np.float64)
+        s = (x @ np.asarray(digits, np.float64))[..., 0, :]
         if adc_bits is not None:
             s = adc_transfer(s, adc_bits, full_scale)
         combined += s * float(radix ** i)
-    combined -= float(WEIGHT_BIAS) * float(x_raw.sum())
+    combined -= float(WEIGHT_BIAS) * x_raw.sum(axis=-1, keepdims=True)
     out = np.rint(combined / (1 << frac_bits))
     return np.clip(out, RAW_MIN, RAW_MAX).astype(np.int64)

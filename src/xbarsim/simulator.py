@@ -13,10 +13,17 @@ per-unit busy times drive the latency and energy accounting.
 Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
 same-cycle events without breaking determinism.
+
+One run can carry a batch of B independent inferences: the value state
+(registers, tile memory words, FIFO payloads) then has a trailing lane
+axis of length B, while program counters, valid/count bits and all timing
+and energy state stay shared. Every lane follows the same schedule, which
+the lane-uniform rule for aluint/brn operands guarantees.
 """
 
 import heapq
 import logging
+import mmap
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,8 +86,7 @@ class RunReport:
 
     def to_dict(self):
         d = {
-            "outputs": {k: [int(v) for v in vec]
-                        for k, vec in self.outputs.items()},
+            "outputs": {k: vec.tolist() for k, vec in self.outputs.items()},
             "cycles": self.cycles,
             "latency_ns": self.latency_ns,
             "energy_nj": {k: round(v, 6) for k, v in self.energy_nj.items()},
@@ -128,7 +134,8 @@ class RunReport:
 
 
 class TileMemoryState:
-    """Shared data words plus per-entry valid/count attributes."""
+    """Shared data words plus per-entry valid/count attributes. data is
+    (words,) or (words, B) with a lane axis; valid and count are per word."""
 
     def __init__(self, words):
         self.data = np.zeros(words, dtype=np.int64)
@@ -260,29 +267,65 @@ class Machine:
                 self.spill_ranges.setdefault(r.tile, []).append((r.lo, r.hi))
 
     def bind_inputs(self, inputs):
-        cursor = {}
+        """Write each input into its tile memory words. An input is one
+        vector (n,) or a batch (B, n); batches must all have the same B,
+        which becomes the length of the value state's lane axis."""
+        vecs = {}
         for b in self.prog.inputs():
             if b.name not in inputs:
                 raise SimError(f"missing value for input {b.name!r}")
-            vec = np.asarray(inputs[b.name], dtype=np.int64)
+            vecs[b.name] = np.asarray(inputs[b.name], dtype=np.int64)
+        lanes = {v.shape[:-1] for v in vecs.values()}
+        if len(lanes) > 1 or (0,) in lanes or any(
+                v.ndim not in (1, 2) for v in vecs.values()):
+            raise SimError("inputs must all be (n,) or all (B, n) with one "
+                           "B >= 1; got " + ", ".join(
+                               f"{k} {v.shape}" for k, v in vecs.items()))
+        batch = next(iter(lanes), ())
+        if batch:
+            self.add_lanes(*batch)
+        cursor = {}
+        for b in self.prog.inputs():
+            vec = vecs[b.name]
             at = cursor.get(b.name, 0)
-            if at + b.length > len(vec):
+            if at + b.length > vec.shape[-1]:
                 raise SimError(
                     f"input {b.name!r} too short: need {at + b.length} words")
-            self.tiles[b.tile].mem.write(b.addr, vec[at:at + b.length],
+            self.tiles[b.tile].mem.write(b.addr, vec[..., at:at + b.length].T,
                                          b.count)
             cursor[b.name] = at + b.length
         for name, n in cursor.items():
-            if n != len(np.asarray(inputs[name])):
-                raise SimError(f"input {name!r} has {len(inputs[name])} words,"
-                               f" program binds {n}")
+            if n != vecs[name].shape[-1]:
+                raise SimError(f"input {name!r} has {vecs[name].shape[-1]} "
+                               f"words, program binds {n}")
+
+    def add_lanes(self, batch):
+        """Give registers and tile memory a trailing lane axis of `batch`
+        lanes; each lane starts from the words written so far. A core
+        without instructions never touches its registers and keeps them
+        as they are. The wide arrays live in anonymous memory maps, which
+        read as zeros, take memory only for the pages that get written and
+        give it back as soon as the machine is gone."""
+        def widen(a):
+            n = a.size * batch
+            out = np.frombuffer(mmap.mmap(-1, 8 * n), np.int64, n).reshape(
+                a.shape + (batch,))
+            used = np.flatnonzero(a)
+            out[used] = a[used, None]
+            return out
+        for core in self.cores.values():
+            if core.program:
+                core.regs = widen(core.regs)
+        for tile in self.tiles.values():
+            tile.mem.data = widen(tile.mem.data)
 
     def collect_outputs(self):
+        """Output name -> (n,) words, or (B, n) for a batched run."""
         out = {}
         for b in self.prog.outputs():
             vec = self.tiles[b.tile].mem.data[b.addr:b.addr + b.length]
-            out.setdefault(b.name, []).append(np.asarray(vec))
-        return {k: np.concatenate(v) for k, v in out.items()}
+            out.setdefault(b.name, []).append(vec)
+        return {k: np.concatenate(v).T for k, v in out.items()}
 
 
 def load_program(blob_or_prog, cfg=None):
@@ -296,6 +339,11 @@ def load_program(blob_or_prog, cfg=None):
 # ---------------------------------------------------------------------------
 # Event loop
 # ---------------------------------------------------------------------------
+
+def _actor_name(actor):
+    t, c = actor
+    return f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
+
 
 class _Sim:
     def __init__(self, machine, order_seed=None):
@@ -370,6 +418,19 @@ class _Sim:
         r.instr_cycles[op] = r.instr_cycles.get(op, 0) + cycles
         r.reg_accesses += reg_elems
         r.steps += 1
+
+    def lane_uniform(self, actor, core, addr, op):
+        """A register that steers control flow, read as one number. Every
+        lane must hold the same value, so that all lanes keep one schedule
+        and timing stays independent of the data."""
+        v = core.read_regs(addr, 1, op)[0]
+        if v.ndim:
+            if (v != v[0]).any():
+                raise SimError(
+                    f"{_actor_name(actor)} pc {core.pc}: {op} reads register "
+                    f"{addr}, whose lanes differ ({v.min()} to {v.max()})")
+            v = v[0]
+        return int(v)
 
     def in_spill_region(self, tile, addr, w):
         for lo, hi in self.m.spill_ranges.get(tile, ()):
@@ -468,10 +529,11 @@ class _Sim:
                 else:
                     x = core.regs[base_in + perm]
                 adc = cfg.adc_bits if cfg.adc_bits else None
-                out = crossbar_mvm(sliced, np.asarray(x, dtype=np.int64), adc,
-                                   cfg.frac_bits, cfg.xbar_dim)
+                # lanes become the batch axis: one product for all lanes
+                out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits,
+                                   cfg.xbar_dim)
                 base_out = core.rs.xbar_out(u)
-                core.regs[base_out:base_out + sliced.cols] = out
+                core.regs[base_out:base_out + sliced.cols] = out.T
                 reg_elems += sliced.rows + sliced.cols
                 self.mvmu_energy += cfg.mvm_nj_per_mvmu
             self.issue()
@@ -529,8 +591,8 @@ class _Sim:
             return True
         if op == "aluint":
             name = ALUINT_OP_NAMES[i.sub]
-            a = int(core.read_regs(i.b, 1, op)[0])
-            b = int(core.read_regs(i.c, 1, op)[0])
+            a = self.lane_uniform(actor, core, i.b, op)
+            b = self.lane_uniform(actor, core, i.c, op)
             if name == "add":
                 v = a + b
             elif name == "sub":
@@ -557,8 +619,8 @@ class _Sim:
             return True
         if op == "brn":
             name = BRN_OP_NAMES[i.sub]
-            a = int(core.read_regs(i.a, 1, op)[0])
-            b = int(core.read_regs(i.b, 1, op)[0])
+            a = self.lane_uniform(actor, core, i.a, op)
+            b = self.lane_uniform(actor, core, i.b, op)
             taken = {"eq": a == b, "ne": a != b, "gt": a > b,
                      "ge": a >= b, "lt": a < b, "le": a <= b}[name]
             core.pc = i.c if taken else core.pc + 1
@@ -661,7 +723,7 @@ class _Sim:
         out = []
         for actor, reason in sorted(self.blocked_reason.items()):
             t, c = actor
-            who = f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
+            who = _actor_name(actor)
             if c == TILE_UNIT:
                 pc = self.m.tiles[t].pc
                 instr = self.m.tiles[t].program[pc]
@@ -695,6 +757,9 @@ class _Sim:
             if self.report.steps > step_limit:
                 self.report.step_limit_hit = True
                 break
+        for actor, since in self.blocked_since.items():  # still parked
+            self.report.blocked_ns[actor] = self.report.blocked_ns.get(
+                actor, 0.0) + (self.now - since) * self.cfg.cycle_ns
         self.report.halted = self.all_halted()
         if not self.report.halted and not self.report.step_limit_hit:
             self.report.deadlock = True
@@ -709,6 +774,17 @@ class _Sim:
 
 def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     """Execute a configured machine with bound inputs -> RunReport.
+
+    Each input is one vector (n,) or a batch (B, n) of B independent
+    inferences, and all inputs must agree on B. A batched run executes
+    every lane on one event loop over the one programmed chip, and its
+    outputs come back as (B, n). Every lane runs the same schedule, so
+    latency, energy, cycles, steps and instruction counts are those of one
+    inference; saturations are summed over the lanes. To keep that
+    schedule shared, the registers that `aluint` and `brn` read must hold
+    the same value in every lane (loop counters set by `set` and updated
+    by `aluint` do); a lane-varying operand raises SimError naming the
+    actor and the pc.
 
     A run consumes the machine's state (program counters, memory counts),
     so each Machine runs once."""

@@ -132,6 +132,18 @@ def test_missing_input_errors_before_simulation(tmp_path):
                      "--config", cfgf]) == cli.EXIT_ERROR
 
 
+def test_run_rejects_a_tensor_that_is_not_one_vector(tmp_path):
+    model, _, cfgf = _emit_example(tmp_path, "mlp4")
+    binpath = str(tmp_path / "prog.bin")
+    assert cli.main(["compile", model, "-o", binpath, "--config", cfgf]) == 0
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"x": [[1, 2, 3, 4], [5, 6, 7, 8]]}))
+    outdir = tmp_path / "out"
+    assert cli.main(["run", binpath, "--inputs", str(nested), "--config",
+                     cfgf, "--out", str(outdir)]) == cli.EXIT_ERROR
+    assert not (outdir / "outputs.json").exists()
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     model, inputs, cfgf = _emit_example(tmp_path, "mlp4")
     outdir = str(tmp_path / "sw")

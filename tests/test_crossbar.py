@@ -157,3 +157,20 @@ def test_adc_error_monotone_in_resolution():
 
 def test_default_adc_bits_formula():
     assert xb.default_adc_bits(128) == 9
+
+
+@pytest.mark.parametrize("bits,adc", [(2, None), (4, None), (2, 9)])
+def test_batched_mvm_equals_per_vector(bits, adc):
+    """A (batch, rows) input gives each row exactly its own MVM, under
+    write noise and an ADC too."""
+    rng = np.random.default_rng(bits)
+    w = rng.integers(-32768, 32768, (128, 96))
+    m = xb.apply_write_noise(xb.slice_weights(w, 128, bits), 0.02, 4)
+    x = rng.integers(-32768, 32768, (64, 128))
+    got = xb.crossbar_mvm(m, x, adc)
+    assert got.shape == (64, 96)
+    for row, out in zip(x, got):
+        assert np.array_equal(out, xb.crossbar_mvm(m, row, adc))
+    ideal = xb.slice_weights(w, 128, bits)
+    assert np.array_equal(xb.crossbar_mvm(ideal, x),
+                          [xb.crossbar_mvm(ideal, row) for row in x])

@@ -222,6 +222,18 @@ def test_container_rejects_weight_outside_int16_naming_the_mvmu():
         container.save(prog)
 
 
+def test_container_rejects_non_integer_weight_naming_the_mvmu():
+    prog = _tiny_program()
+    prog.weights.append(container.WeightBlock(0, 0, 0, [[0.7, -1.9]]))
+    with pytest.raises(container.ContainerError,
+                       match="tile 0 core 0 mvmu 0: .*integers"):
+        container.save(prog)
+    # integral values of any dtype still save exactly
+    prog.weights[-1] = container.WeightBlock(0, 0, 0, [[3.0, -2.0]])
+    back = container.loads(container.save(prog))
+    assert back.weights[-1].w_raw.tolist() == [[3, -2]]
+
+
 def test_container_static_histogram_sums_to_length():
     prog = _tiny_program()
     hist = prog.static_histogram()

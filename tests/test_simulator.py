@@ -233,6 +233,20 @@ def test_receive_on_empty_fifo_deadlocks_with_diagnosis():
     assert any("fifo" in d for d in rep.diagnosis)
 
 
+def test_deadlocked_actor_counts_its_blocked_time():
+    """A unit stuck on an empty FIFO is blocked until the run ends, while
+    core 0 runs five more cycles."""
+    cfg = cfg_small()
+    rs = cfg.regspace()
+    prog = empty_program(cfg, [
+        container.Segment(0, container.TILE_UNIT, [isa.recv(0, 0, 1, 1)]),
+        container.Segment(0, 0, [isa.seti(rs.general(0), 1)] * 5)])
+    rep = run(Machine(cfg, prog), {})
+    assert rep.deadlock
+    assert rep.cycles == PIPELINE_FILL_CYCLES + 5
+    assert rep.blocked_ns[(0, container.TILE_UNIT)] == 5 * cfg.cycle_ns > 0
+
+
 def test_mutual_exchange_wrong_order_deadlocks():
     """Receive-before-send on both tiles: the cycle a global linearization
     would never emit. Both units report blocked receives."""
