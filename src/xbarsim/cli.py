@@ -62,6 +62,10 @@ def read_tensors(path):
 
 
 def write_tensors(path, tensors):
+    """name -> one vector of raw words, written as hex strings."""
+    for name, vec in tensors.items():
+        if np.ndim(vec) != 1:
+            raise ValueError(f"tensor {name!r} is not one vector of words")
     doc = {name: fp.to_hex(vec) for name, vec in tensors.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)

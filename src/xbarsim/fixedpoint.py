@@ -6,6 +6,8 @@ arrays (logical range is int16). The radix point sits at ``frac_bits``
 instead of wrapping, and rounding is round-to-nearest-even throughout.
 """
 
+import operator
+
 import numpy as np
 
 RAW_MIN = -(1 << 15)
@@ -127,6 +129,15 @@ VECTOR_OPS = {
     "max": lambda a, b, f: (np.maximum(a, b), 0),
     "relu": lambda a, b, f: (np.maximum(a, 0), 0),
 }
+
+
+# Scalar ops on one lane-uniform integer each: aluint (unsaturated result;
+# the caller saturates it) and the brn conditions.
+SCALAR_OPS = {"add": operator.add, "sub": operator.sub,
+              "eq": lambda a, b: int(a == b), "gt": lambda a, b: int(a > b),
+              "ne": lambda a, b: int(a != b)}
+BRANCH_CONDS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
+                "ge": operator.ge, "lt": operator.lt, "le": operator.le}
 
 
 def vector_op(op, a, b=0, frac_bits=DEFAULT_FRAC_BITS):

@@ -1,4 +1,4 @@
-"""Instruction set: definitions, 7-byte binary codec, and assembly text.
+"""Instruction set: the opcode table, 7-byte binary codec, and assembly text.
 
 Encoding (56 bits, little-endian byte order):
 
@@ -13,27 +13,31 @@ Encoding (56 bits, little-endian byte order):
 The three 12-bit fields address the unified register space and shared
 memory; jump targets also use a 12-bit field so programs can fill the
 4KB instruction memory.
+
+`ISA` holds one row per opcode: its number, its subop name table (None
+where the subop is a plain number: the MVMU mask, the FIFO id) and its
+operands in assembly order as (name, slot, role). The slot is the
+Instruction field that holds the operand (sub, a, b, c or w), or None for
+a reserved operand that has no field. Validation, the subop check of
+decoding, assembly, disassembly and register def/use (`registers`) are
+all derived from the table. The roles:
+
+    op      the subop, written by its name from the row's table
+    vdst    register range of max(1, w) words, written
+    vsrc    register range of max(1, w) words, read
+    bsrc    like vsrc, but read only by binary subops
+    dst     one register, written
+    src     one register, read
+    mask    MVMU bit mask, at least one bit set, written 0b...
+    key     number written as name=value, in the row's order
+    imm     12-bit immediate; negative text wraps to 12 bits, and
+            `alui_immediate` says how each subop reads it
+    num     plain number
 """
 
 from dataclasses import dataclass
 
 INSTR_BYTES = 7
-
-OPCODES = {
-    "mvm": 1,
-    "alu": 2,
-    "alui": 3,
-    "aluint": 4,
-    "set": 5,
-    "copy": 6,
-    "load": 7,
-    "store": 8,
-    "send": 9,
-    "receive": 10,
-    "jmp": 11,
-    "brn": 12,
-}
-OPCODE_NAMES = {v: k for k, v in OPCODES.items()}
 
 # Vector ALU subops (shared by alu and alui where meaningful). shl and shr
 # read the shift count as an unsigned 16-bit word; shl clamps it to 16 and
@@ -50,32 +54,73 @@ ALU_TRANSCENDENTAL = {"sigmoid", "tanh", "log", "exp"}
 ALUI_OPS = {"add", "sub", "mul", "div", "shl", "shr", "and", "or"}
 
 ALUINT_OPS = {"add": 0, "sub": 1, "eq": 2, "gt": 3, "ne": 4}
-ALUINT_OP_NAMES = {v: k for k, v in ALUINT_OPS.items()}
 
 BRN_OPS = {"eq": 0, "ne": 1, "gt": 2, "ge": 3, "lt": 4, "le": 5}
-BRN_OP_NAMES = {v: k for k, v in BRN_OPS.items()}
 
 FIELD_MAX = (1 << 12) - 1
 WIDTH_MAX = (1 << 8) - 1
 SUBOP_MAX = (1 << 5) - 1
 
-# Operand metadata mirroring the ISA table rows: name per populated field.
-# 'src3' on the vector ALU row is reserved (always zero) since no
-# implemented vector op takes three sources.
-OPERAND_NAMES = {
-    "mvm": ("mask", "filter", "stride"),
-    "alu": ("aluop", "dest", "src1", "src2", "src3", "vec_width"),
-    "alui": ("aluop", "dest", "src1", "immediate", "vec_width"),
-    "aluint": ("aluop", "dest", "src1", "src2"),
-    "set": ("dest", "immediate"),
-    "copy": ("dest", "src1", "vec_width"),
-    "load": ("dest", "immediate", "vec_width"),
-    "store": ("dest", "src1", "count", "vec_width"),
-    "send": ("memaddr", "fifo_id", "target", "vec_width"),
-    "receive": ("memaddr", "fifo_id", "count", "vec_width"),
-    "jmp": ("pc",),
-    "brn": ("brnop", "src1", "src2", "pc"),
+# Register roles -> (max(1, w) words wide, written)
+_REGISTER_ROLES = {"vdst": (True, True), "vsrc": (True, False),
+                   "bsrc": (True, False), "dst": (False, True),
+                   "src": (False, False)}
+
+
+class OpSpec:
+    """One row of the ISA table (see the module docstring)."""
+
+    def __init__(self, code, subops, operands):
+        self.code = code
+        self.subops = subops
+        self.subop_names = subops and {v: k for k, v in subops.items()}
+        self.operands = operands
+        self.fields = tuple(o for o in operands if o[1])
+        self.sub_name, self.sub_role = next(
+            ((n, role) for n, slot, role in operands if slot == "sub"),
+            (None, None))
+        # (slot, vector wide, written, read only by binary subops)
+        self.registers = tuple(
+            (slot, *_REGISTER_ROLES[role], role == "bsrc")
+            for _, slot, role in operands if role in _REGISTER_ROLES)
+
+
+ISA = {
+    "mvm": OpSpec(1, None, (("mask", "sub", "mask"), ("filter", "a", "key"),
+                            ("stride", "b", "key"))),
+    # src3 is reserved: no implemented vector op takes three sources
+    "alu": OpSpec(2, ALU_OPS, (
+        ("aluop", "sub", "op"), ("dest", "a", "vdst"), ("src1", "b", "vsrc"),
+        ("src2", "c", "bsrc"), ("src3", None, None),
+        ("vec_width", "w", "num"))),
+    "alui": OpSpec(3, {k: v for k, v in ALU_OPS.items() if k in ALUI_OPS}, (
+        ("aluop", "sub", "op"), ("dest", "a", "vdst"), ("src1", "b", "vsrc"),
+        ("immediate", "c", "imm"), ("vec_width", "w", "num"))),
+    "aluint": OpSpec(4, ALUINT_OPS, (
+        ("aluop", "sub", "op"), ("dest", "a", "dst"), ("src1", "b", "src"),
+        ("src2", "c", "src"))),
+    "set": OpSpec(5, None, (("dest", "a", "dst"), ("immediate", "b", "num"))),
+    "copy": OpSpec(6, None, (("dest", "a", "vdst"), ("src1", "b", "vsrc"),
+                             ("vec_width", "w", "num"))),
+    "load": OpSpec(7, None, (("dest", "a", "vdst"), ("immediate", "b", "num"),
+                             ("vec_width", "w", "num"))),
+    "store": OpSpec(8, None, (
+        ("dest", "a", "num"), ("src1", "b", "vsrc"), ("count", "c", "num"),
+        ("vec_width", "w", "num"))),
+    "send": OpSpec(9, None, (
+        ("memaddr", "a", "num"), ("fifo_id", "sub", "num"),
+        ("target", "b", "num"), ("vec_width", "w", "num"))),
+    "receive": OpSpec(10, None, (
+        ("memaddr", "a", "num"), ("fifo_id", "sub", "num"),
+        ("count", "b", "num"), ("vec_width", "w", "num"))),
+    "jmp": OpSpec(11, None, (("pc", "c", "num"),)),
+    "brn": OpSpec(12, BRN_OPS, (("brnop", "sub", "op"), ("src1", "a", "src"),
+                                ("src2", "b", "src"), ("pc", "c", "num"))),
 }
+OPCODES = {op: spec.code for op, spec in ISA.items()}
+OPCODE_NAMES = {v: k for k, v in OPCODES.items()}
+OPERAND_NAMES = {op: tuple(o[0] for o in spec.operands)
+                 for op, spec in ISA.items()}
 
 
 class IsaError(Exception):
@@ -155,30 +200,51 @@ def brn(op, src1, src2, pc):
     return Instruction("brn", BRN_OPS[op], src1, src2, pc, 0)
 
 
-def sign_extend_12(v):
-    """12-bit field -> signed value (used by alui arithmetic ops)."""
-    return v - 4096 if v & 0x800 else v
+def alui_immediate(op, field):
+    """The value alui subop `op` reads from its 12-bit immediate field: add
+    and sub read it as signed, the other subops as unsigned. A value v is
+    encodable as that immediate iff alui_immediate(op, v & FIELD_MAX) == v."""
+    return field - 4096 if op in ("add", "sub") and field & 0x800 else field
+
+
+def registers(i):
+    """The register operands of an Instruction or a LowInstr, in assembly
+    order, as (operand, words, written). A range spans max(1, w) words, a
+    single register 1. mvm's fixed XbarIn/XbarOut traffic is not listed."""
+    wide = i.w if i.w > 1 else 1      # max(1, w); this runs per instruction
+    out = []
+    for slot, vector, written, binary in ISA[i.op].registers:
+        if not (binary and ALU_OP_NAMES[i.sub] in ALU_UNARY):
+            out.append((getattr(i, slot), wide if vector else 1, written))
+    return out
+
+
+def fired_mvmus(i, mvmus):
+    """The MVMUs that i activates: the set bits of its mask operand, if any."""
+    if ISA[i.op].sub_role != "mask":
+        return []
+    return [u for u in range(mvmus) if i.sub >> u & 1]
 
 
 def validate(i):
     """Raise IsaError unless every field is in range for its slot."""
-    if i.op not in OPCODES:
+    if i.op not in ISA:
         raise IsaError(f"unknown mnemonic {i.op!r}")
     for name, v, hi in (("subop", i.sub, SUBOP_MAX), ("a", i.a, FIELD_MAX),
                         ("b", i.b, FIELD_MAX), ("c", i.c, FIELD_MAX),
                         ("vec_width", i.w, WIDTH_MAX)):
         if not 0 <= v <= hi:
             raise IsaError(f"{i.op}: operand {name}={v} out of range [0, {hi}]")
-    if i.op == "mvm" and i.sub == 0:
-        raise IsaError("mvm: mask must activate at least one MVMU")
-    if i.op == "alu" and i.sub not in ALU_OP_NAMES:
-        raise IsaError(f"alu: bad aluop {i.sub}")
-    if i.op == "alui" and ALU_OP_NAMES.get(i.sub) not in ALUI_OPS:
-        raise IsaError(f"alui: bad aluop {i.sub}")
-    if i.op == "aluint" and i.sub not in ALUINT_OP_NAMES:
-        raise IsaError(f"aluint: bad aluop {i.sub}")
-    if i.op == "brn" and i.sub not in BRN_OP_NAMES:
-        raise IsaError(f"brn: bad brnop {i.sub}")
+    _check_subop(i, IsaError)
+
+
+def _check_subop(i, error):
+    """The row's subop rule: a named subop is in its table, a mask is not 0."""
+    spec = ISA[i.op]
+    if spec.sub_role == "op" and i.sub not in spec.subop_names:
+        raise error(f"{i.op}: bad {spec.sub_name} {i.sub}")
+    if spec.sub_role == "mask" and i.sub == 0:
+        raise error(f"{i.op}: {spec.sub_name} must activate at least one MVMU")
 
 
 def encode(i):
@@ -199,7 +265,7 @@ def decode(bs):
         raise DecodeError(f"unknown opcode value {opc} at byte offset 0")
     if val >> 54:
         raise DecodeError("reserved bits set")
-    return Instruction(
+    i = Instruction(
         OPCODE_NAMES[opc],
         (val >> 5) & 0x1F,
         (val >> 10) & 0xFFF,
@@ -207,6 +273,8 @@ def decode(bs):
         (val >> 34) & 0xFFF,
         (val >> 46) & 0xFF,
     )
+    _check_subop(i, DecodeError)
+    return i
 
 
 def encode_program(instrs):
@@ -267,40 +335,24 @@ class RegisterSpace:
 # Assembly text format
 # ---------------------------------------------------------------------------
 
-def _fmt_reg(v):
-    return f"${v}"
-
-
 def disassemble_one(i):
-    if i.op == "mvm":
-        return f"mvm 0b{i.sub:b}, filter={i.a}, stride={i.b}"
-    if i.op == "alu":
-        return (f"alu {ALU_OP_NAMES[i.sub]}, {_fmt_reg(i.a)}, {_fmt_reg(i.b)}, "
-                f"{_fmt_reg(i.c)}, {i.w}")
-    if i.op == "alui":
-        return (f"alui {ALU_OP_NAMES[i.sub]}, {_fmt_reg(i.a)}, {_fmt_reg(i.b)}, "
-                f"{i.c}, {i.w}")
-    if i.op == "aluint":
-        return (f"aluint {ALUINT_OP_NAMES[i.sub]}, {_fmt_reg(i.a)}, "
-                f"{_fmt_reg(i.b)}, {_fmt_reg(i.c)}")
-    if i.op == "set":
-        return f"set {_fmt_reg(i.a)}, {i.b}"
-    if i.op == "copy":
-        return f"copy {_fmt_reg(i.a)}, {_fmt_reg(i.b)}, {i.w}"
-    if i.op == "load":
-        return f"load {_fmt_reg(i.a)}, {i.b}, {i.w}"
-    if i.op == "store":
-        return f"store {i.a}, {_fmt_reg(i.b)}, {i.c}, {i.w}"
-    if i.op == "send":
-        return f"send {i.a}, {i.sub}, {i.b}, {i.w}"
-    if i.op == "receive":
-        return f"receive {i.a}, {i.sub}, {i.b}, {i.w}"
-    if i.op == "jmp":
-        return f"jmp {i.c}"
-    if i.op == "brn":
-        return (f"brn {BRN_OP_NAMES[i.sub]}, {_fmt_reg(i.a)}, {_fmt_reg(i.b)}, "
-                f"{i.c}")
-    raise IsaError(f"cannot disassemble {i.op!r}")
+    spec = ISA.get(i.op)
+    if spec is None:
+        raise IsaError(f"cannot disassemble {i.op!r}")
+    parts = []
+    for name, slot, role in spec.fields:
+        v = getattr(i, slot)
+        if role == "op":
+            parts.append(spec.subop_names[v])
+        elif role == "mask":
+            parts.append(f"0b{v:b}")
+        elif role == "key":
+            parts.append(f"{name}={v}")
+        elif role in _REGISTER_ROLES:
+            parts.append(f"${v}")
+        else:
+            parts.append(str(v))
+    return f"{i.op} {', '.join(parts)}"
 
 
 def disassemble(instrs):
@@ -314,92 +366,35 @@ def _parse_int(tok, line):
         raise AsmError(f"bad integer literal {tok!r}", line) from None
 
 
-def _parse_reg(tok, line):
-    if not tok.startswith("$"):
-        raise AsmError(f"expected register ($n), got {tok!r}", line)
-    return _parse_int(tok[1:], line)
-
-
-def _parse_subop(tok, table, line):
-    if tok not in table:
-        raise AsmError(f"unknown sub-operation {tok!r}", line)
-    return table[tok]
-
-
-def _expect_arity(parts, n, mnemonic, line):
-    if len(parts) != n:
-        raise AsmError(
-            f"{mnemonic} expects {n} operand(s), got {len(parts)}", line)
-
-
 def assemble_one(text, line=None):
-    text = text.strip()
-    head, _, rest = text.partition(" ")
+    head, _, rest = text.strip().partition(" ")
     parts = [p.strip() for p in rest.split(",")] if rest.strip() else []
     m = head.strip()
-    if m == "mvm":
-        _expect_arity(parts, 3, m, line)
-        mask = _parse_int(parts[0], line)
-        kw = {}
-        for p in parts[1:]:
-            key, _, val = p.partition("=")
-            if key not in ("filter", "stride") or not val:
-                raise AsmError(f"mvm expects filter=/stride=, got {p!r}", line)
-            kw[key] = _parse_int(val, line)
-        return mvm(mask, kw.get("filter", 0), kw.get("stride", 0))
-    if m == "alu":
-        _expect_arity(parts, 5, m, line)
-        return Instruction("alu", _parse_subop(parts[0], ALU_OPS, line),
-                           _parse_reg(parts[1], line), _parse_reg(parts[2], line),
-                           _parse_reg(parts[3], line), _parse_int(parts[4], line))
-    if m == "alui":
-        _expect_arity(parts, 5, m, line)
-        return Instruction("alui", _parse_subop(parts[0], ALU_OPS, line),
-                           _parse_reg(parts[1], line), _parse_reg(parts[2], line),
-                           _parse_int(parts[3], line) & FIELD_MAX,
-                           _parse_int(parts[4], line))
-    if m == "aluint":
-        _expect_arity(parts, 4, m, line)
-        return aluint(parts[0] if parts[0] in ALUINT_OPS else
-                      _bad_subop(parts[0], line),
-                      _parse_reg(parts[1], line), _parse_reg(parts[2], line),
-                      _parse_reg(parts[3], line))
-    if m == "set":
-        _expect_arity(parts, 2, m, line)
-        return seti(_parse_reg(parts[0], line), _parse_int(parts[1], line))
-    if m == "copy":
-        _expect_arity(parts, 3, m, line)
-        return copy(_parse_reg(parts[0], line), _parse_reg(parts[1], line),
-                    _parse_int(parts[2], line))
-    if m == "load":
-        _expect_arity(parts, 3, m, line)
-        return load(_parse_reg(parts[0], line), _parse_int(parts[1], line),
-                    _parse_int(parts[2], line))
-    if m == "store":
-        _expect_arity(parts, 4, m, line)
-        return store(_parse_int(parts[0], line), _parse_reg(parts[1], line),
-                     _parse_int(parts[2], line), _parse_int(parts[3], line))
-    if m == "send":
-        _expect_arity(parts, 4, m, line)
-        return send(_parse_int(parts[0], line), _parse_int(parts[1], line),
-                    _parse_int(parts[2], line), _parse_int(parts[3], line))
-    if m == "receive":
-        _expect_arity(parts, 4, m, line)
-        return recv(_parse_int(parts[0], line), _parse_int(parts[1], line),
-                    _parse_int(parts[2], line), _parse_int(parts[3], line))
-    if m == "jmp":
-        _expect_arity(parts, 1, m, line)
-        return jmp(_parse_int(parts[0], line))
-    if m == "brn":
-        _expect_arity(parts, 4, m, line)
-        return brn(parts[0] if parts[0] in BRN_OPS else _bad_subop(parts[0], line),
-                   _parse_reg(parts[1], line), _parse_reg(parts[2], line),
-                   _parse_int(parts[3], line))
-    raise AsmError(f"unknown mnemonic {m!r}", line)
-
-
-def _bad_subop(tok, line):
-    raise AsmError(f"unknown sub-operation {tok!r}", line)
+    spec = ISA.get(m)
+    if spec is None:
+        raise AsmError(f"unknown mnemonic {m!r}", line)
+    if len(parts) != len(spec.fields):
+        raise AsmError(f"{m} expects {len(spec.fields)} operand(s), got "
+                       f"{len(parts)}", line)
+    fields = {}
+    for (name, slot, role), tok in zip(spec.fields, parts):
+        if role == "op":
+            if tok not in spec.subops:
+                raise AsmError(f"unknown sub-operation {tok!r}", line)
+            fields[slot] = spec.subops[tok]
+        elif role == "key":
+            key, _, val = tok.partition("=")
+            if key != name or not val:
+                raise AsmError(f"{m} expects {name}= here, got {tok!r}", line)
+            fields[slot] = _parse_int(val, line)
+        elif role in _REGISTER_ROLES:
+            if not tok.startswith("$"):
+                raise AsmError(f"expected register ($n), got {tok!r}", line)
+            fields[slot] = _parse_int(tok[1:], line)
+        else:
+            v = _parse_int(tok, line)
+            fields[slot] = v & FIELD_MAX if role == "imm" else v
+    return Instruction(m, **fields)
 
 
 def assemble(text):

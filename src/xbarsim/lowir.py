@@ -58,44 +58,11 @@ def finalize(instrs, reg_of, addr_of):
     return out
 
 
-def reads_writes(li, unary_alu=None):
-    """Register ranges read and written by one pre-allocation instruction.
-
-    Returns (reads, writes): lists of (operand, width). Memory operands and
-    plain integers are not register accesses.
-    """
-    op = li.op
+def reads_writes(li):
+    """Register ranges (operand, width) read and written by one
+    pre-allocation instruction, as (reads, writes): isa.registers split by
+    direction (mvm's fixed XbarIn/XbarOut traffic is not included)."""
     reads, writes = [], []
-
-    def reg(x, w, into):
-        if isinstance(x, (VReg, int)):
-            into.append((x, w))
-
-    if op == "alu":
-        name = isa.ALU_OP_NAMES[li.sub]
-        reg(li.a, li.w, writes)
-        reg(li.b, li.w, reads)
-        if name not in isa.ALU_UNARY:
-            reg(li.c, li.w, reads)
-    elif op == "alui":
-        reg(li.a, li.w, writes)
-        reg(li.b, li.w, reads)
-    elif op == "aluint":
-        reg(li.a, 1, writes)
-        reg(li.b, 1, reads)
-        reg(li.c, 1, reads)
-    elif op == "set":
-        reg(li.a, 1, writes)
-    elif op == "copy":
-        reg(li.a, li.w, writes)
-        reg(li.b, li.w, reads)
-    elif op == "load":
-        reg(li.a, li.w, writes)
-    elif op == "store":
-        reg(li.b, li.w, reads)
-    elif op == "brn":
-        reg(li.a, 1, reads)
-        reg(li.b, 1, reads)
-    # mvm reads/writes the fixed xbar register files; send/receive and jmp
-    # touch no general registers
+    for opnd, words, written in isa.registers(li):
+        (writes if written else reads).append((opnd, words))
     return reads, writes

@@ -18,7 +18,7 @@ import numpy as np
 from . import fixedpoint as fp
 from .container import TILE_UNIT
 from .graph import apply_node, mvm_blockwise
-from .isa import ALUI_OPS
+from .isa import ALUI_OPS, FIELD_MAX, alui_immediate
 
 
 class CompileError(Exception):
@@ -194,10 +194,8 @@ def tile_tensors(graph, xbar_dim=128):
                                length=ln, block=b, orig=node.id)
                 elif k == "alu_imm":
                     signed = int(fp.from_bits(node.imm))
-                    fits = node.op in ALUI_OPS and (
-                        -2048 <= signed <= 2047 if node.op in ("add", "sub")
-                        else 0 <= node.imm <= 4095)
-                    if fits:
+                    if node.op in ALUI_OPS and alui_immediate(
+                            node.op, signed & FIELD_MAX) == signed:
                         t = tg.add("alu_imm", op=node.op, imm=node.imm,
                                    inputs=[src[b]], length=ln, block=b,
                                    orig=node.id)

@@ -14,6 +14,7 @@ still computed for reporting.
 
 from dataclasses import dataclass, field
 
+from .isa import fired_mvmus, registers
 from .lowir import LowInstr, Mem, VReg, reads_writes
 
 
@@ -271,9 +272,8 @@ def allocate(instrs, machine, mk_spill_symbol, loop_span=None):
 def _instruction_working_set(instrs):
     worst = 0
     for li in instrs:
-        reads, writes = reads_writes(li)
         seen = {}
-        for opnd, w in reads + writes:
+        for opnd, w, _ in registers(li):
             if isinstance(opnd, VReg):
                 seen[opnd.v] = max(seen.get(opnd.v, 0), opnd.off + w)
         worst = max(worst, sum(seen.values()))
@@ -303,29 +303,17 @@ def xbar_liveness(final_instrs, regspace):
     outs = {}       # mvmu -> definition position
     intervals = {"xbar_in": [], "xbar_out": []}
     for pos, i in enumerate(final_instrs):
-        if i.op == "mvm":
-            for mvmu in range(regspace.mvmus):
-                if i.sub >> mvmu & 1:
-                    if mvmu in fills:
-                        intervals["xbar_in"].append(
-                            (fills.pop(mvmu), pos, d))
-                    if mvmu in outs:
-                        intervals["xbar_out"].append((outs[mvmu], pos - 1, d))
-                    outs[mvmu] = pos
-            continue
-        for opnd, is_write in ((i.a, True), (i.b, False), (i.c, False)):
-            if not isinstance(opnd, int):
-                continue
-            if i.op in ("jmp", "brn", "set", "send", "receive", "store",
-                        "load") and not is_write:
-                continue
-            try:
-                cls = regspace.class_of(opnd)
-            except Exception:
-                continue
-            if cls == "xbar_in" and is_write and i.op in ("copy", "load"):
+        for mvmu in fired_mvmus(i, regspace.mvmus):
+            if mvmu in fills:
+                intervals["xbar_in"].append((fills.pop(mvmu), pos, d))
+            if mvmu in outs:
+                intervals["xbar_out"].append((outs[mvmu], pos - 1, d))
+            outs[mvmu] = pos
+        for opnd, _words, written in registers(i):
+            cls = regspace.class_of(opnd)
+            if cls == "xbar_in" and written:
                 fills.setdefault((opnd - regspace.xbar_in_base) // d, pos)
-            if cls == "xbar_out" and not is_write:
+            if cls == "xbar_out" and not written:
                 mvmu = (opnd - regspace.xbar_out_base) // d
                 if mvmu in outs:
                     intervals["xbar_out"].append((outs[mvmu], pos, d))

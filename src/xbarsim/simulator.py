@@ -33,13 +33,16 @@ import numpy as np
 from . import fixedpoint as fp
 from .container import TILE_UNIT, loads as load_container
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
-from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, \
-    ALUINT_OP_NAMES, BRN_OP_NAMES, disassemble_one, sign_extend_12
+from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
+    Instruction, alui_immediate, disassemble_one, fired_mvmus, registers
 from .machine import MachineConfig
 
 log = logging.getLogger("xbarsim")
 
 PIPELINE_FILL_CYCLES = 2   # fetch + decode before the first execute
+TILE_OPS = {"send", "receive"}   # run by the tile unit; the rest by cores
+FETCH_RAILS = {False: ("control", "core_imem"),   # a core's fetch, decode
+               True: ("tile_ctrl", "tile_imem")}  # the tile unit's
 
 
 class SimError(Exception):
@@ -148,14 +151,6 @@ class TileMemoryState:
         self.valid[addr:addr + n] = count > 0
         self.count[addr:addr + n] = count
 
-    def consume(self, addr, n):
-        """Read + decrement count; entries invalidate when it reaches 0."""
-        vals = self.data[addr:addr + n].copy()
-        self.count[addr:addr + n] -= 1
-        drained = self.count[addr:addr + n] <= 0
-        self.valid[addr:addr + n][drained] = False
-        return vals
-
 
 class Fifo:
     def __init__(self, depth):
@@ -167,27 +162,39 @@ class Fifo:
         return len(self.queue) + self.in_flight
 
 
-class CoreState:
+class _Sequencer:
+    """An instruction stream, its pc and each instruction's register words."""
+
+    def __init__(self, program):
+        self.program = program
+        # the count depends on (op, sub, w) only: work out each one once
+        keys = [(i.op, i.sub, i.w) for i in program]
+        words = {(op, sub, w): sum(n for _, n, _ in registers(
+            Instruction(op, sub, w=w))) for op, sub, w in set(keys)}
+        self.reg_words = [words[k] for k in keys]
+        self.pc = 0
+
+    def halted(self):
+        return self.pc >= len(self.program)
+
+
+class CoreState(_Sequencer):
     def __init__(self, cfg, program, luts):
+        super().__init__(program)
         self.cfg = cfg
         self.rs = cfg.regspace()
-        self.program = program
-        self.pc = 0
         self.regs = np.zeros(self.rs.total, dtype=np.int64)
         self.mvmus = [None] * cfg.mvmus_per_core
         self.patterns = {}      # filter id -> {mvmu: perm array}
         self.luts = luts
 
-    def halted(self):
-        return self.pc >= len(self.program)
-
     def read_regs(self, addr, w, op):
-        if self.rs.class_of(addr) == "xbar_in" and op != "mvm":
+        if self.rs.class_of(addr) == "xbar_in":
             raise SimError(f"class-access violation: {op} reads XbarIn {addr}")
         return self.regs[addr:addr + w]
 
     def write_regs(self, addr, values, op):
-        if self.rs.class_of(addr) == "xbar_out" and op != "mvm":
+        if self.rs.class_of(addr) == "xbar_out":
             raise SimError(f"class-access violation: {op} writes XbarOut {addr}")
         self.regs[addr:addr + len(values)] = values
 
@@ -198,15 +205,11 @@ class CoreState:
         return self.luts[func].lookup(np.asarray(raws, dtype=np.int64))
 
 
-class TileState:
+class TileState(_Sequencer):
     def __init__(self, cfg, program):
+        super().__init__(program)
         self.mem = TileMemoryState(cfg.dmem_words)
         self.fifos = [Fifo(cfg.fifo_depth) for _ in range(cfg.num_fifos)]
-        self.program = program
-        self.pc = 0
-
-    def halted(self):
-        return self.pc >= len(self.program)
 
 
 class Machine:
@@ -227,26 +230,28 @@ class Machine:
         self.prog = prog
         self.has_run = False
         luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
-        core_programs = {}
-        tile_programs = {}
+        programs = {}
         for seg in prog.segments:
-            cap = cfg.tile_imem_capacity if seg.core == TILE_UNIT \
-                else cfg.core_imem_capacity
+            on_tile = seg.core == TILE_UNIT
+            cap = cfg.tile_imem_capacity if on_tile else cfg.core_imem_capacity
             if len(seg.instrs) > cap:
                 raise CapacityError(
                     f"tile {seg.tile} core {seg.core}: {len(seg.instrs)} "
                     f"instructions exceed capacity {cap}")
-            if seg.core == TILE_UNIT:
-                tile_programs[seg.tile] = seg.instrs
-            else:
-                core_programs[(seg.tile, seg.core)] = seg.instrs
-        self.cores = {}
-        for t in range(cfg.tiles):
-            for c in range(cfg.cores_per_tile):
-                self.cores[(t, c)] = CoreState(
-                    cfg, core_programs.get((t, c), []), luts)
-        self.tiles = {t: TileState(cfg, tile_programs.get(t, []))
+            ops = {i.op for i in seg.instrs}
+            misplaced = ops - TILE_OPS if on_tile else ops & TILE_OPS
+            if misplaced:
+                raise SimError(f"{_actor_name((seg.tile, seg.core))} cannot "
+                               f"execute {min(misplaced)!r}")
+            programs[(seg.tile, seg.core)] = seg.instrs
+        self.cores = {(t, c): CoreState(cfg, programs.get((t, c), []), luts)
+                      for t in range(cfg.tiles)
+                      for c in range(cfg.cores_per_tile)}
+        self.tiles = {t: TileState(cfg, programs.get((t, TILE_UNIT), []))
                       for t in range(cfg.tiles)}
+        # actor -> its instruction sequencer, cores first
+        self.units = {**self.cores, **{(t, TILE_UNIT): unit
+                                       for t, unit in self.tiles.items()}}
 
         for wb in prog.weights:
             sliced = slice_weights(wb.w_raw, cfg.xbar_dim, cfg.bits_per_device)
@@ -360,6 +365,7 @@ class _Sim:
         self.rng = random.Random(order_seed) if order_seed is not None else None
         self.pe = {}            # power-rail key -> accumulated nJ
         self.mvmu_energy = 0.0  # paper-anchored per-activation figure
+        self.next_pc = 0        # pc after the executing instruction
 
     # -- plumbing -----------------------------------------------------------
 
@@ -384,19 +390,6 @@ class _Sim:
     def charge(self, rail, cycles):
         self.pe[rail] = self.pe.get(rail, 0.0) + self.cfg.energy_nj(rail, cycles)
 
-    def issue(self, kind="core"):
-        """Fetch/decode cost of one instruction."""
-        if kind == "core":
-            self.charge("control", 1)
-            self.charge("core_imem", 1)
-        else:
-            self.charge("tile_ctrl", 1)
-            self.charge("tile_imem", 1)
-
-    def bus_cycles(self, w):
-        words_per_cycle = 384 // 16   # tile memory bus width
-        return (w + words_per_cycle - 1) // words_per_cycle
-
     def component_energy(self):
         """Aggregate power rails into the report's component classes."""
         pe = self.pe
@@ -412,13 +405,6 @@ class _Sim:
             "control": total("control", "core_imem", "tile_ctrl", "tile_imem"),
         }
 
-    def count_instr(self, op, cycles, reg_elems):
-        r = self.report
-        r.instr_dynamic[op] = r.instr_dynamic.get(op, 0) + 1
-        r.instr_cycles[op] = r.instr_cycles.get(op, 0) + cycles
-        r.reg_accesses += reg_elems
-        r.steps += 1
-
     def lane_uniform(self, actor, core, addr, op):
         """A register that steers control flow, read as one number. Every
         lane must hold the same value, so that all lanes keep one schedule
@@ -432,315 +418,255 @@ class _Sim:
             v = v[0]
         return int(v)
 
-    def in_spill_region(self, tile, addr, w):
+    def bus_transfer(self, tile, addr, w):
+        """Bus and register-file side of a load or store of w words at
+        addr; a transfer that touches a spill slot is a spill access."""
+        words_per_cycle = 384 // 16   # tile memory bus width
+        self.charge("bus", (w + words_per_cycle - 1) // words_per_cycle)
+        self.charge("regfile", w)
         for lo, hi in self.m.spill_ranges.get(tile, ()):
             if addr < hi and addr + w > lo:
-                return True
-        return False
+                self.report.spill_accesses += w
+                return
+
+    def flits(self, w):
+        return (w + self.cfg.words_per_flit - 1) // self.cfg.words_per_flit
+
+    def wait_words(self, actor, addr, w, op, valid):
+        """Park unless words [addr, addr + w) all hold data (valid=True:
+        load, send) or are all drained (valid=False: store, receive)."""
+        tile_id = actor[0]
+        stuck = np.nonzero(
+            self.m.tiles[tile_id].mem.valid[addr:addr + w] != valid)[0]
+        if len(stuck):
+            word = addr + int(stuck[0])
+            cond, what = ("mem_valid", "word") if valid else \
+                ("mem_free", "occupied word")
+            self.park(actor, (cond, tile_id, word),
+                      f"{op} waiting on {what} {word}")
+        return len(stuck) > 0
+
+    def consume(self, tile_id, addr, w, end):
+        """Read w words and count one reader off each; a word whose count
+        reaches 0 invalidates and wakes its writers at `end`."""
+        mem = self.m.tiles[tile_id].mem
+        vals = mem.data[addr:addr + w].copy()
+        mem.count[addr:addr + w] -= 1
+        for d in np.nonzero(mem.count[addr:addr + w] <= 0)[0]:
+            mem.valid[addr + d] = False
+            self.wake(("mem_free", tile_id, addr + int(d)), end)
+        self.charge("dmem", w)
+        self.charge("attr", w)
+        return vals
+
+    def fill(self, tile_id, addr, w, vals, count, end):
+        """Write w words for `count` readers, which wake at `end`."""
+        self.m.tiles[tile_id].mem.write(addr, vals, count)
+        if count > 0:
+            for k in range(w):
+                self.wake(("mem_valid", tile_id, addr + k), end)
+        self.charge("dmem", w)
+        self.charge("attr", w)
 
     # -- instruction semantics ------------------------------------------------
+    #
+    # A handler executes one instruction of `unit` (a CoreState or a
+    # TileState) and returns the cycles spent, or None if the actor parked.
+    # A branch sets next_pc. `attempt` then moves the pc on, charges fetch
+    # and decode, and counts the instruction and its register words.
 
     def attempt(self, actor):
         """Try the actor's next instruction; returns False if it parked."""
-        t = self.now
-        tile_id, core_id = actor
-        if core_id == TILE_UNIT:
-            unit = self.m.tiles[tile_id]
-            if unit.halted():
-                return True
-            instr = unit.program[unit.pc]
-            done = self.exec_tile(tile_id, unit, instr)
-        else:
-            core = self.m.cores[actor]
-            if core.halted():
-                return True
-            instr = core.program[core.pc]
-            done = self.exec_core(actor, core, instr)
-        if done and log.isEnabledFor(logging.DEBUG):
-            log.debug("t=%d %s pc executed: %s", t, actor,
-                      disassemble_one(instr))
-        return done
+        unit = self.m.units[actor]
+        if unit.halted():
+            return True
+        pc = unit.pc
+        i = unit.program[pc]
+        self.next_pc = pc + 1
+        cycles = EXECUTE[i.op](self, actor, unit, i)
+        if cycles is None:
+            return False
+        unit.pc = self.next_pc
+        for rail in FETCH_RAILS[actor[1] == TILE_UNIT]:
+            self.charge(rail, 1)
+        r = self.report
+        r.instr_dynamic[i.op] = r.instr_dynamic.get(i.op, 0) + 1
+        r.instr_cycles[i.op] = r.instr_cycles.get(i.op, 0) + cycles
+        r.reg_accesses += unit.reg_words[pc]
+        r.steps += 1
+        self.push(self.now + cycles, actor)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("t=%d %s pc executed: %s", self.now, actor,
+                      disassemble_one(i))
+        return True
 
-    def exec_core(self, actor, core, i):
-        cfg = self.cfg
-        tile = self.m.tiles[actor[0]]
-        t = self.now
-        op = i.op
-        if op == "load":
-            addr, w = i.b, max(1, i.w)
-            missing = np.nonzero(~tile.mem.valid[addr:addr + w])[0]
-            if len(missing):
-                self.park(actor, ("mem_valid", actor[0], addr + int(missing[0])),
-                          f"load waiting on word {addr + int(missing[0])}")
-                return False
-            vals = tile.mem.consume(addr, w)
-            core.write_regs(i.a, vals, op)
-            drained = np.nonzero(~tile.mem.valid[addr:addr + w])[0]
-            cycles = 1 + w
-            end = t + cycles
-            for d in drained:
-                self.wake(("mem_free", actor[0], addr + int(d)), end)
-            self.charge("dmem", w)
-            self.charge("attr", w)
-            self.charge("bus", self.bus_cycles(w))
-            self.charge("regfile", w)
-            self.issue()
-            if self.in_spill_region(actor[0], addr, w):
-                self.report.spill_accesses += w
-            self.count_instr(op, cycles, w)
-            self.advance(core, actor, end)
-            return True
-        if op == "store":
-            addr, w = i.a, max(1, i.w)
-            busy = np.nonzero(tile.mem.valid[addr:addr + w])[0]
-            if len(busy):
-                self.park(actor, ("mem_free", actor[0], addr + int(busy[0])),
-                          f"store waiting on occupied word {addr + int(busy[0])}")
-                return False
-            vals = core.read_regs(i.b, w, op)
-            tile.mem.write(addr, vals, i.c)
-            cycles = 1 + w
-            end = t + cycles
-            if i.c > 0:
-                for k in range(w):
-                    self.wake(("mem_valid", actor[0], addr + k), end)
-            self.charge("dmem", w)
-            self.charge("attr", w)
-            self.charge("bus", self.bus_cycles(w))
-            self.charge("regfile", w)
-            self.issue()
-            if self.in_spill_region(actor[0], addr, w):
-                self.report.spill_accesses += w
-            self.count_instr(op, cycles, w)
-            self.advance(core, actor, end)
-            return True
-        if op == "mvm":
-            cycles = cfg.mvm_cycles
-            members = [u for u in range(cfg.mvmus_per_core) if i.sub >> u & 1]
-            reg_elems = 0
-            for u in members:
-                sliced = core.mvmus[u]
-                if sliced is None:
-                    raise SimError(f"mvm activates unconfigured MVMU {u}")
-                perm = core.patterns.get(i.a, {}).get(u)
-                base_in = core.rs.xbar_in(u)
-                if perm is None:
-                    x = core.regs[base_in:base_in + sliced.rows]
-                else:
-                    x = core.regs[base_in + perm]
-                adc = cfg.adc_bits if cfg.adc_bits else None
-                # lanes become the batch axis: one product for all lanes
-                out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits,
-                                   cfg.xbar_dim)
-                base_out = core.rs.xbar_out(u)
-                core.regs[base_out:base_out + sliced.cols] = out.T
-                reg_elems += sliced.rows + sliced.cols
-                self.mvmu_energy += cfg.mvm_nj_per_mvmu
-            self.issue()
-            self.count_instr(op, cycles, reg_elems)
-            self.advance(core, actor, t + cycles)
-            return True
-        if op in ("alu", "alui"):
-            w = max(1, i.w)
-            lanes = cfg.vfu_lanes
-            busy = (w + lanes - 1) // lanes
-            cycles = 1 + busy
-            name = ALU_OP_NAMES[i.sub]
-            a = core.read_regs(i.b, w, op)
-            if op == "alui":
-                b = sign_extend_12(i.c) if name in ("add", "sub") else i.c
-                reg_elems = 2 * w
-            elif name in ALU_UNARY:
-                b = 0
-                reg_elems = 2 * w
-            else:
-                b = core.read_regs(i.c, w, op)
-                reg_elems = 3 * w
-            if name in ALU_TRANSCENDENTAL:
-                # ROM mode: buffer RAM, read entries, restore RAM
-                out = core.rom_lookup(name, a)
-                cycles += cfg.mode_switch_cycles
-                self.charge("regfile", cfg.mode_switch_cycles)
-                self.report.mode_switches += 1
-            else:
-                out, saturated = fp.vector_op(name, a, b, cfg.frac_bits)
-                self.report.saturations += saturated
-            core.write_regs(i.a, out, op)
-            self.charge("vfu", busy)
-            self.charge("regfile", busy)
-            self.issue()
-            self.count_instr(op, cycles, reg_elems)
-            self.advance(core, actor, t + cycles)
-            return True
-        if op == "copy":
-            w = max(1, i.w)
-            vals = core.read_regs(i.b, w, op)
-            core.write_regs(i.a, vals, op)
-            cycles = 1 + w
-            self.charge("regfile", w)
-            self.issue()
-            self.count_instr(op, cycles, 2 * w)
-            self.advance(core, actor, t + cycles)
-            return True
-        if op == "set":
-            core.write_regs(i.a, np.array([i.b], dtype=np.int64), op)
-            self.charge("regfile", 1)
-            self.issue()
-            self.count_instr(op, 1, 1)
-            self.advance(core, actor, t + 1)
-            return True
-        if op == "aluint":
-            name = ALUINT_OP_NAMES[i.sub]
-            a = self.lane_uniform(actor, core, i.b, op)
-            b = self.lane_uniform(actor, core, i.c, op)
-            if name == "add":
-                v = a + b
-            elif name == "sub":
-                v = a - b
-            elif name == "eq":
-                v = 1 if a == b else 0
-            elif name == "gt":
-                v = 1 if a > b else 0
-            else:
-                v = 1 if a != b else 0
-            self.report.saturations += fp.saturation_count(v)
-            core.write_regs(i.a, fp.saturate(np.array([v])), op)
-            self.charge("sfu", 1)
-            self.issue()
-            self.count_instr(op, 1, 3)
-            self.advance(core, actor, t + 1)
-            return True
-        if op == "jmp":
-            core.pc = i.c
-            self.charge("sfu", 1)
-            self.issue()
-            self.count_instr(op, 1, 0)
-            self.push(t + 1, actor)
-            return True
-        if op == "brn":
-            name = BRN_OP_NAMES[i.sub]
-            a = self.lane_uniform(actor, core, i.a, op)
-            b = self.lane_uniform(actor, core, i.b, op)
-            taken = {"eq": a == b, "ne": a != b, "gt": a > b,
-                     "ge": a >= b, "lt": a < b, "le": a <= b}[name]
-            core.pc = i.c if taken else core.pc + 1
-            self.charge("sfu", 1)
-            self.issue()
-            self.count_instr(op, 1, 2)
-            self.push(t + 1, actor)
-            return True
-        raise SimError(f"core cannot execute {op!r}")
+    def exec_load(self, actor, core, i):
+        addr, w = i.b, max(1, i.w)
+        if self.wait_words(actor, addr, w, i.op, True):
+            return None
+        cycles = 1 + w
+        vals = self.consume(actor[0], addr, w, self.now + cycles)
+        core.write_regs(i.a, vals, i.op)
+        self.bus_transfer(actor[0], addr, w)
+        return cycles
 
-    def exec_tile(self, tile_id, unit, i):
+    def exec_store(self, actor, core, i):
+        addr, w = i.a, max(1, i.w)
+        if self.wait_words(actor, addr, w, i.op, False):
+            return None
+        cycles = 1 + w
+        self.fill(actor[0], addr, w, core.read_regs(i.b, w, i.op), i.c,
+                  self.now + cycles)
+        self.bus_transfer(actor[0], addr, w)
+        return cycles
+
+    def exec_mvm(self, actor, core, i):
         cfg = self.cfg
-        tile = self.m.tiles[tile_id]
-        t = self.now
+        for u in fired_mvmus(i, cfg.mvmus_per_core):
+            sliced = core.mvmus[u]
+            if sliced is None:
+                raise SimError(f"mvm activates unconfigured MVMU {u}")
+            perm = core.patterns.get(i.a, {}).get(u)
+            base_in = core.rs.xbar_in(u)
+            if perm is None:
+                x = core.regs[base_in:base_in + sliced.rows]
+            else:
+                x = core.regs[base_in + perm]
+            adc = cfg.adc_bits if cfg.adc_bits else None
+            # lanes become the batch axis: one product for all lanes
+            out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits, cfg.xbar_dim)
+            base_out = core.rs.xbar_out(u)
+            core.regs[base_out:base_out + sliced.cols] = out.T
+            self.report.reg_accesses += sliced.rows + sliced.cols
+            self.mvmu_energy += cfg.mvm_nj_per_mvmu
+        return cfg.mvm_cycles
+
+    def exec_alu(self, actor, core, i):
+        name = ALU_OP_NAMES[i.sub]
         w = max(1, i.w)
-        flits = (w + cfg.words_per_flit - 1) // cfg.words_per_flit
-        if i.op == "send":
-            addr, fid, target = i.a, i.sub, i.b
-            if target >= cfg.tiles:
-                raise SimError(f"send targets nonexistent tile {target}")
-            missing = np.nonzero(~tile.mem.valid[addr:addr + w])[0]
-            if len(missing):
-                self.park((tile_id, TILE_UNIT),
-                          ("mem_valid", tile_id, addr + int(missing[0])),
-                          f"send waiting on word {addr + int(missing[0])}")
-                return False
-            dest = self.m.tiles[target].fifos[fid]
-            if dest.occupancy() >= dest.depth:
-                self.park((tile_id, TILE_UNIT), ("fifo_space", target, fid),
-                          f"send waiting on fifo {fid} space at tile {target}")
-                return False
-            vals = tile.mem.consume(addr, w)
-            drained = np.nonzero(~tile.mem.valid[addr:addr + w])[0]
-            bus_start = max(t, self.bus_free)
-            self.bus_free = bus_start + flits
-            arrival = bus_start + flits + cfg.hop_cycles
-            dest.in_flight += 1
-            self.serial += 1
-            heapq.heappush(self.ready,
-                           (arrival, -1.0, self.serial,
-                            ("_arrival", target, fid, tile_id, vals)))
-            end = bus_start + flits
-            for d in drained:
-                self.wake(("mem_free", tile_id, addr + int(d)), end)
-            self.charge("dmem", w)
-            self.charge("attr", w)
-            self.charge("net", flits)
-            self.charge("rxbuf", flits)
-            self.issue("tile")
-            self.count_instr("send", int(end - t), 0)
-            unit.pc += 1
-            self.push(end, (tile_id, TILE_UNIT))
-            return True
-        if i.op == "receive":
-            addr, fid, count = i.a, i.sub, i.b
-            fifo = tile.fifos[fid]
-            if not fifo.queue:
-                self.park((tile_id, TILE_UNIT), ("fifo_data", tile_id, fid),
-                          f"receive waiting on fifo {fid}")
-                return False
-            busy_words = np.nonzero(tile.mem.valid[addr:addr + w])[0]
-            if len(busy_words):
-                self.park((tile_id, TILE_UNIT),
-                          ("mem_free", tile_id, addr + int(busy_words[0])),
-                          f"receive waiting on occupied word "
-                          f"{addr + int(busy_words[0])}")
-                return False
-            src, vals = fifo.queue.popleft()
-            if len(vals) != w:
-                raise SimError(
-                    f"receive of {w} words got a {len(vals)}-word message")
-            tile.mem.write(addr, vals, count)
-            cycles = 1 + w
-            end = t + cycles
-            self.wake(("fifo_space", tile_id, fid), end)
-            if count > 0:
-                for k in range(w):
-                    self.wake(("mem_valid", tile_id, addr + k), end)
-            self.charge("dmem", w)
-            self.charge("attr", w)
-            self.charge("rxbuf", flits)
-            self.issue("tile")
-            self.count_instr("receive", cycles, 0)
-            unit.pc += 1
-            self.push(end, (tile_id, TILE_UNIT))
-            return True
-        raise SimError(f"tile unit cannot execute {i.op!r}")
+        a = core.read_regs(i.b, w, i.op)
+        b = 0 if name in ALU_UNARY else core.read_regs(i.c, w, i.op)
+        return self.vfu(core, i, name, a, b)
 
-    def advance(self, core, actor, end):
-        core.pc += 1
-        self.push(end, actor)
+    def exec_alui(self, actor, core, i):
+        name = ALU_OP_NAMES[i.sub]
+        a = core.read_regs(i.b, max(1, i.w), i.op)
+        return self.vfu(core, i, name, a, alui_immediate(name, i.c))
+
+    def vfu(self, core, i, name, a, b):
+        """The vector ALU part of alu and alui: dest = name(a, b)."""
+        cfg = self.cfg
+        busy = (max(1, i.w) + cfg.vfu_lanes - 1) // cfg.vfu_lanes
+        cycles = 1 + busy
+        if name in ALU_TRANSCENDENTAL:
+            # ROM mode: buffer RAM, read entries, restore RAM
+            out = core.rom_lookup(name, a)
+            cycles += cfg.mode_switch_cycles
+            self.charge("regfile", cfg.mode_switch_cycles)
+            self.report.mode_switches += 1
+        else:
+            out, saturated = fp.vector_op(name, a, b, cfg.frac_bits)
+            self.report.saturations += saturated
+        core.write_regs(i.a, out, i.op)
+        self.charge("vfu", busy)
+        self.charge("regfile", busy)
+        return cycles
+
+    def exec_copy(self, actor, core, i):
+        w = max(1, i.w)
+        core.write_regs(i.a, core.read_regs(i.b, w, i.op), i.op)
+        self.charge("regfile", w)
+        return 1 + w
+
+    def exec_set(self, actor, core, i):
+        core.write_regs(i.a, np.array([i.b], dtype=np.int64), i.op)
+        self.charge("regfile", 1)
+        return 1
+
+    def exec_aluint(self, actor, core, i):
+        v = fp.SCALAR_OPS[ISA["aluint"].subop_names[i.sub]](
+            self.lane_uniform(actor, core, i.b, i.op),
+            self.lane_uniform(actor, core, i.c, i.op))
+        self.report.saturations += fp.saturation_count(v)
+        core.write_regs(i.a, fp.saturate(np.array([v])), i.op)
+        self.charge("sfu", 1)
+        return 1
+
+    def exec_jmp(self, actor, core, i):
+        self.next_pc = i.c
+        self.charge("sfu", 1)
+        return 1
+
+    def exec_brn(self, actor, core, i):
+        taken = fp.BRANCH_CONDS[ISA["brn"].subop_names[i.sub]](
+            self.lane_uniform(actor, core, i.a, i.op),
+            self.lane_uniform(actor, core, i.b, i.op))
+        if taken:
+            self.next_pc = i.c
+        self.charge("sfu", 1)
+        return 1
+
+    def exec_send(self, actor, unit, i):
+        cfg = self.cfg
+        addr, fid, target, w = i.a, i.sub, i.b, max(1, i.w)
+        if target >= cfg.tiles:
+            raise SimError(f"send targets nonexistent tile {target}")
+        if self.wait_words(actor, addr, w, i.op, True):
+            return None
+        dest = self.m.tiles[target].fifos[fid]
+        if dest.occupancy() >= dest.depth:
+            self.park(actor, ("fifo_space", target, fid),
+                      f"send waiting on fifo {fid} space at tile {target}")
+            return None
+        flits = self.flits(w)
+        bus_start = max(self.now, self.bus_free)
+        self.bus_free = end = bus_start + flits
+        vals = self.consume(actor[0], addr, w, end)
+        dest.in_flight += 1
+        self.serial += 1
+        heapq.heappush(self.ready,
+                       (end + cfg.hop_cycles, -1.0, self.serial,
+                        ("_arrival", target, fid, actor[0], vals)))
+        self.charge("net", flits)
+        self.charge("rxbuf", flits)
+        return int(end - self.now)
+
+    def exec_receive(self, actor, unit, i):
+        addr, fid, count, w = i.a, i.sub, i.b, max(1, i.w)
+        fifo = self.m.tiles[actor[0]].fifos[fid]
+        if not fifo.queue:
+            self.park(actor, ("fifo_data", actor[0], fid),
+                      f"receive waiting on fifo {fid}")
+            return None
+        if self.wait_words(actor, addr, w, i.op, False):
+            return None
+        _src, vals = fifo.queue.popleft()
+        if len(vals) != w:
+            raise SimError(
+                f"receive of {w} words got a {len(vals)}-word message")
+        cycles = 1 + w
+        self.wake(("fifo_space", actor[0], fid), self.now + cycles)
+        self.fill(actor[0], addr, w, vals, count, self.now + cycles)
+        self.charge("rxbuf", self.flits(w))
+        return cycles
 
     # -- main loop ------------------------------------------------------------
 
     def all_halted(self):
-        return (all(c.halted() for c in self.m.cores.values())
-                and all(t.halted() for t in self.m.tiles.values()))
+        return all(u.halted() for u in self.m.units.values())
 
     def diagnose(self):
         out = []
         for actor, reason in sorted(self.blocked_reason.items()):
-            t, c = actor
-            who = _actor_name(actor)
-            if c == TILE_UNIT:
-                pc = self.m.tiles[t].pc
-                instr = self.m.tiles[t].program[pc]
-            else:
-                pc = self.m.cores[actor].pc
-                instr = self.m.cores[actor].program[pc]
-            out.append(f"{who} blocked at pc {pc} on {reason}: "
-                       f"'{disassemble_one(instr)}'")
+            unit = self.m.units[actor]
+            out.append(f"{_actor_name(actor)} blocked at pc {unit.pc} on "
+                       f"{reason}: '{disassemble_one(unit.program[unit.pc])}'")
         return out
 
     def run(self, step_limit):
-        for actor, core in self.m.cores.items():
-            if not core.halted():
-                self.push(PIPELINE_FILL_CYCLES, actor)
-        for t, unit in self.m.tiles.items():
+        for actor, unit in self.m.units.items():
             if not unit.halted():
-                self.push(PIPELINE_FILL_CYCLES, (t, TILE_UNIT))
+                self.push(PIPELINE_FILL_CYCLES, actor)
         end_time = 0.0
         while self.ready:
             t, _pri, _ser, actor = heapq.heappop(self.ready)
@@ -770,6 +696,15 @@ class _Sim:
         self.report.energy_nj = self.component_energy()
         self.report.energy_total_nj = sum(self.report.energy_nj.values())
         return self.report
+
+
+# opcode -> handler(sim, actor, unit, instr) -> cycles, or None if parked
+EXECUTE = {
+    "mvm": _Sim.exec_mvm, "alu": _Sim.exec_alu, "alui": _Sim.exec_alui,
+    "aluint": _Sim.exec_aluint, "set": _Sim.exec_set, "copy": _Sim.exec_copy,
+    "load": _Sim.exec_load, "store": _Sim.exec_store, "send": _Sim.exec_send,
+    "receive": _Sim.exec_receive, "jmp": _Sim.exec_jmp, "brn": _Sim.exec_brn,
+}
 
 
 def run(machine, inputs, step_limit=1_000_000, order_seed=None):

@@ -144,6 +144,14 @@ def test_run_rejects_a_tensor_that_is_not_one_vector(tmp_path):
     assert not (outdir / "outputs.json").exists()
 
 
+def test_write_tensors_rejects_a_batch_naming_the_tensor(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="'y'"):
+        cli.write_tensors(str(path), {"x": np.arange(4),
+                                      "y": np.arange(8).reshape(2, 4)})
+    assert not path.exists()
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     model, inputs, cfgf = _emit_example(tmp_path, "mlp4")
     outdir = str(tmp_path / "sw")

@@ -164,3 +164,17 @@ def test_xbar_liveness_two_fused_mvms():
     intervals, peak = regalloc.xbar_liveness(seg.instrs, cfg.regspace())
     assert peak["xbar_out"] == 2 * cfg.xbar_dim
     assert peak["xbar_in"] == 2 * cfg.xbar_dim
+
+
+def test_xbar_liveness_reads_no_immediate_as_a_register():
+    """alui's immediate 300 is a number, not XbarOut register 300."""
+    peaks = []
+    for imm in (300, 5):
+        g = gr.ModelGraph()
+        x = g.input("x", 128)
+        y = g.mvm(g.const_matrix(np.eye(128) * 0.5), x)
+        g.output("y", g.alu_imm("add", g.alu_imm("add", y, imm), imm))
+        g.freeze()
+        _, rep = compile_model(g, MachineConfig(tiles=1))
+        peaks.append(rep.xbar_maxlive["xbar_out"])
+    assert peaks == [128, 128]
