@@ -96,7 +96,6 @@ class _PatternTable:
 class _Lowerer:
     def __init__(self, tg, machine, opts):
         self.tg = tg
-        self.m = machine
         self.opts = opts
         self.rs = machine.regspace()
         self.code = {}            # actor -> [LowInstr]
@@ -199,22 +198,15 @@ class _Lowerer:
                                           self.val(extra), lead.length))
                 acc = nxt
             self.value_vreg[lead.id] = acc
-        elif k == "alu":
+        elif k in ("alu", "alu_imm", "act"):
+            # act is a unary alu; alu_imm holds its immediate in field c
+            src2 = (self.val(lead.inputs[1]) if k == "alu"
+                    else lead.imm & 0xFFF if k == "alu_imm" else 0)
             v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("alu", isa.ALU_OPS[lead.op], v,
-                                      self.val(lead.inputs[0]),
-                                      self.val(lead.inputs[1]), lead.length))
-            self.value_vreg[lead.id] = v
-        elif k == "alu_imm":
-            v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("alui", isa.ALU_OPS[lead.op], v,
-                                      self.val(lead.inputs[0]),
-                                      lead.imm & 0xFFF, lead.length))
-            self.value_vreg[lead.id] = v
-        elif k == "act":
-            v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("alu", isa.ALU_OPS[lead.op], v,
-                                      self.val(lead.inputs[0]), 0, lead.length))
+            self.emit(actor, LowInstr("alui" if k == "alu_imm" else "alu",
+                                      isa.ALU_OPS[lead.op], v,
+                                      self.val(lead.inputs[0]), src2,
+                                      lead.length))
             self.value_vreg[lead.id] = v
         elif k == "gather":
             if lead.id in self.elided:
@@ -324,8 +316,6 @@ def _emit_container(tg, machine, code, bases, meta):
             raise CompileError(
                 f"tile {actor[0]} core {actor[1]}: {len(instrs)} instructions "
                 f"exceed the {cap}-instruction memory")
-        for i in instrs:
-            isa.validate(i)
         prog.segments.append(container.Segment(actor[0], actor[1], instrs))
 
     for mt in tg.matrix_tiles:
@@ -460,10 +450,7 @@ def _compile_conv_loop(graph, machine, opts):
         raise CompileError("loop mode expects exactly one windowed layer")
     n_windows = len(wins)
 
-    consumers_of = {n.id: [] for n in tg.tnodes}
-    for n in tg.tnodes:
-        for i in n.inputs:
-            consumers_of[i].append(n.id)
+    consumers_of = tg.consumers()
 
     def sole_consumer(tid):
         nxt = consumers_of[tid]
@@ -561,8 +548,11 @@ def _compile_conv_loop(graph, machine, opts):
                                      window_len))
     code[feeder] = _merge_copy_runs(code[feeder])
 
-    code[looper] = schedule.emit_conv_loop(n_windows, parts, cols, mb_in,
-                                           mb_out, bias_sym, act_op, machine)
+    try:
+        code[looper] = schedule.emit_conv_loop(n_windows, parts, cols, mb_in,
+                                               mb_out, bias_sym, act_op, machine)
+    except schedule.ScheduleError as e:
+        raise CompileError(f"tile {looper[0]} core {looper[1]}: {e}") from e
     for w, _, out_node in chains:
         v = vr()
         code[collector].append(LowInstr("load", 0, v, Mem(mb_out), 0, cols))

@@ -239,10 +239,10 @@ def mvm_blockwise(w_raw, x_raw, xbar_dim, frac_bits):
     return out
 
 
-def evaluate(graph, inputs, xbar_dim=128, luts=None, collect=False):
+def evaluate(graph, inputs, xbar_dim=128, luts=None):
     """Run the graph in ideal numerics. inputs maps input names to raw
     int vectors (use quantize for real-valued data). Returns the dict of
-    output name -> raw vector; with collect=True also every node value."""
+    output name -> raw vector."""
     frac = graph.frac_bits
     luts = luts or fp.build_default_luts(frac)
     values = {}
@@ -270,8 +270,6 @@ def evaluate(graph, inputs, xbar_dim=128, luts=None, collect=False):
         else:
             values[node.id] = apply_node(
                 node, [values[i] for i in node.inputs], frac, luts)
-    if collect:
-        return outputs, values
     return outputs
 
 

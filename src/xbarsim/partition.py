@@ -11,6 +11,7 @@ store/load pairs through tile memory (with consumer counts) and
 cross-tile edges into send/receive pairs with per-sender FIFO ids.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from . import fixedpoint as fp
 from .container import TILE_UNIT
 from .graph import apply_node, mvm_blockwise
 from .isa import ALUI_OPS, FIELD_MAX, alui_immediate
+from .schedule import linearize
 
 
 class CompileError(Exception):
@@ -311,40 +313,33 @@ def _matrix_tile_affinity(tg):
     producer-consumer pairs."""
     tiles = tg.matrix_tiles
     consumers = tg.consumers()
-    info = []
-    for mt in tiles:
-        mvms = [n for n in tg.tnodes if n.kind == "mvm" and n.matrix == mt.id]
+    mvms_of = [[] for _ in tiles]
+    for n in tg.tnodes:
+        if n.kind == "mvm":
+            mvms_of[n.matrix].append(n)
+    info = []    # per tile: (inputs, consumers, first logical MVM)
+    for mvms in mvms_of:
         ins = set()
         sinks = set()
         for n in mvms:
             ins.update(n.inputs)
             sinks.update(consumers[n.id])
-        info.append((ins, sinks))
+        info.append((ins, sinks, mvms[0].orig if mvms else None))
     feeds = _mvm_feeds(tg)
     aff = {}
     for a in range(len(tiles)):
-        la = tiles[a].orig
         for b in range(a + 1, len(tiles)):
-            lb = tiles[b].orig
             w = 0
             if info[a][1] & info[b][1]:
                 w += SAME_OUTPUT_W
             if info[a][0] & info[b][0]:
                 w += SAME_INPUT_W
-            oa = _logical_of(tg, a)
-            ob = _logical_of(tg, b)
+            oa, ob = info[a][2], info[b][2]
             if (oa, ob) in feeds or (ob, oa) in feeds:
                 w += PROD_CONS_W
             if w:
                 aff[(a, b)] = w
     return aff
-
-
-def _logical_of(tg, mt_id):
-    for n in tg.tnodes:
-        if n.kind == "mvm" and n.matrix == mt_id:
-            return n.orig
-    return None
 
 
 def _mvm_feeds(tg):
@@ -427,23 +422,18 @@ def _place_tnodes(tg):
     for n in tg.tnodes:
         if n.place is not None or n.kind in ("input", "const"):
             continue
-        placed = [tg.tnodes[i].place for i in n.inputs
-                  if tg.tnodes[i].place is not None]
-        if placed:
-            counts = {}
-            for p in placed:
-                counts[p] = counts.get(p, 0) + 1
+        counts = Counter(tg.tnodes[i].place for i in n.inputs
+                         if tg.tnodes[i].place is not None)
+        if counts:
             n.place = min(counts, key=lambda p: (-counts[p], p))
         else:
             n.place = (0, 0)
             fallback.append(n)
     # staging nodes with no placed producer (e.g. window gathers over raw
-    # inputs) belong with their first placed consumer
+    # inputs) belong with their first consumer, which is placed by now
     for n in fallback:
-        for cid in consumers[n.id]:
-            if tg.tnodes[cid].place is not None:
-                n.place = tg.tnodes[cid].place
-                break
+        if consumers[n.id]:
+            n.place = tg.tnodes[consumers[n.id][0]].place
     # memory-resident values live on their first consumer's tile
     for n in tg.tnodes:
         if n.kind in ("input", "const"):
@@ -563,32 +553,6 @@ def _renumber_fifos(tg, machine):
             n.fifo = tg.fifo_map[(n.place[0], snd.place[0])]
 
 
-def topo_order(tg):
-    """Kahn topological order over tnodes, ready set drained by ascending id
-    (data-movement nodes are appended after the compute nodes they serve,
-    so raw id order is not topological)."""
-    indeg = [0] * len(tg.tnodes)
-    succs = [[] for _ in tg.tnodes]
-    for n in tg.tnodes:
-        for i in set(n.inputs):
-            indeg[n.id] += 1
-            succs[i].append(n.id)
-    import heapq
-    ready = [n.id for n in tg.tnodes if indeg[n.id] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for s in succs[nid]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != len(tg.tnodes):
-        raise CompileError("dependence cycle in tiled graph")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Augmented-graph interpreter (ideal numerics) for equivalence checks
 # ---------------------------------------------------------------------------
@@ -599,15 +563,16 @@ def evaluate_tiled(tg, graph, inputs, luts=None):
     luts = luts or fp.build_default_luts(graph.frac_bits)
     d = tg.xbar_dim
     vals = {}
-    for nid in topo_order(tg):
-        n = tg.tnodes[nid]
-        args = [vals[i] for i in n.inputs]
+    for n in tg.tnodes:
         if n.kind == "input":
             full = np.asarray(inputs[n.name], dtype=np.int64)
-            vals[nid] = full[n.block * d: n.block * d + n.length]
+            vals[n.id] = full[n.block * d: n.block * d + n.length]
         elif n.kind == "const":
-            vals[nid] = np.asarray(n.words, dtype=np.int64)
-        elif n.kind == "mvm":
+            vals[n.id] = np.asarray(n.words, dtype=np.int64)
+    for nid in (t for u in linearize(tg).units for t in u.members):
+        n = tg.tnodes[nid]
+        args = [vals[i] for i in n.inputs]
+        if n.kind == "mvm":
             vals[nid] = mvm_blockwise(tg.matrix_tiles[n.matrix].w_raw, args[0],
                                       d, graph.frac_bits)
         elif n.kind in ("store", "load", "send", "receive", "output"):

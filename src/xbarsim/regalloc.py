@@ -12,6 +12,7 @@ xbar-class live ranges never conflict by construction; their liveness is
 still computed for reporting.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 from .isa import fired_mvmus, registers
@@ -53,18 +54,11 @@ class LiveRange:
 class AllocResult:
     instrs: list
     base: dict                   # vreg -> physical base register
-    spilled: dict = field(default_factory=dict)   # vreg -> spill symbol id
     spill_count: int = 0
-    maxlive_general: int = 0
-    maxlive_words: int = 0
 
 
-def compute_liveness(instrs, loop_span=None):
-    """Exact def/last-use intervals on straight-line code.
-
-    loop_span=(lo, hi) marks a single loop body: any value live into the
-    body stays live across the back edge, i.e. its range extends to hi.
-    """
+def compute_liveness(instrs):
+    """Exact def/last-use intervals on straight-line code."""
     ranges = {}
     for pos, li in enumerate(instrs):
         reads, writes = reads_writes(li)
@@ -89,24 +83,7 @@ def compute_liveness(instrs, loop_span=None):
             r.size = max(r.size, opnd.off + w)
             if r.first_read is None:
                 r.first_read = pos
-    if loop_span is not None:
-        lo, hi = loop_span
-        for r in ranges.values():
-            if r.start < lo and r.end >= lo:
-                r.end = max(r.end, hi)
     return ranges
-
-
-def max_live_words(ranges):
-    events = []
-    for r in ranges.values():
-        events.append((r.start, r.size))
-        events.append((r.end + 1, -r.size))
-    live = peak = 0
-    for _, delta in sorted(events):
-        live += delta
-        peak = max(peak, live)
-    return peak
 
 
 class _FreeSpace:
@@ -169,7 +146,6 @@ def _plan(ranges, total):
                     if not ranges[r.vreg].spillable():
                         raise RegAllocError(
                             "cannot spill an in-place-updated value under pressure")
-                    victims = None
                     spilled.add(r.vreg)
                     restart = True
                     break
@@ -227,7 +203,7 @@ def _rewrite_spills(instrs, to_spill, slot_of, next_vreg):
     return out
 
 
-def allocate(instrs, machine, mk_spill_symbol, loop_span=None):
+def allocate(instrs, machine, mk_spill_symbol):
     """Assign physical general registers, spilling to tile memory as needed.
 
     mk_spill_symbol(size) must return a fresh tile-memory symbol id.
@@ -239,29 +215,20 @@ def allocate(instrs, machine, mk_spill_symbol, loop_span=None):
         for opnd in li.operands():
             if isinstance(opnd, VReg):
                 vmax = max(vmax, opnd.v + 1)
-    counter = [vmax]
+    next_vreg = itertools.count(vmax).__next__
 
-    def next_vreg():
-        counter[0] += 1
-        return counter[0] - 1
-
-    all_spilled = {}
+    spill_count = 0
     for _round in range(16):
-        ranges = compute_liveness(instrs, loop_span)
+        ranges = compute_liveness(instrs)
         base, spills = _plan(ranges, total)
         if not spills:
-            res = AllocResult(instrs, {v: rs.general_base + b
-                                       for v, b in base.items()})
-            res.spilled = dict(all_spilled)
-            res.spill_count = len(all_spilled)
-            res.maxlive_general = len(ranges)
-            res.maxlive_words = max_live_words(ranges)
-            return res
-        slot_of = {}
-        for v in spills:
-            size = ranges[v].size
-            slot_of[v] = mk_spill_symbol(size)
-            all_spilled[v] = slot_of[v]
+            return AllocResult(instrs, {v: rs.general_base + b
+                                        for v, b in base.items()},
+                               spill_count)
+        # a spilled vreg is renamed at every definition and use, so no
+        # later round spills it again
+        slot_of = {v: mk_spill_symbol(ranges[v].size) for v in spills}
+        spill_count += len(spills)
         instrs = _rewrite_spills(instrs, spills, slot_of, next_vreg)
     need = _instruction_working_set(instrs)
     raise RegAllocError(

@@ -12,8 +12,14 @@ Linearization produces one reverse post-order over the entire graph and
 projects it onto each core/tile sequence. Linearizing the whole graph at
 once keeps every per-actor order embedded in one global order, so blocking
 cross-core communication cannot form a cycle.
+
+Both passes work on one dependence graph, `_DepGraph`. Linearization
+builds a fresh one and contracts each coalesced group into its lowest
+tnode id: a scheduling unit is named by its lowest member, and the
+orders break ties toward the lowest name.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import isa
@@ -24,9 +30,8 @@ UNSCHEDULED = ("input", "const")
 
 @dataclass
 class Unit:
-    id: int
-    members: list              # tnode ids; >1 only for coalesced MVMs
-    kind: str
+    id: int                    # lowest member
+    members: list              # ascending tnode ids; >1 only for coalesced MVMs
 
 
 @dataclass
@@ -41,70 +46,27 @@ class ScheduleError(Exception):
     pass
 
 
-def _build_units(tg, groups=None):
-    """One unit per schedulable tnode, with coalesced MVM groups merged."""
-    group_idx = {}
-    for gi, g in enumerate(groups or ()):
-        for t in g:
-            group_idx[t] = gi
-    units = []
-    unit_of = {}
-    unit_of_group = {}
-    for n in tg.tnodes:
-        if n.kind in UNSCHEDULED:
-            continue
-        gi = group_idx.get(n.id)
-        if gi is not None and gi in unit_of_group:
-            u = units[unit_of_group[gi]]
-            u.members.append(n.id)
-            unit_of[n.id] = u.id
-            continue
-        u = Unit(len(units), [n.id], "mvm_group" if gi is not None else n.kind)
-        units.append(u)
-        unit_of[n.id] = u.id
-        if gi is not None:
-            unit_of_group[gi] = u.id
-    return units, unit_of
-
-
-def _unit_edges(tg, units, unit_of):
-    preds = [set() for _ in units]
-    succs = [set() for _ in units]
-    for u in units:
-        for t in u.members:
-            for i in tg.tnodes[t].inputs:
-                if tg.tnodes[i].kind in UNSCHEDULED:
-                    continue
-                p = unit_of[i]
-                if p != u.id:
-                    preds[u.id].add(p)
-                    succs[p].add(u.id)
-    return preds, succs
-
-
 def _rpo_order(ids, preds, succs):
     """Reverse post-order linearization: depth-first from each sink through
     its operands, emitting an operation only after everything it consumes
     (the reverse of the visit order). Produced values are consumed as soon
     as their consumer's remaining operands allow, which keeps few values
     live at a time. Sinks and operands are taken in ascending id, so the
-    order is deterministic with ties broken toward the lowest node id."""
-    id_set = set(ids)
-    sinks = [i for i in sorted(ids) if not (succs[i] & id_set)]
+    order is deterministic with ties broken toward the lowest node id.
+    ids are all the nodes of the graph that preds and succs describe."""
+    sinks = [i for i in sorted(ids) if not succs[i]]
     seen = set()
     order = []
-    for sink in sinks:
-        if sink in seen:
-            continue
+    for sink in sinks:      # no node's operand, so no earlier walk saw it
         seen.add(sink)
-        stack = [(sink, iter(sorted(preds[sink] & id_set)))]
+        stack = [(sink, iter(sorted(preds[sink])))]
         while stack:
             node, it = stack[-1]
             advanced = False
             for child in it:
                 if child not in seen:
                     seen.add(child)
-                    stack.append((child, iter(sorted(preds[child] & id_set))))
+                    stack.append((child, iter(sorted(preds[child]))))
                     advanced = True
                     break
             if not advanced:
@@ -114,7 +76,7 @@ def _rpo_order(ids, preds, succs):
         raise ScheduleError("dependence cycle in scheduling input")
     pos = {n: i for i, n in enumerate(order)}
     for n in ids:
-        for p in preds[n] & id_set:
+        for p in preds[n]:
             if pos[p] > pos[n]:
                 raise ScheduleError("dependence cycle in scheduling input")
     return order
@@ -123,15 +85,13 @@ def _rpo_order(ids, preds, succs):
 def _kahn_fifo(ids, preds, succs):
     """Breadth-first topological order: the naive baseline that produces
     values eagerly before consuming them."""
-    from collections import deque
-    id_set = set(ids)
-    indeg = {i: len(preds[i] & id_set) for i in ids}
+    indeg = {i: len(preds[i]) for i in ids}
     q = deque(i for i in sorted(ids) if indeg[i] == 0)
     order = []
     while q:
         n = q.popleft()
         order.append(n)
-        for s in sorted(succs[n] & id_set):
+        for s in sorted(succs[n]):
             indeg[s] -= 1
             if indeg[s] == 0:
                 q.append(s)
@@ -141,20 +101,17 @@ def _kahn_fifo(ids, preds, succs):
 
 
 def max_live(order, preds, succs):
-    """Peak number of unit outputs live between steps of an order: a value
-    is born when produced and dies when its last consumer executes."""
-    pos = {u: i for i, u in enumerate(order)}
-    in_order = set(order)
+    """Peak number of unit outputs live between steps of an order of all
+    units: a value is born when produced, dies when its last consumer runs."""
     last_use = {}
-    for u in order:
+    for i, u in enumerate(order):
         for p in preds[u]:
-            if p in in_order:
-                last_use[p] = max(last_use.get(p, -1), pos[u])
+            last_use[p] = i
     live = 0
     peak = 0
     for i, u in enumerate(order):
         live -= sum(1 for p in preds[u] if last_use.get(p) == i)
-        if succs[u] & in_order:
+        if succs[u]:
             live += 1
         peak = max(peak, live)
     return peak
@@ -173,24 +130,19 @@ def _mvmu_of(tg, tid):
 
 
 class _DepGraph:
-    """Mutable dependence graph over schedulable tnodes; fusion contracts
-    the fused node into the group leader."""
+    """Mutable dependence graph over schedulable tnodes (inputs and consts
+    are memory-resident and carry no edges); fusion contracts the fused
+    node into the group leader."""
 
     def __init__(self, tg):
-        self.preds = {}
-        self.succs = {}
-        ids = [n.id for n in tg.tnodes if n.kind not in UNSCHEDULED]
-        for i in ids:
-            self.preds[i] = set()
-            self.succs[i] = set()
-        for n in tg.tnodes:
-            if n.kind in UNSCHEDULED:
-                continue
-            for i in n.inputs:
-                if tg.tnodes[i].kind in UNSCHEDULED or i == n.id:
-                    continue
-                self.preds[n.id].add(i)
-                self.succs[i].add(n.id)
+        self.preds = {n.id: set() for n in tg.tnodes
+                      if n.kind not in UNSCHEDULED}
+        self.succs = {i: set() for i in self.preds}
+        for i, preds in self.preds.items():
+            for p in tg.tnodes[i].inputs:
+                if p in self.preds and p != i:
+                    preds.add(p)
+                    self.succs[p].add(i)
 
     def reaches(self, a, b):
         if a == b:
@@ -274,8 +226,6 @@ def coalesce_mvms(tg, machine):
         if lead in group_of and group_of[lead][0] != lead:
             continue   # absorbed into an earlier group
         for cand in mvm_order:
-            if cand == lead:
-                continue
             if len(members(lead)) >= m_per_core:
                 break
             if eligible(lead, cand):
@@ -321,15 +271,24 @@ def check_groups_independent(tg, groups):
 # ---------------------------------------------------------------------------
 
 def linearize(tg, groups=None, naive=False):
-    """Global linearization -> LinearSchedule with per-actor projections."""
-    units, unit_of = _build_units(tg, groups)
-    preds, succs = _unit_edges(tg, units, unit_of)
-    ids = [u.id for u in units]
-    order = _kahn_fifo(ids, preds, succs) if naive \
-        else _rpo_order(ids, preds, succs)
-    sched = LinearSchedule(units=[units[i] for i in order])
-    sched.coalesce_groups = sum(1 for u in units if len(u.members) > 1)
-    sched.maxlive = max_live(order, preds, succs)
+    """Global linearization -> LinearSchedule with per-actor projections.
+    Each coalesced group is contracted into its lowest member, which names
+    the group's unit."""
+    dg = _DepGraph(tg)
+    members = {i: [i] for i in dg.preds}
+    for g in groups or ():
+        lead = min(g)
+        members[lead] = sorted(g)
+        for t in g:
+            if t != lead:
+                dg.contract(lead, t)
+                del members[t]
+    ids = sorted(members)
+    order = _kahn_fifo(ids, dg.preds, dg.succs) if naive \
+        else _rpo_order(ids, dg.preds, dg.succs)
+    sched = LinearSchedule(units=[Unit(i, members[i]) for i in order])
+    sched.coalesce_groups = sum(1 for m in members.values() if len(m) > 1)
+    sched.maxlive = max_live(order, dg.preds, dg.succs)
     for gi, u in enumerate(sched.units):
         actor = tg.tnodes[u.members[0]].place
         sched.actor_seq.setdefault(actor, []).append(gi)
@@ -358,7 +317,8 @@ def emit_conv_loop(n_windows, parts, cols, mb_in, mb_out, bias_sym,
     r_one = r_cnt + 1
     r_lim = r_cnt + 2
     if rs.general_regs < 2 * cols + 3:
-        raise ScheduleError("register file too small for the loop body")
+        raise ScheduleError(f"the loop body needs {2 * cols + 3} register "
+                            f"words, the register file has {rs.general_regs}")
 
     out = []
     if bias_sym is not None:

@@ -34,13 +34,15 @@ from . import fixedpoint as fp
 from .container import TILE_UNIT, loads as load_container
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
 from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
-    Instruction, alui_immediate, disassemble_one, fired_mvmus, registers
+    Instruction, IsaError, alui_immediate, disassemble_one, fired_mvmus, \
+    registers, validate
 from .machine import MachineConfig
 
 log = logging.getLogger("xbarsim")
 
 PIPELINE_FILL_CYCLES = 2   # fetch + decode before the first execute
 TILE_OPS = {"send", "receive"}   # run by the tile unit; the rest by cores
+MEM_ADDR_SLOT = {"load": "b", "store": "a", "send": "a", "receive": "a"}
 FETCH_RAILS = {False: ("control", "core_imem"),   # a core's fetch, decode
                True: ("tile_ctrl", "tile_imem")}  # the tile unit's
 
@@ -163,12 +165,21 @@ class Fifo:
 
 
 class _Sequencer:
-    """An instruction stream, its pc and each instruction's register words."""
+    """An instruction stream, its pc and each instruction's register words;
+    each instruction is validated and checked against the machine once."""
 
-    def __init__(self, program):
+    def __init__(self, actor, cfg, program, mvmus=()):
         self.program = program
+        loaded = sum(1 << u for u, m in enumerate(mvmus) if m is not None)
+        keys = []
+        for pc, i in enumerate(program):
+            try:
+                validate(i)
+                _check_fits(i, cfg, loaded)
+            except (IsaError, GeometryError) as e:
+                raise type(e)(f"{_actor_name(actor)} pc {pc}: {e}") from None
+            keys.append((i.op, i.sub, i.w))
         # the count depends on (op, sub, w) only: work out each one once
-        keys = [(i.op, i.sub, i.w) for i in program]
         words = {(op, sub, w): sum(n for _, n, _ in registers(
             Instruction(op, sub, w=w))) for op, sub, w in set(keys)}
         self.reg_words = [words[k] for k in keys]
@@ -178,13 +189,29 @@ class _Sequencer:
         return self.pc >= len(self.program)
 
 
+def _check_fits(i, cfg, loaded):
+    """Raise GeometryError if valid instruction i names what the machine
+    lacks; loaded is the bit mask of the core's MVMUs that hold weights."""
+    if i.op == "mvm" and i.sub & ~loaded:
+        raise GeometryError(f"mvm mask {i.sub:#b} fires an MVMU without "
+                            f"weights (loaded: {loaded:#b})")
+    if i.op in TILE_OPS and i.sub >= cfg.num_fifos:
+        raise GeometryError(f"{i.op} names fifo {i.sub} of {cfg.num_fifos}")
+    if i.op == "send" and i.b >= cfg.tiles:
+        raise GeometryError(f"send targets tile {i.b} of {cfg.tiles}")
+    slot = MEM_ADDR_SLOT.get(i.op)
+    if slot and getattr(i, slot) + max(1, i.w) > cfg.dmem_words:
+        raise GeometryError(f"{i.op} of {max(1, i.w)} words at {getattr(i, slot)}"
+                            f" runs past the {cfg.dmem_words}-word memory")
+
+
 class CoreState(_Sequencer):
-    def __init__(self, cfg, program, luts):
-        super().__init__(program)
+    def __init__(self, cfg, actor, program, luts, mvmus):
+        super().__init__(actor, cfg, program, mvmus)
         self.cfg = cfg
         self.rs = cfg.regspace()
         self.regs = np.zeros(self.rs.total, dtype=np.int64)
-        self.mvmus = [None] * cfg.mvmus_per_core
+        self.mvmus = mvmus
         self.patterns = {}      # filter id -> {mvmu: perm array}
         self.luts = luts
 
@@ -206,8 +233,8 @@ class CoreState(_Sequencer):
 
 
 class TileState(_Sequencer):
-    def __init__(self, cfg, program):
-        super().__init__(program)
+    def __init__(self, cfg, actor, program):
+        super().__init__(actor, cfg, program)
         self.mem = TileMemoryState(cfg.dmem_words)
         self.fifos = [Fifo(cfg.fifo_depth) for _ in range(cfg.num_fifos)]
 
@@ -230,9 +257,17 @@ class Machine:
         self.prog = prog
         self.has_run = False
         luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
+        mvmus = {(t, c): [None] * cfg.mvmus_per_core for t in range(cfg.tiles)
+                 for c in range(cfg.cores_per_tile)}
+        outside = (f"lies outside the machine ({cfg.tiles} tiles x "
+                   f"{cfg.cores_per_tile} cores x {cfg.mvmus_per_core} MVMUs, "
+                   f"{cfg.dmem_words} words per tile)")
         programs = {}
         for seg in prog.segments:
             on_tile = seg.core == TILE_UNIT
+            if (seg.tile, 0 if on_tile else seg.core) not in mvmus:
+                raise GeometryError(f"the segment of "
+                                    f"{_actor_name((seg.tile, seg.core))} {outside}")
             cap = cfg.tile_imem_capacity if on_tile else cfg.core_imem_capacity
             if len(seg.instrs) > cap:
                 raise CapacityError(
@@ -244,22 +279,30 @@ class Machine:
                 raise SimError(f"{_actor_name((seg.tile, seg.core))} cannot "
                                f"execute {min(misplaced)!r}")
             programs[(seg.tile, seg.core)] = seg.instrs
-        self.cores = {(t, c): CoreState(cfg, programs.get((t, c), []), luts)
-                      for t in range(cfg.tiles)
-                      for c in range(cfg.cores_per_tile)}
-        self.tiles = {t: TileState(cfg, programs.get((t, TILE_UNIT), []))
-                      for t in range(cfg.tiles)}
-        # actor -> its instruction sequencer, cores first
-        self.units = {**self.cores, **{(t, TILE_UNIT): unit
-                                       for t, unit in self.tiles.items()}}
-
+        for b in (*prog.weights, *prog.patterns):
+            if (b.tile, b.core) not in mvmus or not 0 <= b.mvmu < cfg.mvmus_per_core:
+                raise GeometryError(f"{type(b).__name__} of {_actor_name((b.tile, b.core))}"
+                                    f" mvmu {b.mvmu} {outside}")
+        for b in (*prog.data, *prog.io):
+            end = b.addr + (b.length if hasattr(b, "length") else len(b.words))
+            if not 0 <= b.tile < cfg.tiles or end > cfg.dmem_words:
+                raise GeometryError(f"{type(b).__name__} of words [{b.addr}, "
+                                    f"{end}) on tile {b.tile} {outside}")
         for wb in prog.weights:
             sliced = slice_weights(wb.w_raw, cfg.xbar_dim, cfg.bits_per_device)
             if cfg.noise_sigma > 0:
                 seed = np.random.SeedSequence(
                     [cfg.seed, wb.tile, wb.core, wb.mvmu])
                 sliced = apply_write_noise(sliced, cfg.noise_sigma, seed)
-            self.cores[(wb.tile, wb.core)].mvmus[wb.mvmu] = sliced
+            mvmus[(wb.tile, wb.core)][wb.mvmu] = sliced
+        self.cores = {a: CoreState(cfg, a, programs.get(a, []), luts, m)
+                      for a, m in mvmus.items()}
+        self.tiles = {t: TileState(cfg, (t, TILE_UNIT),
+                                   programs.get((t, TILE_UNIT), []))
+                      for t in range(cfg.tiles)}
+        # actor -> its instruction sequencer, cores first
+        self.units = {**self.cores, **{(t, TILE_UNIT): unit
+                                       for t, unit in self.tiles.items()}}
         for pat in prog.patterns:
             core = self.cores[(pat.tile, pat.core)]
             core.patterns.setdefault(pat.filt, {})[pat.mvmu] = \
@@ -524,8 +567,6 @@ class _Sim:
         cfg = self.cfg
         for u in fired_mvmus(i, cfg.mvmus_per_core):
             sliced = core.mvmus[u]
-            if sliced is None:
-                raise SimError(f"mvm activates unconfigured MVMU {u}")
             perm = core.patterns.get(i.a, {}).get(u)
             base_in = core.rs.xbar_in(u)
             if perm is None:
@@ -609,8 +650,6 @@ class _Sim:
     def exec_send(self, actor, unit, i):
         cfg = self.cfg
         addr, fid, target, w = i.a, i.sub, i.b, max(1, i.w)
-        if target >= cfg.tiles:
-            raise SimError(f"send targets nonexistent tile {target}")
         if self.wait_words(actor, addr, w, i.op, True):
             return None
         dest = self.m.tiles[target].fifos[fid]

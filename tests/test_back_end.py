@@ -11,12 +11,18 @@ from xbarsim.simulator import Machine, SimError, run
 LOOP = CompileOptions(conv_loop=True)
 
 
-@pytest.mark.parametrize("opts", [CompileOptions(), LOOP],
-                         ids=["unrolled", "loop"])
-def test_register_file_overflow_is_a_compile_error_naming_the_actor(opts):
-    g, _ = models.conv_model(side=8, channels=1, filters=2,
+@pytest.mark.parametrize("side, filters, opts, who", [
+    (8, 2, CompileOptions(), r"^tile 0 core 0: "),
+    (8, 2, LOOP, r"^tile 0 core 0: "),
+    # the looper core's body holds bias, accumulator and counters
+    (4, 16, LOOP, r"^tile 0 core 1: the loop body needs 35 register words, "
+                  r"the register file has 32$"),
+], ids=["unrolled", "loop", "loop_body"])
+def test_register_file_overflow_is_a_compile_error_naming_the_actor(
+        side, filters, opts, who):
+    g, _ = models.conv_model(side=side, channels=1, filters=filters,
                              pixel_outputs=True)
-    with pytest.raises(CompileError, match=r"^tile 0 core 0: "):
+    with pytest.raises(CompileError, match=who):
         compile_model(g, MachineConfig(register_size=32), opts)
 
 

@@ -34,6 +34,19 @@ def _cases():
             yield ("conv_loop/loop", name, models.default_config_for(name),
                    CompileOptions(conv_loop=True))
     yield "mlp512/4tiles", None, MachineConfig(tiles=4), CompileOptions()
+    # ablation paths: naive order, no coalescing, no input shuffle, naive
+    # partition, and multi-MVMU coalesced groups at a narrow crossbar
+    mc = models.default_config_for
+    yield ("mlp256/naive_order", "mlp256", mc("mlp256"),
+           CompileOptions(naive_order=True))
+    yield ("mvm_pair/no_coalesce", "mvm_pair", mc("mvm_pair"),
+           CompileOptions(coalesce=False))
+    yield ("conv8x8/no_shuffle", "conv8x8", mc("conv8x8"),
+           CompileOptions(input_shuffle=False))
+    yield ("mlp256/naive_partition", "mlp256", mc("mlp256"),
+           CompileOptions(naive_partition=True, seed=3))
+    yield ("lstm8/xbar8", "lstm8", MachineConfig(xbar_dim=8, tiles=2),
+           CompileOptions())
 
 
 def _hashes(example, cfg, opts):
@@ -110,6 +123,31 @@ GOLDEN = {
         '4d4e91ccc8b398f075d82e05e723b694a1159661aebe4680fb13be66035e4a4a',
         '6c5cf0b379b7380d91dbebe4bffe5e0b57b70ce4bdb9b1f543185cfe7bd1cfee',
         'b2bc219e2d5c54367dffd401e1a8e24ff03c1e94ae28206e29659e2f949d8ba1',
+    ),
+    'mlp256/naive_order': (
+        '62b13d5a259cb4930cae39401f25954a3a666a48be010575daebc82e7fa12c63',
+        '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
+        '77b5b46d2bf24285d75efb0c0c469435aac816b97b51e43b0b286cc851b50c3b',
+    ),
+    'mvm_pair/no_coalesce': (
+        '56716156bbb521933d26d09e27de404a3668d1f2f18d83da4cb5102bc170e5e2',
+        'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
+        'c79674ffa7d21ea152174136b14ac2cbf561e7864d5a03f417644f93be3eff29',
+    ),
+    'conv8x8/no_shuffle': (
+        '52590679870c56b535a9bed2b73b271c15796c32f6069d343da6fa5578bf2fcd',
+        'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
+        '0644e7213ff23d0692518a92616bb52bb2f2e852508936ba233d2e9fd62cd23e',
+    ),
+    'mlp256/naive_partition': (
+        '87c5a7e4b14e4a3783e1d930d8f76c2271f7fe07b94604deac1b317e3d3057c6',
+        '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
+        '41ddfdf0a479d7d5e2bde72ae9c9d2a8dbc0f47dddcf4a3ee3de3266f640d39b',
+    ),
+    'lstm8/xbar8': (
+        '770cac3019003a1d074342055fccefa9310306926a101b58c134c8f0d2c6671e',
+        'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
+        'd83a725ed68baefe4df4cbe536a618d636619da1c7ed7ff6d9779cf9f6257c82',
     ),
 }
 

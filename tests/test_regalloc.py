@@ -21,20 +21,6 @@ def test_liveness_range_ends_at_last_use():
     assert ranges[0].size == 4
 
 
-def test_liveness_loop_carried_value_spans_back_edge():
-    seq = [
-        LowInstr("set", 0, VReg(0), 0, 0, 0),        # counter def before loop
-        LowInstr("set", 0, VReg(1), 1, 0, 0),
-        LowInstr("aluint", isa.ALUINT_OPS["add"], VReg(2), VReg(0), VReg(1), 0),
-        LowInstr("set", 0, VReg(3), 7, 0, 0),        # unrelated, inside loop
-        LowInstr("brn", isa.BRN_OPS["ne"], VReg(2), VReg(1), 2, 0),
-    ]
-    ranges = regalloc.compute_liveness(seq, loop_span=(2, 4))
-    assert ranges[0].end == 4          # live-in values span the back edge
-    assert ranges[1].end == 4
-    assert ranges[3].end == 3          # defined inside the loop: no extension
-
-
 def test_use_before_def_is_an_error():
     seq = [LowInstr("store", 0, Mem(0), VReg(5), 1, 2)]
     with pytest.raises(regalloc.RegAllocError, match="before definition"):
