@@ -9,8 +9,11 @@ import argparse
 import csv
 import json
 import logging
+import operator
 import os
 import sys
+import weakref
+from dataclasses import fields
 
 import numpy as np
 
@@ -148,14 +151,40 @@ def _cfg_for_point(cfg, axis, value):
     return cfg.with_overrides(**{axis: int(value)})
 
 
+# The config fields the compiler never reads: they change the chip a
+# program runs on, not the program. bits_per_device stays in the key, as
+# the container header records it.
+RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw")
+_compile_key = operator.attrgetter(*(f.name for f in fields(MachineConfig)
+                                     if f.name not in RUN_ONLY_FIELDS))
+_opts_key = operator.attrgetter(*(f.name for f in fields(CompileOptions)))
+# frozen graph -> {(config key, options key): Program}; an entry goes
+# with its graph
+_programs = weakref.WeakKeyDictionary()
+
+
+def _sweep_program(graph, cfg, opts):
+    """The program of one sweep point, compiled once per frozen graph and
+    compile-relevant config. The Program is shared between points, so it
+    must not leave sweep_point."""
+    if not graph.frozen:
+        return compile_model(graph, cfg, opts)[0]
+    key = (_compile_key(cfg), _opts_key(opts))
+    known = _programs.setdefault(graph, {})
+    if key not in known:
+        known[key] = compile_model(graph, cfg, opts)[0]
+    return known[key]
+
+
 def sweep_point(graph, cfg, inputs, opts, eval_set=None, labels=None,
                 output_name=None, step_limit=2_000_000):
-    """One compile and one run -> (latency_ns, energy_nj, accuracy|None).
+    """One run -> (latency_ns, energy_nj, accuracy|None). Points that
+    differ only in RUN_ONLY_FIELDS share one compile of a frozen graph.
 
     The eval points ride along as extra lanes of the timed run: the
     modeled figures are those of one inference, and accuracy is scored on
     the eval lanes."""
-    prog, _ = compile_model(graph, cfg, opts)
+    prog = _sweep_program(graph, cfg, opts or CompileOptions())
     if eval_set is not None:
         # an input some lane lacks stays out, and the run reports it missing
         lanes = [inputs] + list(eval_set)

@@ -7,6 +7,7 @@ instead of wrapping, and rounding is round-to-nearest-even throughout.
 """
 
 import operator
+from types import MappingProxyType
 
 import numpy as np
 
@@ -227,6 +228,7 @@ class LutTable:
         self.bin_width = (hi - lo) / self.size
         mids = lo + (np.arange(self.size) + 0.5) * self.bin_width
         self.entries = quantize(LUT_FUNCTIONS[name](mids), frac_bits)
+        self.entries.flags.writeable = False    # ROM: shared by every reader
 
     def lookup(self, raw):
         """Raw fixed-point input(s) -> raw table entry of the containing bin."""
@@ -258,6 +260,15 @@ class LutTable:
         return self.bin_width / 2 * slope + 0.5 / (1 << self.frac_bits)
 
 
+_ROMS = {}     # (frac_bits, bits) -> the tables built for it
+
+
 def build_default_luts(frac_bits=DEFAULT_FRAC_BITS, bits=8):
-    """The standard ROM contents: one table per transcendental function."""
-    return {name: LutTable(name, frac_bits, bits) for name in LUT_FUNCTIONS}
+    """The standard ROM contents: one table per transcendental function.
+    Built once per (frac_bits, bits) and shared read-only by every
+    caller."""
+    key = (frac_bits, bits)
+    if key not in _ROMS:
+        _ROMS[key] = MappingProxyType({name: LutTable(name, frac_bits, bits)
+                                       for name in LUT_FUNCTIONS})
+    return _ROMS[key]

@@ -161,11 +161,14 @@ def trained_tiny_classifier(seed=6, hidden=16, n_per_class=20, epochs=400):
     return g, eval_points, y
 
 
-def classifier_accuracy(outputs_list, labels):
-    """Fraction of argmax matches over a list of output vectors."""
-    hits = sum(1 for out, lab in zip(outputs_list, labels)
-               if int(np.argmax(out)) == lab)
-    return hits / len(labels)
+def classifier_accuracy(outputs, labels):
+    """Fraction of argmax matches: outputs is a list of (n,) vectors or
+    one (B, n) array, and a tie goes to the first index. Outputs beyond
+    the labels, or labels beyond the outputs, score no hit."""
+    predicted = np.argmax(np.asarray(outputs), axis=-1)
+    k = min(len(predicted), len(labels))
+    hits = np.count_nonzero(predicted[:k] == np.asarray(labels)[:k])
+    return int(hits) / len(labels)
 
 
 def default_config_for(name):

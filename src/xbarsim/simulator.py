@@ -265,9 +265,13 @@ class Machine:
         programs = {}
         for seg in prog.segments:
             on_tile = seg.core == TILE_UNIT
+            actor = (seg.tile, seg.core)
             if (seg.tile, 0 if on_tile else seg.core) not in mvmus:
-                raise GeometryError(f"the segment of "
-                                    f"{_actor_name((seg.tile, seg.core))} {outside}")
+                raise GeometryError(f"the segment of {_actor_name(actor)} "
+                                    f"{outside}")
+            if actor in programs:
+                raise GeometryError(f"{_actor_name(actor)} has more than one "
+                                    f"segment")
             cap = cfg.tile_imem_capacity if on_tile else cfg.core_imem_capacity
             if len(seg.instrs) > cap:
                 raise CapacityError(
@@ -276,9 +280,9 @@ class Machine:
             ops = {i.op for i in seg.instrs}
             misplaced = ops - TILE_OPS if on_tile else ops & TILE_OPS
             if misplaced:
-                raise SimError(f"{_actor_name((seg.tile, seg.core))} cannot "
-                               f"execute {min(misplaced)!r}")
-            programs[(seg.tile, seg.core)] = seg.instrs
+                raise SimError(f"{_actor_name(actor)} cannot execute "
+                               f"{min(misplaced)!r}")
+            programs[actor] = seg.instrs
         for b in (*prog.weights, *prog.patterns):
             if (b.tile, b.core) not in mvmus or not 0 <= b.mvmu < cfg.mvmus_per_core:
                 raise GeometryError(f"{type(b).__name__} of {_actor_name((b.tile, b.core))}"
@@ -399,7 +403,7 @@ class _Sim:
         self.cfg = machine.cfg
         self.report = RunReport()
         self.ready = []         # (time, priority, serial, actor)
-        self.waiters = {}       # condition -> [actor]
+        self.waiters = {}       # (kind, tile) -> {word or fifo -> [actor]}
         self.blocked_since = {}
         self.blocked_reason = {}
         self.bus_free = 0.0
@@ -418,12 +422,32 @@ class _Sim:
         heapq.heappush(self.ready, (t, pri, self.serial, actor))
 
     def park(self, actor, cond, reason):
-        self.waiters.setdefault(cond, []).append(actor)
+        """cond is (kind, tile, word or fifo id)."""
+        kind, tile, key = cond
+        self.waiters.setdefault((kind, tile), {}).setdefault(
+            key, []).append(actor)
         self.blocked_since[actor] = self.now
         self.blocked_reason[actor] = reason
 
     def wake(self, cond, t):
-        for actor in self.waiters.pop(cond, ()):  # noqa: B020
+        kind, tile, key = cond
+        parked = self.waiters.get((kind, tile))
+        if parked and key in parked:
+            self.release(parked.pop(key), t)
+
+    def wake_words(self, kind, tile, addr, w, t, where=None):
+        """Wake the actors parked on `kind` at words [addr, addr + w) of a
+        tile (only at words addr + d with where[d], if given): by
+        ascending word, then in the order they parked."""
+        parked = self.waiters.get((kind, tile))
+        if not parked:
+            return
+        for word in sorted(k for k in parked if addr <= k < addr + w):
+            if where is None or where[word - addr]:
+                self.release(parked.pop(word), t)
+
+    def release(self, actors, t):
+        for actor in actors:
             dt = t - self.blocked_since.pop(actor, t)
             self.report.blocked_ns.setdefault(actor, 0.0)
             self.report.blocked_ns[actor] += dt * self.cfg.cycle_ns
@@ -495,9 +519,9 @@ class _Sim:
         mem = self.m.tiles[tile_id].mem
         vals = mem.data[addr:addr + w].copy()
         mem.count[addr:addr + w] -= 1
-        for d in np.nonzero(mem.count[addr:addr + w] <= 0)[0]:
-            mem.valid[addr + d] = False
-            self.wake(("mem_free", tile_id, addr + int(d)), end)
+        drained = mem.count[addr:addr + w] <= 0
+        mem.valid[addr:addr + w][drained] = False
+        self.wake_words("mem_free", tile_id, addr, w, end, drained)
         self.charge("dmem", w)
         self.charge("attr", w)
         return vals
@@ -506,8 +530,7 @@ class _Sim:
         """Write w words for `count` readers, which wake at `end`."""
         self.m.tiles[tile_id].mem.write(addr, vals, count)
         if count > 0:
-            for k in range(w):
-                self.wake(("mem_valid", tile_id, addr + k), end)
+            self.wake_words("mem_valid", tile_id, addr, w, end)
         self.charge("dmem", w)
         self.charge("attr", w)
 

@@ -88,3 +88,17 @@ def test_an_instruction_is_checked_once_when_configured(actor, instrs, weights,
     prog = _program([container.Segment(*actor, instrs)], weights)
     with pytest.raises(error, match="^" + message + "$"):
         Machine(CFG, prog)
+
+
+
+@pytest.mark.parametrize("actor, instrs, name", [
+    ((0, 0), [isa.seti(G0, 1), isa.store(60, G0, 1, 1)], "tile 0 core 0"),
+    ((1, TILE_UNIT), [isa.recv(0, 0, 1, 1)], "tile 1 unit"),
+], ids=["core", "tile_unit"])
+def test_two_segments_for_one_actor_are_rejected(actor, instrs, name):
+    """A second segment for an actor would replace the first one's code."""
+    prog = _program([container.Segment(*actor, instrs),
+                     container.Segment(*actor, instrs[:1])])
+    with pytest.raises(GeometryError,
+                       match=f"^{name} has more than one segment$"):
+        Machine(CFG, prog)

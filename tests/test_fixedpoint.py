@@ -160,3 +160,13 @@ def test_sigmoid_lut_covers_entire_fixed16_domain():
     got = t.lookup(raws) / 4096.0
     exact = 1.0 / (1.0 + np.exp(-raws / 4096.0))
     assert np.max(np.abs(got - exact)) <= t.error_bound()
+
+
+def test_default_luts_are_built_once_and_read_only():
+    luts = fp.build_default_luts()
+    assert fp.build_default_luts(fp.DEFAULT_FRAC_BITS, 8) is luts
+    assert fp.build_default_luts(fp.DEFAULT_FRAC_BITS, 6) is not luts
+    with pytest.raises(ValueError, match="read-only"):
+        luts["tanh"].entries[0] = 0
+    with pytest.raises(TypeError):
+        luts["tanh"] = fp.LutTable("tanh")

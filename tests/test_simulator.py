@@ -61,6 +61,14 @@ def test_load_program_installs_sliced_weights():
         assert np.array_equal(a, b)
 
 
+def test_machines_share_one_set_of_rom_tables():
+    cfg = cfg_small(lut_bits=6)
+    m1 = Machine(cfg, empty_program(cfg))
+    m2 = Machine(cfg.with_overrides(seed=3), empty_program(cfg))
+    assert m1.cores[(0, 0)].luts is m2.cores[(1, 1)].luts
+    assert m1.cores[(0, 0)].luts is fp.build_default_luts(cfg.frac_bits, 6)
+
+
 def test_geometry_mismatch_rejected():
     cfg = cfg_small()
     prog = empty_program(cfg)
