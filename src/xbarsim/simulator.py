@@ -7,8 +7,10 @@ words, receives need a queued message, sends need FIFO space at the
 target. A blocked actor parks on the failing condition and is woken by
 the completing instruction that satisfies it; there is no polling. State
 changes commit when an instruction issues (claims are atomic); the
-issuing actor and any woken waiters continue at its completion time, and
-per-unit busy times drive the latency and energy accounting.
+issuing actor and any woken waiters continue at its completion time.
+Handlers give semantics and timing only. The loop counts each pc's
+executions (`hits`) and cycles (`busy`); `tally` then works out every count
+and energy as hits x `instr_cost`, the static cost of one execution.
 
 Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
@@ -34,8 +36,8 @@ from . import fixedpoint as fp
 from .container import TILE_UNIT, loads as load_container
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
 from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
-    Instruction, IsaError, alui_immediate, disassemble_one, fired_mvmus, \
-    registers, validate
+    IsaError, alui_immediate, disassemble_one, fired_mvmus, registers, \
+    validate
 from .machine import MachineConfig
 
 log = logging.getLogger("xbarsim")
@@ -165,33 +167,32 @@ class Fifo:
 
 
 class _Sequencer:
-    """An instruction stream, its pc and each instruction's register words;
-    each instruction is validated and checked against the machine once."""
+    """An instruction stream, its pc and each pc's executions (hits) and
+    cycles (busy); each instruction is checked against the machine once."""
 
     def __init__(self, actor, cfg, program, mvmus=()):
         self.program = program
+        self.mvmus = mvmus
+        self.rs = cfg.regspace()
         loaded = sum(1 << u for u, m in enumerate(mvmus) if m is not None)
-        keys = []
         for pc, i in enumerate(program):
             try:
                 validate(i)
-                _check_fits(i, cfg, loaded)
-            except (IsaError, GeometryError) as e:
+                _check_fits(i, cfg, loaded, self.rs)
+            except (IsaError, SimError) as e:
                 raise type(e)(f"{_actor_name(actor)} pc {pc}: {e}") from None
-            keys.append((i.op, i.sub, i.w))
-        # the count depends on (op, sub, w) only: work out each one once
-        words = {(op, sub, w): sum(n for _, n, _ in registers(
-            Instruction(op, sub, w=w))) for op, sub, w in set(keys)}
-        self.reg_words = [words[k] for k in keys]
         self.pc = 0
+        self.hits = [0] * len(program)
+        self.busy = [0] * len(program)
 
     def halted(self):
         return self.pc >= len(self.program)
 
 
-def _check_fits(i, cfg, loaded):
+def _check_fits(i, cfg, loaded, rs):
     """Raise GeometryError if valid instruction i names what the machine
-    lacks; loaded is the bit mask of the core's MVMUs that hold weights."""
+    lacks, SimError if it reads XbarIn or writes XbarOut; loaded is the bit
+    mask of the core's MVMUs that hold weights, rs the register space."""
     if i.op == "mvm" and i.sub & ~loaded:
         raise GeometryError(f"mvm mask {i.sub:#b} fires an MVMU without "
                             f"weights (loaded: {loaded:#b})")
@@ -203,33 +204,21 @@ def _check_fits(i, cfg, loaded):
     if slot and getattr(i, slot) + max(1, i.w) > cfg.dmem_words:
         raise GeometryError(f"{i.op} of {max(1, i.w)} words at {getattr(i, slot)}"
                             f" runs past the {cfg.dmem_words}-word memory")
+    for addr, n, written in registers(i):
+        if addr + n > rs.total:
+            raise GeometryError(f"{i.op} of {n} registers at {addr} runs past "
+                                f"the {rs.total}-register file")
+        if rs.class_of(addr) == ("xbar_out" if written else "xbar_in"):
+            raise SimError(f"class-access violation: {i.op} " + (
+                "writes XbarOut" if written else "reads XbarIn") + f" {addr}")
 
 
 class CoreState(_Sequencer):
     def __init__(self, cfg, actor, program, luts, mvmus):
         super().__init__(actor, cfg, program, mvmus)
-        self.cfg = cfg
-        self.rs = cfg.regspace()
         self.regs = np.zeros(self.rs.total, dtype=np.int64)
-        self.mvmus = mvmus
         self.patterns = {}      # filter id -> {mvmu: perm array}
         self.luts = luts
-
-    def read_regs(self, addr, w, op):
-        if self.rs.class_of(addr) == "xbar_in":
-            raise SimError(f"class-access violation: {op} reads XbarIn {addr}")
-        return self.regs[addr:addr + w]
-
-    def write_regs(self, addr, values, op):
-        if self.rs.class_of(addr) == "xbar_out":
-            raise SimError(f"class-access violation: {op} writes XbarOut {addr}")
-        self.regs[addr:addr + len(values)] = values
-
-    def rom_lookup(self, func, raws):
-        """ROM-mode read: RAM contents (the registers) are buffered and
-        restored around the access, so they are preserved by construction;
-        the cost model charges the switch latency."""
-        return self.luts[func].lookup(np.asarray(raws, dtype=np.int64))
 
 
 class TileState(_Sequencer):
@@ -397,6 +386,19 @@ def _actor_name(actor):
     return f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
 
 
+def _lane_uniform(core, addr, op):
+    """A register that steers control flow, read as one number. Every lane
+    must hold the same value, so that all lanes keep one schedule and
+    timing stays independent of the data."""
+    v = core.regs[addr]
+    if v.ndim:
+        if (v != v[0]).any():
+            raise SimError(f"{op} reads register {addr}, whose lanes differ "
+                           f"({v.min()} to {v.max()})")
+        v = v[0]
+    return int(v)
+
+
 class _Sim:
     def __init__(self, machine, order_seed=None):
         self.m = machine
@@ -410,8 +412,6 @@ class _Sim:
         self.serial = 0
         self.now = 0.0
         self.rng = random.Random(order_seed) if order_seed is not None else None
-        self.pe = {}            # power-rail key -> accumulated nJ
-        self.mvmu_energy = 0.0  # paper-anchored per-activation figure
         self.next_pc = 0        # pc after the executing instruction
 
     # -- plumbing -----------------------------------------------------------
@@ -454,51 +454,6 @@ class _Sim:
             self.blocked_reason.pop(actor, None)
             self.push(t, actor)
 
-    def charge(self, rail, cycles):
-        self.pe[rail] = self.pe.get(rail, 0.0) + self.cfg.energy_nj(rail, cycles)
-
-    def component_energy(self):
-        """Aggregate power rails into the report's component classes."""
-        pe = self.pe
-        def total(*keys):
-            return sum(pe.get(k, 0.0) for k in keys)
-        return {
-            "mvmu": self.mvmu_energy,
-            "vfu": total("vfu"),
-            "sfu": total("sfu"),
-            "register_file": total("regfile"),
-            "memory": total("dmem", "attr"),
-            "network": total("bus", "net", "rxbuf"),
-            "control": total("control", "core_imem", "tile_ctrl", "tile_imem"),
-        }
-
-    def lane_uniform(self, actor, core, addr, op):
-        """A register that steers control flow, read as one number. Every
-        lane must hold the same value, so that all lanes keep one schedule
-        and timing stays independent of the data."""
-        v = core.read_regs(addr, 1, op)[0]
-        if v.ndim:
-            if (v != v[0]).any():
-                raise SimError(
-                    f"{_actor_name(actor)} pc {core.pc}: {op} reads register "
-                    f"{addr}, whose lanes differ ({v.min()} to {v.max()})")
-            v = v[0]
-        return int(v)
-
-    def bus_transfer(self, tile, addr, w):
-        """Bus and register-file side of a load or store of w words at
-        addr; a transfer that touches a spill slot is a spill access."""
-        words_per_cycle = 384 // 16   # tile memory bus width
-        self.charge("bus", (w + words_per_cycle - 1) // words_per_cycle)
-        self.charge("regfile", w)
-        for lo, hi in self.m.spill_ranges.get(tile, ()):
-            if addr < hi and addr + w > lo:
-                self.report.spill_accesses += w
-                return
-
-    def flits(self, w):
-        return (w + self.cfg.words_per_flit - 1) // self.cfg.words_per_flit
-
     def wait_words(self, actor, addr, w, op, valid):
         """Park unless words [addr, addr + w) all hold data (valid=True:
         load, send) or are all drained (valid=False: store, receive)."""
@@ -522,8 +477,6 @@ class _Sim:
         drained = mem.count[addr:addr + w] <= 0
         mem.valid[addr:addr + w][drained] = False
         self.wake_words("mem_free", tile_id, addr, w, end, drained)
-        self.charge("dmem", w)
-        self.charge("attr", w)
         return vals
 
     def fill(self, tile_id, addr, w, vals, count, end):
@@ -531,15 +484,13 @@ class _Sim:
         self.m.tiles[tile_id].mem.write(addr, vals, count)
         if count > 0:
             self.wake_words("mem_valid", tile_id, addr, w, end)
-        self.charge("dmem", w)
-        self.charge("attr", w)
 
     # -- instruction semantics ------------------------------------------------
     #
     # A handler executes one instruction of `unit` (a CoreState or a
     # TileState) and returns the cycles spent, or None if the actor parked.
-    # A branch sets next_pc. `attempt` then moves the pc on, charges fetch
-    # and decode, and counts the instruction and its register words.
+    # A branch sets next_pc. `attempt` then moves the pc on and counts the
+    # execution; what it costs is worked out after the run (`tally`).
 
     def attempt(self, actor):
         """Try the actor's next instruction; returns False if it parked."""
@@ -549,17 +500,16 @@ class _Sim:
         pc = unit.pc
         i = unit.program[pc]
         self.next_pc = pc + 1
-        cycles = EXECUTE[i.op](self, actor, unit, i)
+        try:
+            cycles = EXECUTE[i.op](self, actor, unit, i)
+        except SimError as e:
+            raise type(e)(f"{_actor_name(actor)} pc {pc}: {e}") from None
         if cycles is None:
             return False
         unit.pc = self.next_pc
-        for rail in FETCH_RAILS[actor[1] == TILE_UNIT]:
-            self.charge(rail, 1)
-        r = self.report
-        r.instr_dynamic[i.op] = r.instr_dynamic.get(i.op, 0) + 1
-        r.instr_cycles[i.op] = r.instr_cycles.get(i.op, 0) + cycles
-        r.reg_accesses += unit.reg_words[pc]
-        r.steps += 1
+        unit.hits[pc] += 1
+        unit.busy[pc] += cycles
+        self.report.steps += 1
         self.push(self.now + cycles, actor)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("t=%d %s pc executed: %s", self.now, actor,
@@ -567,24 +517,20 @@ class _Sim:
         return True
 
     def exec_load(self, actor, core, i):
-        addr, w = i.b, max(1, i.w)
-        if self.wait_words(actor, addr, w, i.op, True):
+        w = max(1, i.w)
+        if self.wait_words(actor, i.b, w, i.op, True):
             return None
-        cycles = 1 + w
-        vals = self.consume(actor[0], addr, w, self.now + cycles)
-        core.write_regs(i.a, vals, i.op)
-        self.bus_transfer(actor[0], addr, w)
-        return cycles
+        core.regs[i.a:i.a + w] = self.consume(actor[0], i.b, w,
+                                              self.now + 1 + w)
+        return 1 + w
 
     def exec_store(self, actor, core, i):
-        addr, w = i.a, max(1, i.w)
-        if self.wait_words(actor, addr, w, i.op, False):
+        w = max(1, i.w)
+        if self.wait_words(actor, i.a, w, i.op, False):
             return None
-        cycles = 1 + w
-        self.fill(actor[0], addr, w, core.read_regs(i.b, w, i.op), i.c,
-                  self.now + cycles)
-        self.bus_transfer(actor[0], addr, w)
-        return cycles
+        self.fill(actor[0], i.a, w, core.regs[i.b:i.b + w], i.c,
+                  self.now + 1 + w)
+        return 1 + w
 
     def exec_mvm(self, actor, core, i):
         cfg = self.cfg
@@ -601,73 +547,50 @@ class _Sim:
             out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits, cfg.xbar_dim)
             base_out = core.rs.xbar_out(u)
             core.regs[base_out:base_out + sliced.cols] = out.T
-            self.report.reg_accesses += sliced.rows + sliced.cols
-            self.mvmu_energy += cfg.mvm_nj_per_mvmu
         return cfg.mvm_cycles
 
     def exec_alu(self, actor, core, i):
-        name = ALU_OP_NAMES[i.sub]
-        w = max(1, i.w)
-        a = core.read_regs(i.b, w, i.op)
-        b = 0 if name in ALU_UNARY else core.read_regs(i.c, w, i.op)
-        return self.vfu(core, i, name, a, b)
-
-    def exec_alui(self, actor, core, i):
-        name = ALU_OP_NAMES[i.sub]
-        a = core.read_regs(i.b, max(1, i.w), i.op)
-        return self.vfu(core, i, name, a, alui_immediate(name, i.c))
-
-    def vfu(self, core, i, name, a, b):
-        """The vector ALU part of alu and alui: dest = name(a, b)."""
-        cfg = self.cfg
-        busy = (max(1, i.w) + cfg.vfu_lanes - 1) // cfg.vfu_lanes
-        cycles = 1 + busy
+        """alu and alui on the vector ALU: dest = name(src, b), where b is
+        a register range (alu) or the immediate (alui)."""
+        cfg, name, w = self.cfg, ALU_OP_NAMES[i.sub], max(1, i.w)
+        a = core.regs[i.b:i.b + w]
+        cycles = 1 + (w + cfg.vfu_lanes - 1) // cfg.vfu_lanes
         if name in ALU_TRANSCENDENTAL:
-            # ROM mode: buffer RAM, read entries, restore RAM
-            out = core.rom_lookup(name, a)
+            # ROM mode: RAM (the registers) is buffered and restored around
+            # the table read, so it is preserved by construction
+            out = core.luts[name].lookup(a)
             cycles += cfg.mode_switch_cycles
-            self.charge("regfile", cfg.mode_switch_cycles)
-            self.report.mode_switches += 1
         else:
+            b = alui_immediate(name, i.c) if i.op == "alui" else \
+                0 if name in ALU_UNARY else core.regs[i.c:i.c + w]
             out, saturated = fp.vector_op(name, a, b, cfg.frac_bits)
             self.report.saturations += saturated
-        core.write_regs(i.a, out, i.op)
-        self.charge("vfu", busy)
-        self.charge("regfile", busy)
+        core.regs[i.a:i.a + w] = out
         return cycles
 
     def exec_copy(self, actor, core, i):
         w = max(1, i.w)
-        core.write_regs(i.a, core.read_regs(i.b, w, i.op), i.op)
-        self.charge("regfile", w)
+        core.regs[i.a:i.a + w] = core.regs[i.b:i.b + w]
         return 1 + w
 
     def exec_set(self, actor, core, i):
-        core.write_regs(i.a, np.array([i.b], dtype=np.int64), i.op)
-        self.charge("regfile", 1)
+        core.regs[i.a] = i.b
         return 1
 
     def exec_aluint(self, actor, core, i):
         v = fp.SCALAR_OPS[ISA["aluint"].subop_names[i.sub]](
-            self.lane_uniform(actor, core, i.b, i.op),
-            self.lane_uniform(actor, core, i.c, i.op))
+            _lane_uniform(core, i.b, i.op),
+            _lane_uniform(core, i.c, i.op))
         self.report.saturations += fp.saturation_count(v)
-        core.write_regs(i.a, fp.saturate(np.array([v])), i.op)
-        self.charge("sfu", 1)
+        core.regs[i.a] = fp.saturate(np.array([v]))[0]
         return 1
 
-    def exec_jmp(self, actor, core, i):
-        self.next_pc = i.c
-        self.charge("sfu", 1)
-        return 1
-
-    def exec_brn(self, actor, core, i):
-        taken = fp.BRANCH_CONDS[ISA["brn"].subop_names[i.sub]](
-            self.lane_uniform(actor, core, i.a, i.op),
-            self.lane_uniform(actor, core, i.b, i.op))
-        if taken:
+    def exec_branch(self, actor, core, i):
+        """jmp to c, or brn to c if its condition holds on a and b."""
+        if i.op == "jmp" or fp.BRANCH_CONDS[ISA["brn"].subop_names[i.sub]](
+                _lane_uniform(core, i.a, i.op),
+                _lane_uniform(core, i.b, i.op)):
             self.next_pc = i.c
-        self.charge("sfu", 1)
         return 1
 
     def exec_send(self, actor, unit, i):
@@ -680,7 +603,7 @@ class _Sim:
             self.park(actor, ("fifo_space", target, fid),
                       f"send waiting on fifo {fid} space at tile {target}")
             return None
-        flits = self.flits(w)
+        flits = _flits(cfg, w)
         bus_start = max(self.now, self.bus_free)
         self.bus_free = end = bus_start + flits
         vals = self.consume(actor[0], addr, w, end)
@@ -689,8 +612,6 @@ class _Sim:
         heapq.heappush(self.ready,
                        (end + cfg.hop_cycles, -1.0, self.serial,
                         ("_arrival", target, fid, actor[0], vals)))
-        self.charge("net", flits)
-        self.charge("rxbuf", flits)
         return int(end - self.now)
 
     def exec_receive(self, actor, unit, i):
@@ -709,7 +630,6 @@ class _Sim:
         cycles = 1 + w
         self.wake(("fifo_space", actor[0], fid), self.now + cycles)
         self.fill(actor[0], addr, w, vals, count, self.now + cycles)
-        self.charge("rxbuf", self.flits(w))
         return cycles
 
     # -- main loop ------------------------------------------------------------
@@ -755,18 +675,108 @@ class _Sim:
             self.report.diagnosis = self.diagnose()
         self.report.cycles = int(end_time)
         self.report.latency_ns = end_time * self.cfg.cycle_ns
-        self.report.energy_nj = self.component_energy()
-        self.report.energy_total_nj = sum(self.report.energy_nj.values())
+        tally(self.m, self.report)
         return self.report
 
 
 # opcode -> handler(sim, actor, unit, instr) -> cycles, or None if parked
 EXECUTE = {
-    "mvm": _Sim.exec_mvm, "alu": _Sim.exec_alu, "alui": _Sim.exec_alui,
+    "mvm": _Sim.exec_mvm, "alu": _Sim.exec_alu, "alui": _Sim.exec_alu,
     "aluint": _Sim.exec_aluint, "set": _Sim.exec_set, "copy": _Sim.exec_copy,
     "load": _Sim.exec_load, "store": _Sim.exec_store, "send": _Sim.exec_send,
-    "receive": _Sim.exec_receive, "jmp": _Sim.exec_jmp, "brn": _Sim.exec_brn,
+    "receive": _Sim.exec_receive, "jmp": _Sim.exec_branch,
+    "brn": _Sim.exec_branch,
 }
+
+
+# ---------------------------------------------------------------------------
+# Cost model: what one execution of an instruction costs, and the run's sum
+# ---------------------------------------------------------------------------
+
+BUS_WORDS_PER_CYCLE = 384 // 16   # tile memory bus width
+COMPONENT_RAILS = {   # report component -> the power rails it sums
+    "vfu": ("vfu",), "sfu": ("sfu",), "register_file": ("regfile",),
+    "memory": ("dmem", "attr"), "network": ("bus", "net", "rxbuf"),
+    "control": ("control", "core_imem", "tile_ctrl", "tile_imem")}
+
+
+def _flits(cfg, w):
+    return (w + cfg.words_per_flit - 1) // cfg.words_per_flit
+
+
+def instr_cost(cfg, i, mvmus=(), spills=()):
+    """One execution of i as {what: amount}: busy cycles per power rail,
+    'mvmu' activations, 'reg_words', 'spill_words' and 'mode_switches'.
+    Where i sits matters only through mvmus (the running core's crossbars)
+    and spills (its tile's (lo, hi) spill regions). A send's contended bus
+    time is no cost: it reaches the report through `busy`."""
+    w = max(1, i.w)
+    cost = dict.fromkeys(FETCH_RAILS[i.op in TILE_OPS], 1)   # fetch, decode
+    cost["reg_words"] = sum(n for _, n, _ in registers(i))
+    if i.op in MEM_ADDR_SLOT:      # a tile memory access: data and attributes
+        cost.update(dmem=w, attr=w)
+    if i.op in ("load", "store"):
+        cost.update(bus=(w + BUS_WORDS_PER_CYCLE - 1) // BUS_WORDS_PER_CYCLE,
+                    regfile=w)
+        addr = getattr(i, MEM_ADDR_SLOT[i.op])
+        if any(addr < hi and addr + w > lo for lo, hi in spills):
+            cost["spill_words"] = w
+    elif i.op in ("send", "receive"):
+        cost["rxbuf"] = _flits(cfg, w)
+        if i.op == "send":
+            cost["net"] = _flits(cfg, w)
+    elif i.op == "mvm":
+        fired = [mvmus[u] for u in fired_mvmus(i, cfg.mvmus_per_core)]
+        cost["mvmu"] = len(fired)
+        cost["reg_words"] += sum(m.rows + m.cols for m in fired)
+    elif i.op in ("alu", "alui"):
+        busy = (w + cfg.vfu_lanes - 1) // cfg.vfu_lanes
+        cost.update(vfu=busy, regfile=busy)
+        if ALU_OP_NAMES[i.sub] in ALU_TRANSCENDENTAL:    # ROM mode
+            cost["regfile"] += cfg.mode_switch_cycles
+            cost["mode_switches"] = 1
+    elif i.op in ("copy", "set"):
+        cost["regfile"] = w if i.op == "copy" else 1
+    else:                          # aluint, jmp, brn: the scalar unit
+        cost["sfu"] = 1
+    return cost
+
+
+def tally(machine, report):
+    """Fill report's instr_dynamic, instr_cycles, reg_accesses,
+    spill_accesses, mode_switches and energies as sums of hits x instr_cost
+    over the machine's sequencers. A cost is worked out once per (op, sub,
+    w), and per place for MVMs and, on a tile with spills, loads/stores."""
+    cfg, spills = machine.cfg, machine.spill_ranges
+    rows = {}    # cost key -> [executions, busy cycles, actor, instruction]
+    for actor, unit in machine.units.items():
+        placed = ("mvm", "load", "store") if actor[0] in spills else ("mvm",)
+        for i, n, busy in zip(unit.program, unit.hits, unit.busy):
+            if n:
+                key = (i.op, i.sub, i.w)
+                if i.op in placed:
+                    key += (actor, i.a, i.b)
+                row = rows.setdefault(key, [0, 0, actor, i])
+                row[0] += n
+                row[1] += busy
+    dynamic, cycles, totals = {}, {}, {}
+    for n, busy, actor, i in rows.values():
+        dynamic[i.op] = dynamic.get(i.op, 0) + n
+        cycles[i.op] = cycles.get(i.op, 0) + busy
+        for what, amount in instr_cost(cfg, i, machine.units[actor].mvmus,
+                                       spills.get(actor[0], ())).items():
+            totals[what] = totals.get(what, 0) + n * amount
+    report.instr_dynamic, report.instr_cycles = dynamic, cycles
+    report.reg_accesses = totals.get("reg_words", 0)
+    report.spill_accesses = totals.get("spill_words", 0)
+    report.mode_switches = totals.get("mode_switches", 0)
+    # integer busy cycles x power, once per rail; an idle component is 0.0
+    report.energy_nj = {"mvmu": float(totals.get("mvmu", 0)
+                                      * cfg.mvm_nj_per_mvmu)}
+    for component, rails in COMPONENT_RAILS.items():
+        report.energy_nj[component] = sum(
+            (cfg.energy_nj(r, totals[r]) for r in rails if r in totals), 0.0)
+    report.energy_total_nj = sum(report.energy_nj.values())
 
 
 def run(machine, inputs, step_limit=1_000_000, order_seed=None):
@@ -801,6 +811,6 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     report.maxlive = machine.prog.meta.get("maxlive", 0)
     report.spill_count = machine.prog.meta.get("spill_count", 0)
     if report.halted:
-        report.outputs = {k: v for k, v in machine.collect_outputs().items()}
+        report.outputs = machine.collect_outputs()
     return report
 

@@ -2,8 +2,10 @@
 
 Every segment and block must lie inside the machine, and every instruction
 must be valid ISA and name only MVMUs with weights, FIFOs, tiles and
-memory words that the machine has. Each error names what is out of place;
-for an instruction, the actor and the pc."""
+memory words that the machine has. Every register range an instruction
+names lies inside the register file, no read starts in XbarIn and no write
+starts in XbarOut. Each error names what is out of place; for an
+instruction, the actor and the pc."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from xbarsim import container, isa
 from xbarsim.container import TILE_UNIT
 from xbarsim.machine import MachineConfig
-from xbarsim.simulator import GeometryError, Machine
+from xbarsim.simulator import GeometryError, Machine, SimError
 
 CFG = MachineConfig(xbar_dim=4, mvmus_per_core=2, cores_per_tile=2, tiles=2,
                     dmem_words=64)
@@ -81,8 +83,22 @@ def test_a_segment_or_block_outside_the_machine_is_named(prog, message):
     ((0, 0), [isa.store(64, G0, 1, 0)], [], GeometryError,
      "tile 0 core 0 pc 0: store of 1 words at 64 runs past the 64-word "
      "memory"),
+    ((0, 1), [isa.Instruction("copy", 0, a=30, b=30, w=4)], [], GeometryError,
+     "tile 0 core 1 pc 0: copy of 4 registers at 30 runs past the "
+     "32-register file"),
+    ((0, 1), [isa.alu("add", 30, 30, 30, 4)], [], GeometryError,
+     "tile 0 core 1 pc 0: alu of 4 registers at 30 runs past the "
+     "32-register file"),
+    ((0, 1), [isa.seti(G0, 1), isa.seti(35, 1)], [], GeometryError,
+     "tile 0 core 1 pc 1: set of 1 registers at 35 runs past the "
+     "32-register file"),
+    ((0, 0), [isa.copy(G0, CFG.regspace().xbar_in(1), 1)], [], SimError,
+     "tile 0 core 0 pc 0: class-access violation: copy reads XbarIn 4"),
+    ((0, 0), [isa.seti(CFG.regspace().xbar_out(0), 1)], [], SimError,
+     "tile 0 core 0 pc 0: class-access violation: set writes XbarOut 8"),
 ], ids=["invalid", "mask_beyond_core", "mask_without_weights", "send_target",
-        "fifo_id", "load_words", "store_words"])
+        "fifo_id", "load_words", "store_words", "copy_registers",
+        "alu_registers", "set_register", "reads_xbar_in", "writes_xbar_out"])
 def test_an_instruction_is_checked_once_when_configured(actor, instrs, weights,
                                                          error, message):
     prog = _program([container.Segment(*actor, instrs)], weights)

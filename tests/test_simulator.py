@@ -241,6 +241,17 @@ def test_receive_on_empty_fifo_deadlocks_with_diagnosis():
     assert any("fifo" in d for d in rep.diagnosis)
 
 
+def test_receive_of_the_wrong_size_names_the_actor_and_pc():
+    cfg = cfg_small()
+    # the unit sends 2 words to its own tile, then receives them as 4
+    prog = empty_program(cfg, [container.Segment(
+        0, container.TILE_UNIT, [isa.send(0, 0, 0, 2), isa.recv(8, 0, 1, 4)])])
+    prog.data.append(container.DataBlock(0, 0, 1, [5, 6]))
+    with pytest.raises(SimError, match="^tile 0 unit pc 1: receive of 4 "
+                                       "words got a 2-word message$"):
+        run(Machine(cfg, prog), {})
+
+
 def test_deadlocked_actor_counts_its_blocked_time():
     """A unit stuck on an empty FIFO is blocked until the run ends, while
     core 0 runs five more cycles."""
@@ -378,14 +389,13 @@ def test_rotation_shuffle_equals_physical_rotation():
 def test_class_access_rules_enforced():
     cfg = cfg_small()
     rs = cfg.regspace()
-    # copy reading XbarIn is illegal; copy writing XbarOut is illegal
-    m = _sync_machine(cfg, [isa.copy(rs.general(0), rs.xbar_in(0), 1)])
-    with pytest.raises(SimError, match="reads XbarIn"):
-        run(m, {})
-    m = _sync_machine(cfg, [isa.seti(rs.general(0), 1),
+    # copy reading XbarIn is illegal; copy writing XbarOut is illegal; both
+    # are found when the machine is configured
+    with pytest.raises(SimError, match="tile 0 core 0 pc 0: .* reads XbarIn"):
+        _sync_machine(cfg, [isa.copy(rs.general(0), rs.xbar_in(0), 1)])
+    with pytest.raises(SimError, match="tile 0 core 0 pc 1: .* writes XbarOut"):
+        _sync_machine(cfg, [isa.seti(rs.general(0), 1),
                             isa.copy(rs.xbar_out(0), rs.general(0), 1)])
-    with pytest.raises(SimError, match="writes XbarOut"):
-        run(m, {})
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +404,28 @@ def test_class_access_rules_enforced():
 
 def test_rom_reads_preserve_ram_contents():
     cfg = cfg_small()
-    m = _sync_machine(cfg, [])
+    g = cfg.regspace().general
+    m = _sync_machine(cfg, [isa.alu("sigmoid", g(3), g(0), 0, 3)] * 100)
     core = m.cores[(0, 0)]
     pattern = np.arange(core.rs.total) % 97
     core.regs[:] = pattern
-    for _ in range(100):
-        core.rom_lookup("sigmoid", np.array([0, 100, -100]))
-    assert np.array_equal(core.regs, pattern)
+    rep = run(m, {})
+    assert rep.mode_switches == 100
+    # only the destination words change
+    dest = np.zeros(core.rs.total, dtype=bool)
+    dest[g(3):g(6)] = True
+    assert np.array_equal(core.regs[~dest], pattern[~dest])
 
 
 def test_ram_writes_interleaved_with_rom_reads_last_writer_wins():
     cfg = cfg_small()
-    m = _sync_machine(cfg, [])
-    core = m.cores[(0, 0)]
-    core.regs[5] = 11
-    core.rom_lookup("tanh", np.array([0]))
-    core.regs[5] = 22
-    core.rom_lookup("tanh", np.array([4096]))
-    assert core.regs[5] == 22
+    g = cfg.regspace().general
+    m = _sync_machine(cfg, [isa.seti(g(5), 11),
+                            isa.alu("tanh", g(6), g(0), 0, 1),
+                            isa.seti(g(5), 22),
+                            isa.alu("tanh", g(6), g(5), 0, 1)])
+    run(m, {})
+    assert m.cores[(0, 0)].regs[g(5)] == 22
 
 
 def test_mode_switch_counted_in_report():
