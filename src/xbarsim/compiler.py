@@ -61,9 +61,7 @@ class CompileReport:
         lines.append("  static instructions: " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.static_histogram.items())))
         for actor, n in sorted(self.per_actor_instrs.items()):
-            t, c = actor
-            who = f"tile {t} core {c}" if c != TILE_UNIT else f"tile {t} unit"
-            lines.append(f"  {who}: {n} instructions")
+            lines.append(f"  {container.actor_name(actor)}: {n} instructions")
         for t, used in sorted(self.dmem_words_used.items()):
             lines.append(f"  tile {t} data memory: {used} words")
         return "\n".join(lines) + "\n"
@@ -314,7 +312,7 @@ def _emit_container(tg, machine, code, bases, meta):
             else machine.core_imem_capacity
         if len(instrs) > cap:
             raise CompileError(
-                f"tile {actor[0]} core {actor[1]}: {len(instrs)} instructions "
+                f"{container.actor_name(actor)}: {len(instrs)} instructions "
                 f"exceed the {cap}-instruction memory")
         prog.segments.append(container.Segment(actor[0], actor[1], instrs))
 
@@ -374,8 +372,7 @@ def _back_end(tg, machine, code, patterns, coalesce_groups, maxlive,
         try:
             res = regalloc.allocate(code[actor], machine, mk_spill)
         except regalloc.RegAllocError as e:
-            raise CompileError(
-                f"tile {actor[0]} core {actor[1]}: {e}") from e
+            raise CompileError(f"{container.actor_name(actor)}: {e}") from e
         code[actor] = res.instrs
         bases[actor] = res.base
         report.spill_count += res.spill_count

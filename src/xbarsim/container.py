@@ -21,6 +21,13 @@ MAGIC = b"PUMA"
 VERSION = 1
 TILE_UNIT = 0xFFFF  # core-id marker for a tile's send/receive sequence
 
+
+def actor_name(actor):
+    """(tile, core) -> 'tile t core c', or 'tile t unit' for TILE_UNIT."""
+    t, c = actor
+    return f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
+
+
 REGION_KINDS = ("input", "output", "const", "value", "spill")
 
 

@@ -16,6 +16,10 @@ Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
 same-cycle events without breaking determinism.
 
+A configured Machine holds only what configuration fixes; every run builds
+fresh run state (pcs, hits, registers, tile memory with the data blocks
+written in, FIFOs), so one Machine runs any number of times, batched or not.
+
 One run can carry a batch of B independent inferences: the value state
 (registers, tile memory words, FIFO payloads) then has a trailing lane
 axis of length B, while program counters, valid/count bits and all timing
@@ -33,12 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fixedpoint as fp
-from .container import TILE_UNIT, loads as load_container
+from .container import TILE_UNIT, actor_name
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
 from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
     IsaError, alui_immediate, disassemble_one, fired_mvmus, registers, \
     validate
-from .machine import MachineConfig
 
 log = logging.getLogger("xbarsim")
 
@@ -144,10 +147,10 @@ class TileMemoryState:
     """Shared data words plus per-entry valid/count attributes. data is
     (words,) or (words, B) with a lane axis; valid and count are per word."""
 
-    def __init__(self, words):
-        self.data = np.zeros(words, dtype=np.int64)
-        self.valid = np.zeros(words, dtype=bool)
-        self.count = np.zeros(words, dtype=np.int64)
+    def __init__(self, data):
+        self.data = data
+        self.valid = np.zeros(len(data), dtype=bool)
+        self.count = np.zeros(len(data), dtype=np.int64)
 
     def write(self, addr, values, count):
         n = len(values)
@@ -167,8 +170,9 @@ class Fifo:
 
 
 class _Sequencer:
-    """An instruction stream, its pc and each pc's executions (hits) and
-    cycles (busy); each instruction is checked against the machine once."""
+    """An instruction stream, checked against the machine once. A run gives
+    it a pc and each pc's executions (hits) and cycles (busy); a tile's
+    sequencer also gets the tile memory (mem) and receive FIFOs (fifos)."""
 
     def __init__(self, actor, cfg, program, mvmus=()):
         self.program = program
@@ -180,10 +184,7 @@ class _Sequencer:
                 validate(i)
                 _check_fits(i, cfg, loaded, self.rs)
             except (IsaError, SimError) as e:
-                raise type(e)(f"{_actor_name(actor)} pc {pc}: {e}") from None
-        self.pc = 0
-        self.hits = [0] * len(program)
-        self.busy = [0] * len(program)
+                raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
 
     def halted(self):
         return self.pc >= len(self.program)
@@ -214,22 +215,17 @@ def _check_fits(i, cfg, loaded, rs):
 
 
 class CoreState(_Sequencer):
+    """A core's sequencer; a run gives it its registers (regs)."""
+
     def __init__(self, cfg, actor, program, luts, mvmus):
         super().__init__(actor, cfg, program, mvmus)
-        self.regs = np.zeros(self.rs.total, dtype=np.int64)
         self.patterns = {}      # filter id -> {mvmu: perm array}
         self.luts = luts
 
 
-class TileState(_Sequencer):
-    def __init__(self, cfg, actor, program):
-        super().__init__(actor, cfg, program)
-        self.mem = TileMemoryState(cfg.dmem_words)
-        self.fifos = [Fifo(cfg.fifo_depth) for _ in range(cfg.num_fifos)]
-
-
 class Machine:
-    """A configured node: tiles of cores with installed weights/patterns."""
+    """A configured node: tiles of cores with checked programs, programmed
+    MVMUs and shuffle patterns; each run gives it fresh run state (`start`)."""
 
     def __init__(self, cfg, prog):
         if (prog.xbar_dim, prog.mvmus_per_core, prog.cores_per_tile,
@@ -244,7 +240,6 @@ class Machine:
             raise GeometryError("fixed-point format mismatch")
         self.cfg = cfg
         self.prog = prog
-        self.has_run = False
         luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
         mvmus = {(t, c): [None] * cfg.mvmus_per_core for t in range(cfg.tiles)
                  for c in range(cfg.cores_per_tile)}
@@ -256,25 +251,24 @@ class Machine:
             on_tile = seg.core == TILE_UNIT
             actor = (seg.tile, seg.core)
             if (seg.tile, 0 if on_tile else seg.core) not in mvmus:
-                raise GeometryError(f"the segment of {_actor_name(actor)} "
+                raise GeometryError(f"the segment of {actor_name(actor)} "
                                     f"{outside}")
             if actor in programs:
-                raise GeometryError(f"{_actor_name(actor)} has more than one "
+                raise GeometryError(f"{actor_name(actor)} has more than one "
                                     f"segment")
             cap = cfg.tile_imem_capacity if on_tile else cfg.core_imem_capacity
             if len(seg.instrs) > cap:
-                raise CapacityError(
-                    f"tile {seg.tile} core {seg.core}: {len(seg.instrs)} "
-                    f"instructions exceed capacity {cap}")
+                raise CapacityError(f"{actor_name(actor)}: {len(seg.instrs)} "
+                                    f"instructions exceed capacity {cap}")
             ops = {i.op for i in seg.instrs}
             misplaced = ops - TILE_OPS if on_tile else ops & TILE_OPS
             if misplaced:
-                raise SimError(f"{_actor_name(actor)} cannot execute "
+                raise SimError(f"{actor_name(actor)} cannot execute "
                                f"{min(misplaced)!r}")
             programs[actor] = seg.instrs
         for b in (*prog.weights, *prog.patterns):
             if (b.tile, b.core) not in mvmus or not 0 <= b.mvmu < cfg.mvmus_per_core:
-                raise GeometryError(f"{type(b).__name__} of {_actor_name((b.tile, b.core))}"
+                raise GeometryError(f"{type(b).__name__} of {actor_name((b.tile, b.core))}"
                                     f" mvmu {b.mvmu} {outside}")
         for b in (*prog.data, *prog.io):
             end = b.addr + (b.length if hasattr(b, "length") else len(b.words))
@@ -290,8 +284,8 @@ class Machine:
             mvmus[(wb.tile, wb.core)][wb.mvmu] = sliced
         self.cores = {a: CoreState(cfg, a, programs.get(a, []), luts, m)
                       for a, m in mvmus.items()}
-        self.tiles = {t: TileState(cfg, (t, TILE_UNIT),
-                                   programs.get((t, TILE_UNIT), []))
+        self.tiles = {t: _Sequencer((t, TILE_UNIT), cfg,
+                                    programs.get((t, TILE_UNIT), []))
                       for t in range(cfg.tiles)}
         # actor -> its instruction sequencer, cores first
         self.units = {**self.cores, **{(t, TILE_UNIT): unit
@@ -300,17 +294,17 @@ class Machine:
             core = self.cores[(pat.tile, pat.core)]
             core.patterns.setdefault(pat.filt, {})[pat.mvmu] = \
                 np.asarray(pat.perm, dtype=np.int64)
-        for db in prog.data:
-            self.tiles[db.tile].mem.write(db.addr, db.words, db.count)
         self.spill_ranges = {}
         for r in prog.regions:
             if r.kind == "spill":
                 self.spill_ranges.setdefault(r.tile, []).append((r.lo, r.hi))
 
-    def bind_inputs(self, inputs):
-        """Write each input into its tile memory words. An input is one
-        vector (n,) or a batch (B, n); batches must all have the same B,
-        which becomes the length of the value state's lane axis."""
+    def start(self, inputs):
+        """Build fresh run state and write the data blocks and `inputs`
+        into tile memory: every pc at 0 with no hits or busy cycles, zeroed
+        registers and words, empty FIFOs. An input is one vector (n,) or a
+        batch (B, n); batches must all have the same B, which becomes the
+        length of the trailing lane axis of registers and tile memory."""
         vecs = {}
         for b in self.prog.inputs():
             if b.name not in inputs:
@@ -323,8 +317,29 @@ class Machine:
                            "B >= 1; got " + ", ".join(
                                f"{k} {v.shape}" for k, v in vecs.items()))
         batch = next(iter(lanes), ())
-        if batch:
-            self.add_lanes(*batch)
+
+        def zeros(n):
+            """(n,) zeros, or (n, B) in an anonymous memory map, which reads
+            as zeros and takes memory only for the pages that get written."""
+            if not batch:
+                return np.zeros(n, dtype=np.int64)
+            size = n * batch[0]
+            return np.frombuffer(mmap.mmap(-1, 8 * size), np.int64,
+                                 size).reshape(n, *batch)
+        for unit in self.units.values():
+            unit.pc = 0
+            unit.hits = [0] * len(unit.program)
+            unit.busy = [0] * len(unit.program)
+        for core in self.cores.values():
+            core.regs = zeros(core.rs.total)
+        for tile in self.tiles.values():
+            tile.mem = TileMemoryState(zeros(self.cfg.dmem_words))
+            tile.fifos = [Fifo(self.cfg.fifo_depth)
+                          for _ in range(self.cfg.num_fifos)]
+        for db in self.prog.data:   # every lane gets the same words
+            self.tiles[db.tile].mem.write(
+                db.addr, np.reshape(db.words, (-1,) + (1,) * len(batch)),
+                db.count)
         cursor = {}
         for b in self.prog.inputs():
             vec = vecs[b.name]
@@ -340,26 +355,6 @@ class Machine:
                 raise SimError(f"input {name!r} has {vecs[name].shape[-1]} "
                                f"words, program binds {n}")
 
-    def add_lanes(self, batch):
-        """Give registers and tile memory a trailing lane axis of `batch`
-        lanes; each lane starts from the words written so far. A core
-        without instructions never touches its registers and keeps them
-        as they are. The wide arrays live in anonymous memory maps, which
-        read as zeros, take memory only for the pages that get written and
-        give it back as soon as the machine is gone."""
-        def widen(a):
-            n = a.size * batch
-            out = np.frombuffer(mmap.mmap(-1, 8 * n), np.int64, n).reshape(
-                a.shape + (batch,))
-            used = np.flatnonzero(a)
-            out[used] = a[used, None]
-            return out
-        for core in self.cores.values():
-            if core.program:
-                core.regs = widen(core.regs)
-        for tile in self.tiles.values():
-            tile.mem.data = widen(tile.mem.data)
-
     def collect_outputs(self):
         """Output name -> (n,) words, or (B, n) for a batched run."""
         out = {}
@@ -369,22 +364,9 @@ class Machine:
         return {k: np.concatenate(v).T for k, v in out.items()}
 
 
-def load_program(blob_or_prog, cfg=None):
-    """Container (bytes or Program) -> configured Machine."""
-    prog = load_container(blob_or_prog) if isinstance(blob_or_prog, bytes) \
-        else blob_or_prog
-    cfg = cfg or MachineConfig()
-    return Machine(cfg, prog)
-
-
 # ---------------------------------------------------------------------------
 # Event loop
 # ---------------------------------------------------------------------------
-
-def _actor_name(actor):
-    t, c = actor
-    return f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
-
 
 def _lane_uniform(core, addr, op):
     """A register that steers control flow, read as one number. Every lane
@@ -487,8 +469,8 @@ class _Sim:
 
     # -- instruction semantics ------------------------------------------------
     #
-    # A handler executes one instruction of `unit` (a CoreState or a
-    # TileState) and returns the cycles spent, or None if the actor parked.
+    # A handler executes one instruction of `unit` (a CoreState or a tile's
+    # _Sequencer) and returns the cycles spent, or None if the actor parked.
     # A branch sets next_pc. `attempt` then moves the pc on and counts the
     # execution; what it costs is worked out after the run (`tally`).
 
@@ -503,7 +485,7 @@ class _Sim:
         try:
             cycles = EXECUTE[i.op](self, actor, unit, i)
         except SimError as e:
-            raise type(e)(f"{_actor_name(actor)} pc {pc}: {e}") from None
+            raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
         if cycles is None:
             return False
         unit.pc = self.next_pc
@@ -641,7 +623,7 @@ class _Sim:
         out = []
         for actor, reason in sorted(self.blocked_reason.items()):
             unit = self.m.units[actor]
-            out.append(f"{_actor_name(actor)} blocked at pc {unit.pc} on "
+            out.append(f"{actor_name(actor)} blocked at pc {unit.pc} on "
                        f"{reason}: '{disassemble_one(unit.program[unit.pc])}'")
         return out
 
@@ -793,13 +775,9 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     by `aluint` do); a lane-varying operand raises SimError naming the
     actor and the pc.
 
-    A run consumes the machine's state (program counters, memory counts),
-    so each Machine runs once."""
-    if machine.has_run:
-        raise SimError("this machine has already run; configure a new "
-                       "Machine for each run")
-    machine.bind_inputs(inputs)
-    machine.has_run = True
+    Each run starts from fresh run state (`Machine.start`), so running
+    one Machine again gives the same report for the same inputs."""
+    machine.start(inputs)
     log.info("run: %d instructions over %d tiles",
              machine.prog.total_instructions(), machine.cfg.tiles)
     sim = _Sim(machine, order_seed)

@@ -1,12 +1,15 @@
-"""One compile back end for unrolled and loop mode, and one run per
-configured Machine."""
+"""One compile back end for unrolled and loop mode, and any number of runs
+per configured Machine."""
 
+import numpy as np
 import pytest
 
 from xbarsim import graph as gr, models
 from xbarsim.compiler import CompileError, CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
-from xbarsim.simulator import Machine, SimError, run
+from xbarsim.simulator import Machine, run
+
+from test_golden import _cases
 
 LOOP = CompileOptions(conv_loop=True)
 
@@ -46,15 +49,42 @@ def test_report_coalesce_groups_match_container_meta(name, opts):
     assert report.spill_count == prog.meta["spill_count"]
 
 
-def test_machine_runs_once():
+def test_tile_instruction_overflow_is_a_compile_error_naming_the_unit():
+    with pytest.raises(CompileError, match=r"^tile 0 unit: 4 instructions "
+                                           r"exceed the 2-instruction memory$"):
+        compile_model(models.mlp_model(512)[0],
+                      MachineConfig(tiles=4, tile_imem_bytes=14))
+
+
+def test_a_machine_runs_again_from_fresh_state():
     g, pts, _ = models.trained_tiny_classifier()
     cfg = MachineConfig(tiles=1)
     prog, _ = compile_model(g, cfg)
     m = Machine(cfg, prog)
     first = run(m, pts[0])
     assert first.outputs["y"].tolist() == gr.evaluate(g, pts[0])["y"].tolist()
-    with pytest.raises(SimError, match="already run"):
-        run(m, pts[40])
-    again = run(Machine(cfg, prog), pts[40])
-    assert again.outputs["y"].tolist() == [-275, -149, 4297]
-    assert again.outputs["y"].tolist() == gr.evaluate(g, pts[40])["y"].tolist()
+    assert run(m, pts[0]).to_dict() == first.to_dict()
+    batch = run(m, {k: np.stack([pts[0][k], pts[40][k]]) for k in pts[0]})
+    assert batch.outputs["y"][0].tolist() == first.outputs["y"].tolist()
+    assert batch.outputs["y"][1].tolist() == [-275, -149, 4297]
+    assert run(m, pts[0]).to_dict() == first.to_dict()
+
+
+@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
+                         ids=[c[0] for c in _cases()])
+def test_golden_case_reruns_identically_under_any_event_order(
+        case, example, cfg, opts):
+    """One Machine gives the same report when run again, and the same
+    outputs, bit for bit, whatever order same-cycle events take."""
+    g, inputs = (models.build_example(example) if example
+                 else models.mlp_model(512))
+    prog, _ = compile_model(g, cfg, opts)
+    m = Machine(cfg, prog)
+    want = run(m, inputs)
+    assert want.halted
+    assert run(m, inputs).to_dict() == want.to_dict()
+    for seed in (0, 1, 2):
+        got = run(m, inputs, order_seed=seed).outputs
+        assert got.keys() == want.outputs.keys()
+        for name, vec in want.outputs.items():
+            assert np.array_equal(got[name], vec), (seed, name)

@@ -11,7 +11,6 @@ from xbarsim.simulator import (
     Machine,
     PIPELINE_FILL_CYCLES,
     SimError,
-    load_program,
     run,
 )
 
@@ -48,7 +47,7 @@ def test_load_program_installs_sliced_weights():
     g.output("y", g.mvm(g.const_matrix(w), x))
     g.freeze()
     prog, _ = compile_model(g, cfg)
-    m = load_program(container.save(prog), cfg)
+    m = Machine(cfg, container.loads(container.save(prog)))
     from xbarsim.crossbar import slice_weights
     want = slice_weights(fp.quantize(w), 4)
     installed = None
@@ -84,6 +83,14 @@ def test_core_instruction_capacity_enforced():
     with pytest.raises(CapacityError, match="585"):
         Machine(cfg, empty_program(cfg, [seg]))
     assert cfg.core_imem_capacity == 585
+
+
+def test_tile_instruction_capacity_error_names_the_tile_unit():
+    cfg = cfg_small(dmem_words=64, tile_imem_bytes=14)
+    seg = container.Segment(0, container.TILE_UNIT, [isa.send(0, 0, 1, 1)] * 3)
+    with pytest.raises(CapacityError, match=r"^tile 0 unit: 3 instructions "
+                                            r"exceed capacity 2$"):
+        Machine(cfg, empty_program(cfg, [seg]))
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +411,25 @@ def test_class_access_rules_enforced():
 
 def test_rom_reads_preserve_ram_contents():
     cfg = cfg_small()
-    g = cfg.regspace().general
-    m = _sync_machine(cfg, [isa.alu("sigmoid", g(3), g(0), 0, 3)] * 100)
-    core = m.cores[(0, 0)]
-    pattern = np.arange(core.rs.total) % 97
-    core.regs[:] = pattern
+    rs = cfg.regspace()
+    g = rs.general
+    # loads fill XbarIn and the general registers; only an mvm writes XbarOut
+    pattern = np.arange(rs.total) % 97 + 1
+    pattern[rs.xbar_out_base:rs.general_base] = 0
+    data = [container.DataBlock(0, 0, 1, pattern[:rs.xbar_out_base].tolist()),
+            container.DataBlock(0, 100, 1, pattern[g(0):].tolist())]
+    m = _sync_machine(cfg, [isa.load(0, 0, rs.xbar_out_base),
+                            isa.load(g(0), 100, rs.general_regs)]
+                      + [isa.alu("sigmoid", g(3), g(0), 0, 3)] * 100,
+                      data=data)
     rep = run(m, {})
     assert rep.mode_switches == 100
     # only the destination words change
-    dest = np.zeros(core.rs.total, dtype=bool)
+    regs = m.cores[(0, 0)].regs
+    dest = np.zeros(rs.total, dtype=bool)
     dest[g(3):g(6)] = True
-    assert np.array_equal(core.regs[~dest], pattern[~dest])
+    assert not np.array_equal(regs[dest], pattern[dest])
+    assert np.array_equal(regs[~dest], pattern[~dest])
 
 
 def test_ram_writes_interleaved_with_rom_reads_last_writer_wins():

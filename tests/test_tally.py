@@ -8,31 +8,56 @@ the figures pinned here cover those."""
 import pytest
 
 from xbarsim import models
-from xbarsim.compiler import CompileOptions, compile_model
+from xbarsim.compiler import compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, RunReport, run, tally
 
+from test_golden import _cases
 
-def _compiled(name, opts=CompileOptions()):
+
+def _compiled(name):
     if name == "mlp512":
         (g, inputs), cfg = models.mlp_model(512), MachineConfig(tiles=4)
     else:
         g, inputs = models.build_example(name)
         cfg = models.default_config_for(name)
-    prog, _ = compile_model(g, cfg, opts)
+    prog, _ = compile_model(g, cfg)
     return cfg, prog, inputs
 
 
-@pytest.mark.parametrize("name, opts, counts", [
-    ("mlp512", CompileOptions(), (51200, 2048, 8)),
-    ("lstm128", CompileOptions(), (15744, 0, 5)),
-    ("conv_loop", CompileOptions(conv_loop=True), (309, 0, 0)),
-], ids=["mlp512_4tiles", "lstm128", "conv_loop_looped"])
-def test_counts_outside_the_golden_hashes_are_pinned(name, opts, counts):
-    cfg, prog, inputs = _compiled(name, opts)
+# golden case -> (reg_accesses, spill_accesses, mode_switches)
+COUNTS = {
+    "cnn_small": (2030, 0, 0),
+    "conv8x8": (2264, 0, 0),
+    "conv_loop": (166, 0, 0),
+    "conv_loop/loop": (309, 0, 0),
+    "lstm128": (15744, 0, 5),
+    "lstm8": (744, 0, 5),
+    "mlp128": (3328, 0, 2),
+    "mlp256": (12288, 0, 4),
+    "mlp4": (104, 0, 2),
+    "mlp_l4": (832, 0, 4),
+    "mvm_pair": (2048, 0, 0),
+    "vector": (5376, 0, 0),
+    "mlp512/4tiles": (51200, 2048, 8),
+    "mlp256/naive_order": (12288, 0, 4),
+    "mvm_pair/no_coalesce": (2048, 0, 0),
+    "conv8x8/no_shuffle": (3272, 0, 0),
+    "mlp256/naive_partition": (13312, 0, 4),
+    "lstm8/xbar8": (984, 0, 5),
+}
+
+
+@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
+                         ids=[c[0] for c in _cases()])
+def test_counts_outside_the_golden_hashes_are_pinned(case, example, cfg, opts):
+    g, inputs = (models.build_example(example) if example
+                 else models.mlp_model(512))
+    prog, _ = compile_model(g, cfg, opts)
     rep = run(Machine(cfg, prog), inputs)
     assert rep.halted
-    assert (rep.reg_accesses, rep.spill_accesses, rep.mode_switches) == counts
+    assert (rep.reg_accesses, rep.spill_accesses,
+            rep.mode_switches) == COUNTS[case]
 
 
 @pytest.mark.parametrize("name", sorted(models.EXAMPLES))
@@ -48,6 +73,7 @@ def test_straight_line_code_costs_its_static_sum(name):
     for actor, unit in m.units.items():
         assert unit.hits == [1] * len(unit.program), actor
     static = Machine(cfg, prog)
+    static.start(inputs)     # the run state a run starts from
     for unit in static.units.values():
         unit.hits = [1] * len(unit.program)
     figures = RunReport()
