@@ -1,12 +1,13 @@
 """Compilation driver: tiled graph -> scheduled instructions -> container.
 
-Lowering walks each actor's scheduled sequence and emits pre-allocation
-instructions: values move through general-purpose virtual registers, with
-explicit copies into XbarIn before each (possibly coalesced) MVM and out
-of XbarOut after it. Sliding-window MVMs reuse XbarIn contents across
-consecutive windows when input shuffling is enabled: only the fresh window
-elements are copied in and the MVM instruction carries a shuffle-pattern
-id that re-routes XbarIn slots to DAC rows.
+One `_Lowerer` emits the pre-allocation instructions of both compile
+modes. Unrolled lowering walks each actor's scheduled sequence: values
+move through general-purpose virtual registers, with explicit copies into
+XbarIn before each (possibly coalesced) MVM and out of XbarOut after it.
+Sliding-window MVMs reuse XbarIn contents across consecutive windows when
+input shuffling is enabled: only the fresh window elements are copied in
+and the MVM instruction carries a shuffle-pattern id that re-routes XbarIn
+slots to DAC rows. Loop mode's looped core names physical registers.
 
 Memory addresses are assigned after register allocation: every symbol
 (input, constant, output, transient value, spill slot) gets its own
@@ -67,30 +68,6 @@ class CompileReport:
         return "\n".join(lines) + "\n"
 
 
-class _PatternTable:
-    """Per-core shuffle patterns; a pattern id bundles one permutation per
-    member MVMU of the instruction that references it."""
-
-    def __init__(self):
-        self.by_core = {}
-
-    def intern(self, core, bundle):
-        """bundle: tuple of (mvmu, perm tuple); returns the filter-field id."""
-        table = self.by_core.setdefault(core, {})
-        if bundle in table:
-            return table[bundle]
-        pid = len(table) + 1
-        table[bundle] = pid
-        return pid
-
-    def rows(self):
-        for (tile, core), table in sorted(self.by_core.items()):
-            for bundle, pid in sorted(table.items(), key=lambda kv: kv[1]):
-                for mvmu, perm in bundle:
-                    yield container.ShufflePattern(tile, core, mvmu, pid, 0,
-                                                   list(perm))
-
-
 class _Lowerer:
     def __init__(self, tg, machine, opts):
         self.tg = tg
@@ -99,7 +76,9 @@ class _Lowerer:
         self.code = {}            # actor -> [LowInstr]
         self.vreg_counter = {}    # actor -> next vreg id
         self.value_vreg = {}      # tnode id -> VReg
-        self.patterns = _PatternTable()
+        # core -> {((mvmu, perm), ...): filter-field id}; an id bundles one
+        # permutation per member MVMU of the instruction that references it
+        self.patterns = {}
         self.win_state = {}       # (core, mvmu) -> (win, [slot contents])
         self.out_syms = {}        # output tnode id -> symbol
         self.elided = set()
@@ -168,10 +147,17 @@ class _Lowerer:
 
     def emit_copies(self, actor, pairs):
         """Element copies (dest, source) batched into maximal contiguous
-        vector copies."""
-        for li in _merge_copy_runs([LowInstr("copy", 0, dst, src, 0, 1)
-                                    for dst, src in pairs]):
-            self.emit(actor, li)
+        vector copies. Operands are VRegs or, for XbarIn destinations, plain
+        register indices."""
+        runs = []
+        for dst, src in pairs:
+            if runs and (dst, src) == (runs[-1][0] + runs[-1][2],
+                                       runs[-1][1] + runs[-1][2]):
+                runs[-1][2] += 1
+            else:
+                runs.append([dst, src, 1])
+        for dst, src, w in runs:
+            self.emit(actor, LowInstr("copy", 0, dst, src, 0, w))
 
     # -- unit lowering -------------------------------------------------------
 
@@ -257,7 +243,10 @@ class _Lowerer:
                 self.win_state.pop((actor, mvmu), None)
                 self.emit(actor, LowInstr("copy", 0, self.rs.xbar_in(mvmu),
                                           self.val(src.id), 0, mt.rows))
-        filt = self.patterns.intern(actor, tuple(bundle)) if bundle else 0
+        filt = 0
+        if bundle:
+            table = self.patterns.setdefault(actor, {})
+            filt = table.setdefault(tuple(bundle), len(table) + 1)
         self.emit(actor, LowInstr("mvm", mask, filt, 0, 0, 0))
         for tid in ordered:
             n = tg.tnodes[tid]
@@ -268,6 +257,54 @@ class _Lowerer:
                                       mt.cols))
             self.value_vreg[n.id] = v
 
+    def lower_conv_loop(self, actor, tiles, n_windows, mb_in, mb_out,
+                        bias_sym, act_op):
+        """Loop fragment for the MVM-hosting core of a windowed layer, on
+        hand-placed physical registers.
+
+        tiles: the weight matrix's row tiles in window order, each pinned
+        to one of this core's MVMUs. The body pulls one full window from
+        the input mailbox straight into XbarIn, fires one (possibly
+        multi-MVMU) MVM, reduces the XbarOut partials, applies
+        bias/activation, and stores to the output mailbox, with an integer
+        counter and a conditional branch closing the loop.
+        """
+        rs = self.rs
+        cols = tiles[0].cols
+        r_bias, r_acc, r_cnt = (rs.general_base + k * cols for k in range(3))
+        r_one, r_lim = r_cnt + 1, r_cnt + 2
+        if rs.general_regs < 2 * cols + 3:
+            raise CompileError(
+                f"{container.actor_name(actor)}: the loop body needs "
+                f"{2 * cols + 3} register words, the register file has "
+                f"{rs.general_regs}")
+
+        def put(*fields):
+            self.emit(actor, LowInstr(*fields))
+
+        add = isa.ALU_OPS["add"]
+        if bias_sym is not None:
+            put("load", 0, r_bias, Mem(bias_sym), 0, cols)
+        for reg, value in ((r_cnt, 0), (r_one, 1), (r_lim, n_windows)):
+            put("set", 0, reg, value, 0, 0)
+        body = len(self.code[actor])
+        off = 0
+        for mt in tiles:
+            put("load", 0, rs.xbar_in(mt.mvmu[2]), Mem(mb_in, off), 0, mt.rows)
+            off += mt.rows
+        put("mvm", sum(1 << mt.mvmu[2] for mt in tiles), 0, 0, 0, 0)
+        outs = [rs.xbar_out(mt.mvmu[2]) for mt in tiles]
+        if len(outs) == 1:
+            put("copy", 0, r_acc, outs[0], 0, cols)
+        for k, reg in enumerate(outs[1:]):
+            put("alu", add, r_acc, r_acc if k else outs[0], reg, cols)
+        if bias_sym is not None:
+            put("alu", add, r_acc, r_acc, r_bias, cols)
+        if act_op is not None:
+            put("alu", isa.ALU_OPS[act_op], r_acc, r_acc, 0, cols)
+        put("store", 0, Mem(mb_out), r_acc, 1, cols)
+        put("aluint", isa.ALUINT_OPS["add"], r_cnt, r_cnt, r_one, 0)
+        put("brn", isa.BRN_OPS["ne"], r_cnt, r_lim, body, 0)
 
 def _assign_memory(tg, machine):
     """Bind every symbol to a distinct tile-memory range.
@@ -353,12 +390,12 @@ def _emit_container(tg, machine, code, bases, meta):
     return prog
 
 
-def _back_end(tg, machine, code, patterns, coalesce_groups, maxlive,
-              loop_mode):
-    """Shared tail of both compile modes: allocate registers per core,
-    assign tile memory, emit the container and fill the report. Code that
-    already names physical registers has no virtual registers and passes
-    allocation unchanged."""
+def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
+    """Shared tail of both compile modes: allocate registers per core of
+    the lowerer's code, assign tile memory, emit the container and fill the
+    report. Code that already names physical registers has no virtual
+    registers and passes allocation unchanged."""
+    code = low.code
     report = CompileReport(coalesce_groups=coalesce_groups, maxlive=maxlive,
                            fifo_pairs=len(tg.fifo_map))
     bases = {}
@@ -382,7 +419,11 @@ def _back_end(tg, machine, code, patterns, coalesce_groups, maxlive,
     meta = {"coalesce_groups": coalesce_groups, "maxlive": maxlive,
             "spill_count": report.spill_count, "loop_mode": loop_mode}
     prog = _emit_container(tg, machine, code, bases, meta)
-    prog.patterns.extend(patterns)
+    for (tile, core), table in sorted(low.patterns.items()):
+        for bundle, pid in table.items():       # ids ascend in table order
+            for mvmu, perm in bundle:
+                prog.patterns.append(container.ShufflePattern(
+                    tile, core, mvmu, pid, 0, list(perm)))
     report.static_histogram = prog.static_histogram()
     report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
                                for s in prog.segments}
@@ -419,8 +460,8 @@ def compile_model(graph, machine, opts=None):
     for unit in sched.units:
         low.lower_unit(unit)
 
-    return _back_end(tg, machine, low.code, low.patterns.rows(),
-                     sched.coalesce_groups, sched.maxlive, loop_mode=0)
+    return _back_end(tg, machine, low, sched.coalesce_groups, sched.maxlive,
+                     loop_mode=0)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +521,8 @@ def _compile_conv_loop(graph, machine, opts):
 
     # window geometry: row tiles of the shared weight matrix, pinned to
     # the looper core's MVMUs
-    tiles0 = sorted({tg.matrix_tiles[n.matrix].id for n in chains[0][1]})
-    tiles0 = [tg.matrix_tiles[i] for i in tiles0]
-    tiles0.sort(key=lambda mt: mt.row_block)
+    tiles0 = sorted((tg.matrix_tiles[n.matrix] for n in chains[0][1]),
+                    key=lambda mt: mt.row_block)
     if any(mt.col_block != 0 for mt in tiles0):
         raise CompileError("loop mode supports a single output block")
     if len(tiles0) > machine.mvmus_per_core:
@@ -491,22 +531,18 @@ def _compile_conv_loop(graph, machine, opts):
     feeder, looper, collector = (0, 0), (0, 1), (0, 2)
     for k, mt_ref in enumerate(tiles0):
         mt_ref.mvmu = (0, 1, k)
-
     window_len = sum(mt.rows for mt in tiles0)
-    parts = []
-    off = 0
-    for mt in tiles0:
-        parts.append((mt.mvmu[2], off, mt.rows))
-        off += mt.rows
 
-    # symbols: image blocks, bias, mailboxes, outputs
-    img_syms = {}
+    # symbols: image blocks, which the feeder loads once, bias, mailboxes,
+    # outputs
+    low = _Lowerer(tg, machine, opts)
     for name, ids in tg.input_blocks.items():
         for tid in ids:
             n = tg.tnodes[tid]
             s = tg.new_symbol(0, n.length, "input", name=name, count=1)
-            img_syms[tid] = s
             n.sym = s.id
+            v = low.value_vreg[tid] = low.new_vreg(feeder)
+            low.emit(feeder, LowInstr("load", 0, v, Mem(s.id), 0, s.size))
     bias_sym = None
     if bias_words is not None:
         bias_sym = tg.new_symbol(0, cols, "const", count=1,
@@ -518,58 +554,24 @@ def _compile_conv_loop(graph, machine, opts):
         out_syms[w] = tg.new_symbol(0, out_node.length, "output",
                                     name=out_node.name)
 
-    code = {feeder: [], looper: [], collector: []}
-    # feeder: load the image once, then per window copy runs + store
-    vctr = [0]
-
-    def vr():
-        vctr[0] += 1
-        return VReg(vctr[0] - 1)
-
-    img_vreg = {}
-    for tid, s in img_syms.items():
-        v = vr()
-        code[feeder].append(LowInstr("load", 0, v, Mem(s.id), 0, s.size))
-        img_vreg[tid] = v
+    # feeder: per window, copy runs + store
     for w, mvms, _ in chains:
-        gat_blocks = [tg.tnodes[m.inputs[0]] for m in mvms]
-        win_v = vr()
-        dst = 0
-        for gb in gat_blocks:
-            for slot, offs in gb.indices:
-                src = img_vreg[gb.inputs[slot]]
-                code[feeder].append(LowInstr("copy", 0, VReg(win_v.v, dst),
-                                             VReg(src.v, offs), 0, 1))
-                dst += 1
-        code[feeder].append(LowInstr("store", 0, Mem(mb_in), win_v, 1,
-                                     window_len))
-    code[feeder] = _merge_copy_runs(code[feeder])
+        win = low.new_vreg(feeder)
+        srcs = [low.val(gb.inputs[slot]) + off
+                for gb in (tg.tnodes[m.inputs[0]] for m in mvms)
+                for slot, off in gb.indices]
+        low.emit_copies(feeder, [(win + dst, src)
+                                 for dst, src in enumerate(srcs)])
+        low.emit(feeder, LowInstr("store", 0, Mem(mb_in), win, 1,
+                                  window_len))
 
-    try:
-        code[looper] = schedule.emit_conv_loop(n_windows, parts, cols, mb_in,
-                                               mb_out, bias_sym, act_op, machine)
-    except schedule.ScheduleError as e:
-        raise CompileError(f"tile {looper[0]} core {looper[1]}: {e}") from e
+    low.lower_conv_loop(looper, tiles0, n_windows, mb_in, mb_out, bias_sym,
+                        act_op)
     for w, _, out_node in chains:
-        v = vr()
-        code[collector].append(LowInstr("load", 0, v, Mem(mb_out), 0, cols))
-        code[collector].append(LowInstr("store", 0, Mem(out_syms[w].id), v, 1,
-                                        cols))
+        v = low.new_vreg(collector)
+        low.emit(collector, LowInstr("load", 0, v, Mem(mb_out), 0, cols))
+        low.emit(collector, LowInstr("store", 0, Mem(out_syms[w].id), v, 1,
+                                     cols))
 
-    return _back_end(tg, machine, code, (), 1 if len(parts) > 1 else 0,
+    return _back_end(tg, machine, low, 1 if len(tiles0) > 1 else 0,
                      maxlive=0, loop_mode=1)
-
-
-def _merge_copy_runs(instrs):
-    """Fuse adjacent copies whose destination and source both continue the
-    previous copy's ranges. Operands are VRegs or, for XbarIn
-    destinations, plain register indices."""
-    out = []
-    for li in instrs:
-        prev = out[-1] if out else None
-        if (prev and li.op == prev.op == "copy"
-                and li.a == prev.a + prev.w and li.b == prev.b + prev.w):
-            out[-1] = LowInstr("copy", 0, prev.a, prev.b, 0, prev.w + li.w)
-        else:
-            out.append(li)
-    return out

@@ -1,5 +1,6 @@
-"""Instruction scheduling: MVM coalescing, global reverse-post-order
-linearization, and the sliding-window loop emitter.
+"""Instruction scheduling: MVM coalescing and global reverse-post-order
+linearization. Lowering the schedule to instructions, including loop
+mode's looped fragment, is the compiler's.
 
 Coalescing runs on the graph before linearization. It first fuses sub-MVMs
 that are tiles of the same logical MVM on one core, then walks the graph
@@ -21,9 +22,6 @@ orders break ties toward the lowest name.
 
 from collections import deque
 from dataclasses import dataclass, field
-
-from . import isa
-from .lowir import LowInstr, Mem
 
 UNSCHEDULED = ("input", "const")
 
@@ -294,58 +292,3 @@ def linearize(tg, groups=None, naive=False):
         sched.actor_seq.setdefault(actor, []).append(gi)
     return sched
 
-
-# ---------------------------------------------------------------------------
-# Sliding-window loop emission
-# ---------------------------------------------------------------------------
-
-def emit_conv_loop(n_windows, parts, cols, mb_in, mb_out, bias_sym,
-                   act_op, machine):
-    """Loop fragment for the MVM-hosting core of a windowed layer.
-
-    parts: (mvmu, window offset, length) per matrix row-tile. The body
-    pulls one full window from the input mailbox straight into XbarIn,
-    fires one (possibly multi-MVMU) MVM, reduces the XbarOut partials,
-    applies bias/activation, and stores to the output mailbox, with an
-    integer counter and a conditional branch closing the loop.
-    """
-    rs = machine.regspace()
-    gp = rs.general_base
-    r_bias = gp
-    r_acc = gp + cols
-    r_cnt = gp + 2 * cols
-    r_one = r_cnt + 1
-    r_lim = r_cnt + 2
-    if rs.general_regs < 2 * cols + 3:
-        raise ScheduleError(f"the loop body needs {2 * cols + 3} register "
-                            f"words, the register file has {rs.general_regs}")
-
-    out = []
-    if bias_sym is not None:
-        out.append(LowInstr("load", 0, r_bias, Mem(bias_sym), 0, cols))
-    out.append(LowInstr("set", 0, r_cnt, 0, 0, 0))
-    out.append(LowInstr("set", 0, r_one, 1, 0, 0))
-    out.append(LowInstr("set", 0, r_lim, n_windows, 0, 0))
-    body = len(out)
-    mask = 0
-    for mvmu, off, ln in parts:
-        out.append(LowInstr("load", 0, rs.xbar_in(mvmu), Mem(mb_in, off), 0, ln))
-        mask |= 1 << mvmu
-    out.append(LowInstr("mvm", mask, 0, 0, 0, 0))
-    first = parts[0][0]
-    if len(parts) == 1:
-        out.append(LowInstr("copy", 0, r_acc, rs.xbar_out(first), 0, cols))
-    else:
-        out.append(LowInstr("alu", isa.ALU_OPS["add"], r_acc,
-                            rs.xbar_out(first), rs.xbar_out(parts[1][0]), cols))
-        for mvmu, _, _ in parts[2:]:
-            out.append(LowInstr("alu", isa.ALU_OPS["add"], r_acc, r_acc,
-                                rs.xbar_out(mvmu), cols))
-    if bias_sym is not None:
-        out.append(LowInstr("alu", isa.ALU_OPS["add"], r_acc, r_acc, r_bias, cols))
-    if act_op is not None:
-        out.append(LowInstr("alu", isa.ALU_OPS[act_op], r_acc, r_acc, 0, cols))
-    out.append(LowInstr("store", 0, Mem(mb_out), r_acc, 1, cols))
-    out.append(LowInstr("aluint", isa.ALUINT_OPS["add"], r_cnt, r_cnt, r_one, 0))
-    out.append(LowInstr("brn", isa.BRN_OPS["ne"], r_cnt, r_lim, body, 0))
-    return out

@@ -209,9 +209,12 @@ def _check_fits(i, cfg, loaded, rs):
         if addr + n > rs.total:
             raise GeometryError(f"{i.op} of {n} registers at {addr} runs past "
                                 f"the {rs.total}-register file")
-        if rs.class_of(addr) == ("xbar_out" if written else "xbar_in"):
+        lo, hi = ((rs.xbar_out_base, rs.general_base) if written
+                  else (rs.xbar_in_base, rs.xbar_out_base))
+        if addr < hi and addr + n > lo:
             raise SimError(f"class-access violation: {i.op} " + (
-                "writes XbarOut" if written else "reads XbarIn") + f" {addr}")
+                "writes XbarOut" if written else "reads XbarIn")
+                + f" {max(addr, lo)}")
 
 
 class CoreState(_Sequencer):

@@ -9,7 +9,7 @@ from xbarsim.compiler import CompileError, CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
 
-from test_golden import _cases
+from test_golden import _build, _cases
 
 LOOP = CompileOptions(conv_loop=True)
 
@@ -70,15 +70,11 @@ def test_a_machine_runs_again_from_fresh_state():
     assert run(m, pts[0]).to_dict() == first.to_dict()
 
 
-@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
-                         ids=[c[0] for c in _cases()])
-def test_golden_case_reruns_identically_under_any_event_order(
-        case, example, cfg, opts):
+@pytest.mark.parametrize("case", list(_cases()), ids=[c[0] for c in _cases()])
+def test_golden_case_reruns_identically_under_any_event_order(case):
     """One Machine gives the same report when run again, and the same
     outputs, bit for bit, whatever order same-cycle events take."""
-    g, inputs = (models.build_example(example) if example
-                 else models.mlp_model(512))
-    prog, _ = compile_model(g, cfg, opts)
+    _, inputs, cfg, prog = _build(case)
     m = Machine(cfg, prog)
     want = run(m, inputs)
     assert want.halted

@@ -3,8 +3,8 @@
 Every segment and block must lie inside the machine, and every instruction
 must be valid ISA and name only MVMUs with weights, FIFOs, tiles and
 memory words that the machine has. Every register range an instruction
-names lies inside the register file, no read starts in XbarIn and no write
-starts in XbarOut. Each error names what is out of place; for an
+names lies inside the register file, no read range overlaps XbarIn and
+no write range overlaps XbarOut. Each error names what is out of place; for an
 instruction, the actor and the pc."""
 
 import numpy as np
@@ -96,9 +96,15 @@ def test_a_segment_or_block_outside_the_machine_is_named(prog, message):
      "tile 0 core 0 pc 0: class-access violation: copy reads XbarIn 4"),
     ((0, 0), [isa.seti(CFG.regspace().xbar_out(0), 1)], [], SimError,
      "tile 0 core 0 pc 0: class-access violation: set writes XbarOut 8"),
+    # writes that start in XbarIn and run on into XbarOut
+    ((0, 0), [isa.load(CFG.regspace().xbar_in(0), 0, 16)], [], SimError,
+     "tile 0 core 0 pc 0: class-access violation: load writes XbarOut 8"),
+    ((0, 0), [isa.copy(CFG.regspace().xbar_in(1), G0, 12)], [], SimError,
+     "tile 0 core 0 pc 0: class-access violation: copy writes XbarOut 8"),
 ], ids=["invalid", "mask_beyond_core", "mask_without_weights", "send_target",
         "fifo_id", "load_words", "store_words", "copy_registers",
-        "alu_registers", "set_register", "reads_xbar_in", "writes_xbar_out"])
+        "alu_registers", "set_register", "reads_xbar_in", "writes_xbar_out",
+        "load_into_xbar_out", "copy_into_xbar_out"])
 def test_an_instruction_is_checked_once_when_configured(actor, instrs, weights,
                                                          error, message):
     prog = _program([container.Segment(*actor, instrs)], weights)

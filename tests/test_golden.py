@@ -28,31 +28,47 @@ def _sha(data):
 
 
 def _cases():
-    for name in sorted(models.EXAMPLES):
-        yield name, name, models.default_config_for(name), CompileOptions()
+    """(name, model builder, machine config, compile options) per case."""
+    ex, mc = models.EXAMPLES, models.default_config_for
+    loop = CompileOptions(conv_loop=True)
+    for name in sorted(ex):
+        yield name, ex[name], mc(name), CompileOptions()
         if name == "conv_loop":
-            yield ("conv_loop/loop", name, models.default_config_for(name),
-                   CompileOptions(conv_loop=True))
-    yield "mlp512/4tiles", None, MachineConfig(tiles=4), CompileOptions()
+            yield "conv_loop/loop", ex[name], mc(name), loop
+    yield ("mlp512/4tiles", lambda: models.mlp_model(512),
+           MachineConfig(tiles=4), CompileOptions())
     # ablation paths: naive order, no coalescing, no input shuffle, naive
     # partition, and multi-MVMU coalesced groups at a narrow crossbar
-    mc = models.default_config_for
-    yield ("mlp256/naive_order", "mlp256", mc("mlp256"),
+    yield ("mlp256/naive_order", ex["mlp256"], mc("mlp256"),
            CompileOptions(naive_order=True))
-    yield ("mvm_pair/no_coalesce", "mvm_pair", mc("mvm_pair"),
+    yield ("mvm_pair/no_coalesce", ex["mvm_pair"], mc("mvm_pair"),
            CompileOptions(coalesce=False))
-    yield ("conv8x8/no_shuffle", "conv8x8", mc("conv8x8"),
+    yield ("conv8x8/no_shuffle", ex["conv8x8"], mc("conv8x8"),
            CompileOptions(input_shuffle=False))
-    yield ("mlp256/naive_partition", "mlp256", mc("mlp256"),
+    yield ("mlp256/naive_partition", ex["mlp256"], mc("mlp256"),
            CompileOptions(naive_partition=True, seed=3))
-    yield ("lstm8/xbar8", "lstm8", MachineConfig(xbar_dim=8, tiles=2),
+    yield ("lstm8/xbar8", ex["lstm8"], MachineConfig(xbar_dim=8, tiles=2),
            CompileOptions())
+    # loop bodies whose window spans two MVMUs, and three MVMUs with a
+    # feeder that spills
+    yield ("conv_c16/loop2", lambda: models.conv_model(
+        side=4, channels=16, filters=8, seed=3, pixel_outputs=True),
+        MachineConfig(tiles=2), loop)
+    yield ("conv_c2/loop3_xbar8", lambda: models.conv_model(
+        side=4, channels=2, filters=2, seed=3, pixel_outputs=True),
+        MachineConfig(xbar_dim=8, mvmus_per_core=3, tiles=1), loop)
 
 
-def _hashes(example, cfg, opts):
-    g, inputs = (models.build_example(example) if example
-                 else models.mlp_model(512))
+def _build(case):
+    """Compile a case: (graph, inputs, machine config, program)."""
+    _, make, cfg, opts = case
+    g, inputs = make()
     prog, _ = compile_model(g, cfg, opts)
+    return g, inputs, cfg, prog
+
+
+def _hashes(case):
+    g, inputs, cfg, prog = _build(case)
     report = run(Machine(cfg, prog), inputs)
     return (_sha(container.save(prog)), _sha(gr.to_json(g)),
             _sha(json.dumps(report.to_dict(), sort_keys=True)))
@@ -149,18 +165,27 @@ GOLDEN = {
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
         'd83a725ed68baefe4df4cbe536a618d636619da1c7ed7ff6d9779cf9f6257c82',
     ),
+    'conv_c16/loop2': (
+        '5df8e2f80595642fa45700777f860dd4cf58b9fe1fdf584c6e3c975f50af06af',
+        'c8a6c1e5c3ed5e78b7287d8007e90af6df4c5827ff8c634f6e482204e1199aa6',
+        '3487fee3a58399a80c7178ce765e4c71475d449fbbc9e32474fe23d0150163bd',
+    ),
+    'conv_c2/loop3_xbar8': (
+        '2eeda30498f6e64f3ebec95165535624c506147817a00f97908c96fbbddb538c',
+        '19e5b4c762a6f284a24a98b84cb7d4bafd9abcc471d05506bf3dd753b678634c',
+        '6954c4cd65ca78bc74e680994cb0f3c020aeb86c61c05bbabcfe2afdba195e8c',
+    ),
 }
 
 
-@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
-                         ids=[c[0] for c in _cases()])
-def test_golden_bytes(case, example, cfg, opts):
-    assert _hashes(example, cfg, opts) == GOLDEN[case]
+@pytest.mark.parametrize("case", list(_cases()), ids=[c[0] for c in _cases()])
+def test_golden_bytes(case):
+    assert _hashes(case) == GOLDEN[case[0]]
 
 
 if __name__ == "__main__":
-    for case, example, cfg, opts in _cases():
-        print(f"    {case!r}: (")
-        for h in _hashes(example, cfg, opts):
+    for case in _cases():
+        print(f"    {case[0]!r}: (")
+        for h in _hashes(case):
             print(f"        {h!r},")
         print("    ),")

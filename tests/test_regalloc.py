@@ -85,6 +85,48 @@ def test_value_larger_than_register_file_is_an_error():
         _alloc(_chain(2, 16), general=8)
 
 
+def _assembled(second_off=2, read_between=False):
+    """v0 built by two 2-word copies from v1, then read whole."""
+    seq = [LowInstr("load", 0, VReg(1), Mem(0), 0, 2),
+           LowInstr("copy", 0, VReg(0), VReg(1), 0, 2)]
+    if read_between:
+        seq.append(LowInstr("store", 0, Mem(1), VReg(0), 1, 2))
+    seq.append(LowInstr("copy", 0, VReg(0, second_off), VReg(1), 0, 2))
+    return seq
+
+
+def test_value_assembled_piecewise_spills_with_a_store_per_write():
+    # two 4-word values and their 4-word sum leave no room for v0 on a
+    # 12-word file, and v0 is the active value with the furthest use
+    seq = _assembled() + [
+        LowInstr("load", 0, VReg(2), Mem(2), 0, 4),
+        LowInstr("load", 0, VReg(3), Mem(3), 0, 4),
+        LowInstr("alu", isa.ALU_OPS["add"], VReg(4), VReg(2), VReg(3), 4),
+        LowInstr("store", 0, Mem(4), VReg(4), 1, 4),
+        LowInstr("store", 0, Mem(5), VReg(0), 1, 4),
+    ]
+    assert regalloc.compute_liveness(seq)[0].defs == 2
+    res, slots = _alloc(seq, general=12)
+    assert res.spill_count == 1 and slots == [4]
+    slot = [li for li in res.instrs
+            if any(isinstance(f, Mem) and f.sym == 101 for f in li.operands())]
+    # (op, slot operand, store count, words)
+    assert [(li.op, li.a, li.c, li.w) if li.op == "store"
+            else (li.op, li.b, li.c, li.w) for li in slot] == [
+        ("store", Mem(101, 0), 1, 2), ("store", Mem(101, 2), 1, 2),
+        ("load", Mem(101, 0), 0, 4)]
+    assert regalloc.audit(res.instrs, res)
+
+
+@pytest.mark.parametrize("second_off, read_between", [(2, True), (1, False)],
+                         ids=["read_between_writes", "overlapping_writes"])
+def test_value_assembled_piecewise_does_not_spill_when(second_off,
+                                                       read_between):
+    seq = _assembled(second_off, read_between)
+    assert regalloc.compute_liveness(_assembled())[0].spillable()
+    assert not regalloc.compute_liveness(seq)[0].spillable()
+
+
 def _crossing_model():
     """Window-like pressure: each value is consumed by two distant
     combines, so roughly half the layer stays live under any order."""

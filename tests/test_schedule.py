@@ -3,6 +3,7 @@ import pytest
 
 from xbarsim import graph as gr
 from xbarsim import layers, partition, schedule
+from xbarsim.compiler import CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 
 
@@ -242,14 +243,21 @@ def test_window_mvms_on_same_mvmu_do_not_fuse():
 
 
 # ---------------------------------------------------------------------------
-# Loop emission
+# Loop mode
 # ---------------------------------------------------------------------------
 
 def test_conv_loop_fragment_shape():
+    g = gr.ModelGraph()
+    img = g.input("img", 16)
+    res = layers.conv_layer(g, img, np.full((3, 3, 1, 1), 0.1), None, 1,
+                            None, in_shape=(1, 4, 4))
+    for i, p in enumerate(res.pixels):
+        g.output(f"p{i}", p)
+    g.freeze()
     m = MachineConfig(xbar_dim=16, mvmus_per_core=2, cores_per_tile=4,
                       tiles=1, dmem_words=1024)
-    frag = schedule.emit_conv_loop(4, [(0, 0, 9)], cols=1, mb_in=0, mb_out=1,
-                                   bias_sym=None, act_op=None, machine=m)
+    prog, _ = compile_model(g, m, CompileOptions(conv_loop=True))
+    [frag] = [s.instrs for s in prog.segments if (s.tile, s.core) == (0, 1)]
     brns = [li for li in frag if li.op == "brn"]
     assert len(brns) == 1                      # exactly one back edge
     assert brns[0].c < len(frag)               # backward target

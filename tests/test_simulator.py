@@ -259,6 +259,33 @@ def test_receive_of_the_wrong_size_names_the_actor_and_pc():
         run(Machine(cfg, prog), {})
 
 
+@pytest.mark.parametrize("drain", [False, True])
+def test_receive_waits_for_its_destination_words_to_drain(drain):
+    """The message is in the FIFO, but word 8 still holds a value that one
+    load must read first."""
+    cfg = cfg_small()
+    rs = cfg.regspace()
+    core0 = [isa.seti(rs.general(0), 0)] * 40
+    if drain:
+        core0 += [isa.load(rs.general(1), 8, 1), isa.load(rs.general(2), 8, 1)]
+    prog = empty_program(cfg, [
+        container.Segment(0, container.TILE_UNIT,
+                          [isa.send(0, 0, 0, 1), isa.recv(8, 0, 1, 1)]),
+        container.Segment(0, 0, core0)])
+    prog.data += [container.DataBlock(0, 0, 1, [5]),
+                  container.DataBlock(0, 8, 1, [7])]
+    m = Machine(cfg, prog)
+    rep = run(m, {})
+    if not drain:
+        assert rep.deadlock and rep.diagnosis == [
+            "tile 0 unit blocked at pc 1 on receive waiting on occupied "
+            "word 8: 'receive 8, 0, 1, 1'"]
+        return
+    assert rep.halted and rep.blocked_ns[(0, container.TILE_UNIT)] > 0
+    regs = m.cores[(0, 0)].regs
+    assert (regs[rs.general(1)], regs[rs.general(2)]) == (7, 5)
+
+
 def test_deadlocked_actor_counts_its_blocked_time():
     """A unit stuck on an empty FIFO is blocked until the run ends, while
     core 0 runs five more cycles."""
@@ -525,3 +552,15 @@ def test_missing_input_is_an_error_before_simulation():
     prog, _ = compile_model(g, cfg)
     with pytest.raises(SimError, match="missing value"):
         run(Machine(cfg, prog), {})
+
+
+@pytest.mark.parametrize("words, message", [
+    (4, r"^input 'x' too short: need 8 words$"),
+    (10, r"^input 'x' has 10 words, program binds 8$"),
+], ids=["short", "long"])
+def test_an_input_of_the_wrong_length_is_an_error(words, message):
+    g, _ = models.mlp_model(8)
+    cfg = cfg_small(xbar_dim=8, tiles=1, dmem_words=512)
+    prog, _ = compile_model(g, cfg)
+    with pytest.raises(SimError, match=message):
+        run(Machine(cfg, prog), {"x": np.zeros(words, dtype=np.int64)})

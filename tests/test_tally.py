@@ -12,7 +12,7 @@ from xbarsim.compiler import compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, RunReport, run, tally
 
-from test_golden import _cases
+from test_golden import _build, _cases
 
 
 def _compiled(name):
@@ -45,19 +45,18 @@ COUNTS = {
     "conv8x8/no_shuffle": (3272, 0, 0),
     "mlp256/naive_partition": (13312, 0, 4),
     "lstm8/xbar8": (984, 0, 5),
+    "conv_c16/loop2": (3583, 0, 0),
+    "conv_c2/loop3_xbar8": (579, 26, 0),
 }
 
 
-@pytest.mark.parametrize("case, example, cfg, opts", list(_cases()),
-                         ids=[c[0] for c in _cases()])
-def test_counts_outside_the_golden_hashes_are_pinned(case, example, cfg, opts):
-    g, inputs = (models.build_example(example) if example
-                 else models.mlp_model(512))
-    prog, _ = compile_model(g, cfg, opts)
+@pytest.mark.parametrize("case", list(_cases()), ids=[c[0] for c in _cases()])
+def test_counts_outside_the_golden_hashes_are_pinned(case):
+    _, inputs, cfg, prog = _build(case)
     rep = run(Machine(cfg, prog), inputs)
     assert rep.halted
     assert (rep.reg_accesses, rep.spill_accesses,
-            rep.mode_switches) == COUNTS[case]
+            rep.mode_switches) == COUNTS[case[0]]
 
 
 @pytest.mark.parametrize("name", sorted(models.EXAMPLES))
