@@ -207,14 +207,15 @@ class _Lowerer:
             self.value_vreg[lead.id] = v
         elif k == "store":
             self.emit(actor, LowInstr("store", 0, Mem(lead.sym),
-                                      self.val(lead.inputs[0]), lead.count,
-                                      lead.length))
+                                      self.val(lead.inputs[0]),
+                                      tg.symbols[lead.sym].count, lead.length))
         elif k == "send":
             self.emit(actor, LowInstr("send", lead.fifo, Mem(lead.sym),
                                       lead.target, 0, lead.length))
         elif k == "receive":
             self.emit(actor, LowInstr("receive", lead.fifo, Mem(lead.sym),
-                                      lead.count, 0, lead.length))
+                                      tg.symbols[lead.sym].count, 0,
+                                      lead.length))
         elif k == "output":
             sym = self.out_syms[lead.id]
             self.emit(actor, LowInstr("store", 0, Mem(sym.id),
@@ -496,12 +497,13 @@ def _compile_conv_loop(graph, machine, opts):
             raise CompileError("loop mode expects single-consumer chains")
         return nxt[0]
 
-    # trace each window's chain: mvm [-> merge] [-> bias add] [-> act] -> output
+    # trace each window's chain: mvm [-> merge] [-> bias add] [-> act] ->
+    # output; every window must run the first one's (matrix tiles, bias
+    # words, act op), since the looped core runs one body for all
     chains = []
-    bias_words = None
-    act_op = None
     for w in sorted(wins):
         mvms = sorted(wins[w], key=lambda n: tg.tnodes[n.inputs[0]].block)
+        bias_words = act_op = None
         cur = sole_consumer(mvms[0].id)
         if tg.tnodes[cur].kind == "merge":
             cur = sole_consumer(cur)
@@ -517,6 +519,11 @@ def _compile_conv_loop(graph, machine, opts):
             cur = sole_consumer(cur)
         if tg.tnodes[cur].kind != "output":
             raise CompileError("loop mode chains must end at model outputs")
+        layer = ([n.matrix for n in mvms], bias_words, act_op)
+        if chains and layer != first:
+            raise CompileError(f"loop mode: window {w} has other weights, bias"
+                               f" or activation than window {chains[0][0]}")
+        first = layer
         chains.append((w, mvms, tg.tnodes[cur]))
 
     # window geometry: row tiles of the shared weight matrix, pinned to
@@ -536,12 +543,11 @@ def _compile_conv_loop(graph, machine, opts):
     # symbols: image blocks, which the feeder loads once, bias, mailboxes,
     # outputs
     low = _Lowerer(tg, machine, opts)
-    for name, ids in tg.input_blocks.items():
-        for tid in ids:
-            n = tg.tnodes[tid]
-            s = tg.new_symbol(0, n.length, "input", name=name, count=1)
+    for n in tg.tnodes:
+        if n.kind == "input":
+            s = tg.new_symbol(0, n.length, "input", name=n.name, count=1)
             n.sym = s.id
-            v = low.value_vreg[tid] = low.new_vreg(feeder)
+            v = low.value_vreg[n.id] = low.new_vreg(feeder)
             low.emit(feeder, LowInstr("load", 0, v, Mem(s.id), 0, s.size))
     bias_sym = None
     if bias_words is not None:

@@ -34,18 +34,17 @@ class ShapeError(GraphError):
 
 
 class Node:
-    __slots__ = ("id", "kind", "op", "imm", "inputs", "length", "shape",
-                 "name", "layer", "win", "indices")
+    __slots__ = ("id", "kind", "op", "imm", "inputs", "length", "name",
+                 "layer", "win", "indices")
 
     def __init__(self, nid, kind, *, op=None, imm=None, inputs=(), length=None,
-                 shape=None, name=None, layer=0, win=None, indices=None):
+                 name=None, layer=0, win=None, indices=None):
         self.id = nid
         self.kind = kind
         self.op = op
         self.imm = imm
         self.inputs = list(inputs)
         self.length = length
-        self.shape = shape
         self.name = name
         self.layer = layer
         self.win = win            # (conv id, window seq) tag on window MVMs
@@ -129,7 +128,7 @@ class ModelGraph:
         if w.ndim != 2:
             raise ShapeError("constant matrix must be 2-D")
         w_raw = fp.quantize(w, self.frac_bits)
-        ref = self._add("const_matrix", shape=w_raw.shape)
+        ref = self._add("const_matrix")
         self.constants[ref.id] = w_raw
         return ref
 
@@ -144,7 +143,7 @@ class ModelGraph:
     def mvm(self, w, x):
         wn = self._check(w, want_vector=False)
         xn = self._check(x)
-        rows, cols = wn.shape
+        rows, cols = self.constants[wn.id].shape
         if xn.length != rows:
             raise ShapeError(
                 f"mvm: vector length {xn.length} does not match matrix rows {rows}")
@@ -183,8 +182,8 @@ class ModelGraph:
             nodes.append(n)
         for slot, elem in indices:
             src = nodes[slot]
-            limit = src.shape[0] * src.shape[1] if src.kind == "const_matrix" \
-                else src.length
+            limit = self.constants[src.id].size \
+                if src.kind == "const_matrix" else src.length
             if not 0 <= elem < limit:
                 raise ShapeError(f"gather: element {elem} outside source {slot}")
         return self._add("gather", inputs=[n.id for n in nodes],
@@ -320,8 +319,9 @@ def to_json(graph):
         if n.indices is not None:
             d["indices"] = [[s, e] for s, e in n.indices]
         if n.kind == "const_matrix":
-            d["rows"], d["cols"] = (int(v) for v in n.shape)
-            d["data"] = fp.to_hex(graph.constants[n.id])
+            w = graph.constants[n.id]
+            d["rows"], d["cols"] = (int(v) for v in w.shape)
+            d["data"] = fp.to_hex(w)
         nodes.append(d)
     doc = {"version": 1, "frac_bits": graph.frac_bits,
            "streams": graph.stream_steps, "nodes": nodes}
@@ -346,10 +346,9 @@ def from_json(text):
     g = ModelGraph(frac_bits=doc["frac_bits"])
     g.stream_steps = dict(doc.get("streams", {}))
     for d in doc["nodes"]:
-        shape = (d["rows"], d["cols"]) if d["kind"] == "const_matrix" else None
         node = Node(d["id"], d["kind"], op=d.get("op"), imm=d.get("imm"),
                     inputs=d.get("inputs", ()), length=d.get("length"),
-                    shape=shape, name=d.get("name"), layer=d.get("layer", 0),
+                    name=d.get("name"), layer=d.get("layer", 0),
                     win=tuple(d["win"]) if "win" in d else None,
                     indices=[tuple(p) for p in d["indices"]]
                     if "indices" in d else None)
@@ -357,7 +356,8 @@ def from_json(text):
             raise GraphError("node ids must be dense and ordered")
         g.nodes.append(node)
         if node.kind == "const_matrix":
-            g.constants[node.id] = _matrix_from_hex(d["data"], shape, node.id)
+            g.constants[node.id] = _matrix_from_hex(
+                d["data"], (d["rows"], d["cols"]), node.id)
         if node.kind == "input":
             g.input_names.append(node.name)
         if node.kind == "output":

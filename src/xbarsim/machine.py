@@ -71,9 +71,18 @@ class MachineConfig:
         if not 1 <= self.xbar_dim <= 255:
             raise ConfigError("xbar_dim must be in [1, 255] (8-bit vec-width field)")
         for name in ("mvmus_per_core", "cores_per_tile", "tiles", "vfu_lanes",
-                     "num_fifos", "fifo_depth", "dmem_words"):
+                     "num_fifos", "fifo_depth", "dmem_words", "mvm_cycles"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("register_size", "adc_bits", "noise_sigma", "seed",
+                     "hop_cycles", "mode_switch_cycles"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        if not self.clock_ghz > 0:
+            raise ConfigError("clock_ghz must be > 0")
+        for k, v in self.power_mw.items():
+            if v < 0:
+                raise ConfigError(f"power.{k} must be >= 0")
         if self.mvmus_per_core > 5:
             raise ConfigError("mvmu mask lives in the 5-bit subop field")
         slices_for_bits(self.bits_per_device)

@@ -32,7 +32,7 @@ class TNode:
 
     __slots__ = ("id", "kind", "op", "imm", "inputs", "length", "block",
                  "orig", "name", "win", "indices", "matrix", "words",
-                 "place", "sym", "count", "fifo", "target")
+                 "place", "sym", "fifo", "target")
 
     def __init__(self, nid, kind, *, op=None, imm=None, inputs=(), length=None,
                  block=0, orig=None, name=None, win=None, indices=None,
@@ -52,7 +52,6 @@ class TNode:
         self.words = words
         self.place = None      # (tile, core); core == TILE_UNIT on tile unit
         self.sym = None        # memory symbol id (load/store/send/receive/const/input)
-        self.count = None      # consumer count for store/receive
         self.fifo = None
         self.target = None     # destination tile for send
 
@@ -97,9 +96,7 @@ class TiledGraph:
     tnodes: list = field(default_factory=list)
     matrix_tiles: list = field(default_factory=list)
     symbols: list = field(default_factory=list)
-    blocks_of: dict = field(default_factory=dict)   # orig node id -> [tnode ids]
     output_blocks: dict = field(default_factory=dict)  # name -> [tnode ids]
-    input_blocks: dict = field(default_factory=dict)
     fifo_map: dict = field(default_factory=dict)    # (recv tile, send tile) -> fid
 
     def add(self, kind, **kw):
@@ -139,15 +136,12 @@ def tile_tensors(graph, xbar_dim=128):
     d = xbar_dim
     tg = TiledGraph(xbar_dim=d)
     mt_cache = {}   # (const node, row block, col block) -> MatrixTile
-
-    def blocks(orig_id):
-        return tg.blocks_of[orig_id]
-
+    blocks = {}     # orig node id -> [tnode ids]
     for node in graph.nodes:
         k = node.kind
         if k == "const_matrix":
             # consumed either by MVMs (matrix tiles) or by gathers (folded)
-            tg.blocks_of[node.id] = []
+            blocks[node.id] = []
             continue
         if k == "input":
             ids = []
@@ -155,11 +149,10 @@ def tile_tensors(graph, xbar_dim=128):
                 t = tg.add("input", length=hi - lo, block=b, orig=node.id,
                            name=node.name)
                 ids.append(t.id)
-            tg.blocks_of[node.id] = ids
-            tg.input_blocks[node.name] = ids
+            blocks[node.id] = ids
         elif k == "mvm":
             w_raw = graph.constants[node.inputs[0]]
-            xblocks = blocks(node.inputs[1])
+            xblocks = blocks[node.inputs[1]]
             rows, cols = w_raw.shape
             out_ids = []
             for bj, (cl, ch) in enumerate(_block_bounds(cols, d)):
@@ -184,14 +177,14 @@ def tile_tensors(graph, xbar_dim=128):
                     m = tg.add("merge", inputs=partials, length=ch - cl,
                                block=bj, orig=node.id)
                     out_ids.append(m.id)
-            tg.blocks_of[node.id] = out_ids
+            blocks[node.id] = out_ids
         elif k in ("alu", "alu_imm", "act"):
-            src = blocks(node.inputs[0])
+            src = blocks[node.inputs[0]]
             ids = []
             for b in range(len(src)):
                 ln = tg.tnodes[src[b]].length
                 if k == "alu":
-                    b2 = blocks(node.inputs[1])[b]
+                    b2 = blocks[node.inputs[1]][b]
                     t = tg.add("alu", op=node.op, inputs=[src[b], b2],
                                length=ln, block=b, orig=node.id)
                 elif k == "alu_imm":
@@ -210,7 +203,7 @@ def tile_tensors(graph, xbar_dim=128):
                     t = tg.add("act", op=node.op, inputs=[src[b]],
                                length=ln, block=b, orig=node.id)
                 ids.append(t.id)
-            tg.blocks_of[node.id] = ids
+            blocks[node.id] = ids
         elif k == "gather":
             srcs = node.inputs
             all_const = all(graph.nodes[s].kind == "const_matrix" for s in srcs)
@@ -232,7 +225,7 @@ def tile_tensors(graph, xbar_dim=128):
                             raise CompileError(
                                 "gather mixing constant and computed sources")
                         sb, off = elem // d, elem % d
-                        tid = blocks(srcs[slot])[sb]
+                        tid = blocks[srcs[slot]][sb]
                         if tid not in used:
                             used.append(tid)
                         rewritten.append((used.index(tid), off))
@@ -240,15 +233,15 @@ def tile_tensors(graph, xbar_dim=128):
                                length=hi - lo, block=b, orig=node.id,
                                win=node.win)
                 ids.append(t.id)
-            tg.blocks_of[node.id] = ids
+            blocks[node.id] = ids
         elif k == "output":
-            src = blocks(node.inputs[0])
+            src = blocks[node.inputs[0]]
             ids = []
             for b, tid in enumerate(src):
                 t = tg.add("output", inputs=[tid], name=node.name, block=b,
                            length=tg.tnodes[tid].length, orig=node.id)
                 ids.append(t.id)
-            tg.blocks_of[node.id] = ids
+            blocks[node.id] = ids
             tg.output_blocks[node.name] = ids
         else:
             raise CompileError(f"cannot tile node kind {k!r}")
@@ -282,12 +275,8 @@ def _prune_dead(tg):
         n.inputs = [remap[i] for i in n.inputs]
         n.id = remap[n.id]
     tg.tnodes = kept
-    tg.blocks_of = {k: [remap[i] for i in ids if i in remap]
-                    for k, ids in tg.blocks_of.items()}
     tg.output_blocks = {k: [remap[i] for i in ids]
                         for k, ids in tg.output_blocks.items()}
-    tg.input_blocks = {k: [remap[i] for i in ids]
-                       for k, ids in tg.input_blocks.items()}
     used_tiles = sorted({n.matrix for n in tg.tnodes if n.kind == "mvm"})
     tile_remap = {old: new for new, old in enumerate(used_tiles)}
     tg.matrix_tiles = [tg.matrix_tiles[old] for old in used_tiles]
@@ -501,7 +490,6 @@ def insert_data_movement(tg, machine):
             st = tg.add("store", inputs=[nid], length=n.length)
             st.place = n.place
             st.sym = sym.id
-            st.count = sym.count
             source_dep = st.id
 
         arrivals = {home_tile: (sym.id, source_dep)}
@@ -517,7 +505,6 @@ def insert_data_movement(tg, machine):
             rcv = tg.add("receive", inputs=[snd.id], length=n.length)
             rcv.place = (rt, TILE_UNIT)
             rcv.sym = dsym.id
-            rcv.count = dsym.count
             arrivals[rt] = (dsym.id, rcv.id)
 
         loads = {}

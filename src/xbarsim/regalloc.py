@@ -29,7 +29,6 @@ class LiveRange:
     start: int           # first definition position
     end: int             # last use position
     size: int
-    defs: int = 1
     writes: list = field(default_factory=list)   # (pos, off, w)
     first_read: int = None
 
@@ -37,7 +36,7 @@ class LiveRange:
         """Single definitions always spill; multi-write values spill only
         when the writes cover disjoint ranges and all precede every read
         (a value assembled piecewise, then consumed)."""
-        if self.defs == 1:
+        if len(self.writes) == 1:
             return True
         covered = []
         for pos, off, w in self.writes:
@@ -67,11 +66,10 @@ def compute_liveness(instrs):
                 continue
             r = ranges.get(opnd.v)
             if r is None:
-                r = LiveRange(opnd.v, pos, pos, opnd.off + w, defs=0)
+                r = LiveRange(opnd.v, pos, pos, opnd.off + w)
                 ranges[opnd.v] = r
             r.size = max(r.size, opnd.off + w)
             r.end = max(r.end, pos)
-            r.defs += 1
             r.writes.append((pos, opnd.off, w))
         for opnd, w in reads:
             if not isinstance(opnd, VReg):
@@ -139,16 +137,12 @@ def _plan(ranges, total):
                            if ranges[a[1]].spillable() and a[0] > r.end]
                 if not victims:
                     victims = [a for a in active if ranges[a[1]].spillable()]
-                if not victims:
+                if not victims:    # a spilled r's def would need the same room
                     if r.size > total:
                         raise RegAllocError(
                             f"value of {r.size} words exceeds the register file")
-                    if not ranges[r.vreg].spillable():
-                        raise RegAllocError(
-                            "cannot spill an in-place-updated value under pressure")
-                    spilled.add(r.vreg)
-                    restart = True
-                    break
+                    raise RegAllocError(f"v{r.vreg} ({r.size} words) does not "
+                                        "fit beside values that cannot spill")
                 v = max(victims, key=lambda a: (a[0], a[1]))
                 active.remove(v)
                 space.release(v[2], v[3])

@@ -28,7 +28,6 @@ UNSCHEDULED = ("input", "const")
 
 @dataclass
 class Unit:
-    id: int                    # lowest member
     members: list              # ascending tnode ids; >1 only for coalesced MVMs
 
 
@@ -284,7 +283,7 @@ def linearize(tg, groups=None, naive=False):
     ids = sorted(members)
     order = _kahn_fifo(ids, dg.preds, dg.succs) if naive \
         else _rpo_order(ids, dg.preds, dg.succs)
-    sched = LinearSchedule(units=[Unit(i, members[i]) for i in order])
+    sched = LinearSchedule(units=[Unit(members[i]) for i in order])
     sched.coalesce_groups = sum(1 for m in members.values() if len(m) > 1)
     sched.maxlive = max_live(order, dg.preds, dg.succs)
     for gi, u in enumerate(sched.units):

@@ -16,13 +16,15 @@ Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
 same-cycle events without breaking determinism.
 
-A configured Machine holds only what configuration fixes; every run builds
-fresh run state (pcs, hits, registers, tile memory with the data blocks
-written in, FIFOs), so one Machine runs any number of times, batched or not.
+A configured Machine holds only what configuration fixes, each fact once
+(one register space, ROM set and shuffle-pattern table for all cores);
+every run builds fresh run state (pcs, hits, registers, tile memory with
+the data blocks written in, FIFOs), so one Machine runs any number of
+times, batched or not.
 
 One run can carry a batch of B independent inferences: the value state
 (registers, tile memory words, FIFO payloads) then has a trailing lane
-axis of length B, while program counters, valid/count bits and all timing
+axis of length B, while program counters, reader counts and all timing
 and energy state stay shared. Every lane follows the same schedule, which
 the lane-uniform rule for aluint/brn operands guarantees.
 """
@@ -144,45 +146,39 @@ class RunReport:
 
 
 class TileMemoryState:
-    """Shared data words plus per-entry valid/count attributes. data is
-    (words,) or (words, B) with a lane axis; valid and count are per word."""
+    """Shared data words plus a reader count per word; a word is valid while
+    its count is above 0. data is (words,) or (words, B) with a lane axis."""
 
     def __init__(self, data):
         self.data = data
-        self.valid = np.zeros(len(data), dtype=bool)
         self.count = np.zeros(len(data), dtype=np.int64)
 
     def write(self, addr, values, count):
         n = len(values)
         self.data[addr:addr + n] = values
-        self.valid[addr:addr + n] = count > 0
         self.count[addr:addr + n] = count
 
 
 class Fifo:
-    def __init__(self, depth):
-        self.depth = depth
+    def __init__(self):
         self.queue = deque()
         self.in_flight = 0     # reserved by sends not yet arrived
 
-    def occupancy(self):
-        return len(self.queue) + self.in_flight
-
 
 class _Sequencer:
-    """An instruction stream, checked against the machine once. A run gives
-    it a pc and each pc's executions (hits) and cycles (busy); a tile's
-    sequencer also gets the tile memory (mem) and receive FIFOs (fifos)."""
+    """An instruction stream, checked against the machine once, and for a
+    core the sliced weights of its MVMUs (mvmus). A run gives it a pc, each
+    pc's executions (hits) and cycles (busy), and registers (regs) to a core,
+    tile memory (mem) and receive FIFOs (fifos) to a tile's sequencer."""
 
-    def __init__(self, actor, cfg, program, mvmus=()):
+    def __init__(self, actor, cfg, rs, program, mvmus=()):
         self.program = program
         self.mvmus = mvmus
-        self.rs = cfg.regspace()
         loaded = sum(1 << u for u, m in enumerate(mvmus) if m is not None)
         for pc, i in enumerate(program):
             try:
                 validate(i)
-                _check_fits(i, cfg, loaded, self.rs)
+                _check_fits(i, cfg, loaded, rs)
             except (IsaError, SimError) as e:
                 raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
 
@@ -217,18 +213,10 @@ def _check_fits(i, cfg, loaded, rs):
                 + f" {max(addr, lo)}")
 
 
-class CoreState(_Sequencer):
-    """A core's sequencer; a run gives it its registers (regs)."""
-
-    def __init__(self, cfg, actor, program, luts, mvmus):
-        super().__init__(actor, cfg, program, mvmus)
-        self.patterns = {}      # filter id -> {mvmu: perm array}
-        self.luts = luts
-
-
 class Machine:
-    """A configured node: tiles of cores with checked programs, programmed
-    MVMUs and shuffle patterns; each run gives it fresh run state (`start`)."""
+    """A configured node: tiles of cores with checked programs and programmed
+    MVMUs, and the register space (rs), ROM set (luts) and shuffle patterns
+    (patterns) all cores share; each run gives it fresh run state (`start`)."""
 
     def __init__(self, cfg, prog):
         if (prog.xbar_dim, prog.mvmus_per_core, prog.cores_per_tile,
@@ -243,7 +231,8 @@ class Machine:
             raise GeometryError("fixed-point format mismatch")
         self.cfg = cfg
         self.prog = prog
-        luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
+        self.rs = cfg.regspace()
+        self.luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
         mvmus = {(t, c): [None] * cfg.mvmus_per_core for t in range(cfg.tiles)
                  for c in range(cfg.cores_per_tile)}
         outside = (f"lies outside the machine ({cfg.tiles} tiles x "
@@ -285,22 +274,18 @@ class Machine:
                     [cfg.seed, wb.tile, wb.core, wb.mvmu])
                 sliced = apply_write_noise(sliced, cfg.noise_sigma, seed)
             mvmus[(wb.tile, wb.core)][wb.mvmu] = sliced
-        self.cores = {a: CoreState(cfg, a, programs.get(a, []), luts, m)
+        self.cores = {a: _Sequencer(a, cfg, self.rs, programs.get(a, []), m)
                       for a, m in mvmus.items()}
-        self.tiles = {t: _Sequencer((t, TILE_UNIT), cfg,
+        self.tiles = {t: _Sequencer((t, TILE_UNIT), cfg, self.rs,
                                     programs.get((t, TILE_UNIT), []))
                       for t in range(cfg.tiles)}
         # actor -> its instruction sequencer, cores first
         self.units = {**self.cores, **{(t, TILE_UNIT): unit
                                        for t, unit in self.tiles.items()}}
+        self.patterns = {}   # (actor, filter id) -> {mvmu: perm array}
         for pat in prog.patterns:
-            core = self.cores[(pat.tile, pat.core)]
-            core.patterns.setdefault(pat.filt, {})[pat.mvmu] = \
-                np.asarray(pat.perm, dtype=np.int64)
-        self.spill_ranges = {}
-        for r in prog.regions:
-            if r.kind == "spill":
-                self.spill_ranges.setdefault(r.tile, []).append((r.lo, r.hi))
+            self.patterns.setdefault(((pat.tile, pat.core), pat.filt), {})[
+                pat.mvmu] = np.asarray(pat.perm, dtype=np.int64)
 
     def start(self, inputs):
         """Build fresh run state and write the data blocks and `inputs`
@@ -334,11 +319,10 @@ class Machine:
             unit.hits = [0] * len(unit.program)
             unit.busy = [0] * len(unit.program)
         for core in self.cores.values():
-            core.regs = zeros(core.rs.total)
+            core.regs = zeros(self.rs.total)
         for tile in self.tiles.values():
             tile.mem = TileMemoryState(zeros(self.cfg.dmem_words))
-            tile.fifos = [Fifo(self.cfg.fifo_depth)
-                          for _ in range(self.cfg.num_fifos)]
+            tile.fifos = [Fifo() for _ in range(self.cfg.num_fifos)]
         for db in self.prog.data:   # every lane gets the same words
             self.tiles[db.tile].mem.write(
                 db.addr, np.reshape(db.words, (-1,) + (1,) * len(batch)),
@@ -391,8 +375,7 @@ class _Sim:
         self.report = RunReport()
         self.ready = []         # (time, priority, serial, actor)
         self.waiters = {}       # (kind, tile) -> {word or fifo -> [actor]}
-        self.blocked_since = {}
-        self.blocked_reason = {}
+        self.blocked = {}       # parked actor -> (since, reason)
         self.bus_free = 0.0
         self.serial = 0
         self.now = 0.0
@@ -401,9 +384,10 @@ class _Sim:
 
     # -- plumbing -----------------------------------------------------------
 
-    def push(self, t, actor):
+    def push(self, t, actor, pri=None):
         self.serial += 1
-        pri = self.rng.random() if self.rng else 0.0
+        if pri is None:
+            pri = self.rng.random() if self.rng else 0.0
         heapq.heappush(self.ready, (t, pri, self.serial, actor))
 
     def park(self, actor, cond, reason):
@@ -411,19 +395,13 @@ class _Sim:
         kind, tile, key = cond
         self.waiters.setdefault((kind, tile), {}).setdefault(
             key, []).append(actor)
-        self.blocked_since[actor] = self.now
-        self.blocked_reason[actor] = reason
-
-    def wake(self, cond, t):
-        kind, tile, key = cond
-        parked = self.waiters.get((kind, tile))
-        if parked and key in parked:
-            self.release(parked.pop(key), t)
+        self.blocked[actor] = (self.now, reason)
 
     def wake_words(self, kind, tile, addr, w, t, where=None):
         """Wake the actors parked on `kind` at words [addr, addr + w) of a
         tile (only at words addr + d with where[d], if given): by
-        ascending word, then in the order they parked."""
+        ascending word, then in the order they parked. A FIFO's waiters
+        are parked at its id as one word."""
         parked = self.waiters.get((kind, tile))
         if not parked:
             return
@@ -433,10 +411,9 @@ class _Sim:
 
     def release(self, actors, t):
         for actor in actors:
-            dt = t - self.blocked_since.pop(actor, t)
+            dt = t - self.blocked.pop(actor)[0]
             self.report.blocked_ns.setdefault(actor, 0.0)
             self.report.blocked_ns[actor] += dt * self.cfg.cycle_ns
-            self.blocked_reason.pop(actor, None)
             self.push(t, actor)
 
     def wait_words(self, actor, addr, w, op, valid):
@@ -444,7 +421,7 @@ class _Sim:
         load, send) or are all drained (valid=False: store, receive)."""
         tile_id = actor[0]
         stuck = np.nonzero(
-            self.m.tiles[tile_id].mem.valid[addr:addr + w] != valid)[0]
+            (self.m.tiles[tile_id].mem.count[addr:addr + w] > 0) != valid)[0]
         if len(stuck):
             word = addr + int(stuck[0])
             cond, what = ("mem_valid", "word") if valid else \
@@ -460,7 +437,6 @@ class _Sim:
         vals = mem.data[addr:addr + w].copy()
         mem.count[addr:addr + w] -= 1
         drained = mem.count[addr:addr + w] <= 0
-        mem.valid[addr:addr + w][drained] = False
         self.wake_words("mem_free", tile_id, addr, w, end, drained)
         return vals
 
@@ -472,7 +448,7 @@ class _Sim:
 
     # -- instruction semantics ------------------------------------------------
     #
-    # A handler executes one instruction of `unit` (a CoreState or a tile's
+    # A handler executes one instruction of `unit` (a core's or a tile's
     # _Sequencer) and returns the cycles spent, or None if the actor parked.
     # A branch sets next_pc. `attempt` then moves the pc on and counts the
     # execution; what it costs is worked out after the run (`tally`).
@@ -518,11 +494,11 @@ class _Sim:
         return 1 + w
 
     def exec_mvm(self, actor, core, i):
-        cfg = self.cfg
+        cfg, rs = self.cfg, self.m.rs
         for u in fired_mvmus(i, cfg.mvmus_per_core):
             sliced = core.mvmus[u]
-            perm = core.patterns.get(i.a, {}).get(u)
-            base_in = core.rs.xbar_in(u)
+            perm = self.m.patterns.get((actor, i.a), {}).get(u)
+            base_in = rs.xbar_in(u)
             if perm is None:
                 x = core.regs[base_in:base_in + sliced.rows]
             else:
@@ -530,7 +506,7 @@ class _Sim:
             adc = cfg.adc_bits if cfg.adc_bits else None
             # lanes become the batch axis: one product for all lanes
             out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits, cfg.xbar_dim)
-            base_out = core.rs.xbar_out(u)
+            base_out = rs.xbar_out(u)
             core.regs[base_out:base_out + sliced.cols] = out.T
         return cfg.mvm_cycles
 
@@ -543,7 +519,7 @@ class _Sim:
         if name in ALU_TRANSCENDENTAL:
             # ROM mode: RAM (the registers) is buffered and restored around
             # the table read, so it is preserved by construction
-            out = core.luts[name].lookup(a)
+            out = self.m.luts[name].lookup(a)
             cycles += cfg.mode_switch_cycles
         else:
             b = alui_immediate(name, i.c) if i.op == "alui" else \
@@ -584,7 +560,7 @@ class _Sim:
         if self.wait_words(actor, addr, w, i.op, True):
             return None
         dest = self.m.tiles[target].fifos[fid]
-        if dest.occupancy() >= dest.depth:
+        if len(dest.queue) + dest.in_flight >= cfg.fifo_depth:
             self.park(actor, ("fifo_space", target, fid),
                       f"send waiting on fifo {fid} space at tile {target}")
             return None
@@ -593,10 +569,8 @@ class _Sim:
         self.bus_free = end = bus_start + flits
         vals = self.consume(actor[0], addr, w, end)
         dest.in_flight += 1
-        self.serial += 1
-        heapq.heappush(self.ready,
-                       (end + cfg.hop_cycles, -1.0, self.serial,
-                        ("_arrival", target, fid, actor[0], vals)))
+        self.push(end + cfg.hop_cycles,
+                  ("_arrival", target, fid, actor[0], vals), pri=-1.0)
         return int(end - self.now)
 
     def exec_receive(self, actor, unit, i):
@@ -613,7 +587,7 @@ class _Sim:
             raise SimError(
                 f"receive of {w} words got a {len(vals)}-word message")
         cycles = 1 + w
-        self.wake(("fifo_space", actor[0], fid), self.now + cycles)
+        self.wake_words("fifo_space", actor[0], fid, 1, self.now + cycles)
         self.fill(actor[0], addr, w, vals, count, self.now + cycles)
         return cycles
 
@@ -624,7 +598,7 @@ class _Sim:
 
     def diagnose(self):
         out = []
-        for actor, reason in sorted(self.blocked_reason.items()):
+        for actor, (_since, reason) in sorted(self.blocked.items()):
             unit = self.m.units[actor]
             out.append(f"{actor_name(actor)} blocked at pc {unit.pc} on "
                        f"{reason}: '{disassemble_one(unit.program[unit.pc])}'")
@@ -634,23 +608,21 @@ class _Sim:
         for actor, unit in self.m.units.items():
             if not unit.halted():
                 self.push(PIPELINE_FILL_CYCLES, actor)
-        end_time = 0.0
         while self.ready:
             t, _pri, _ser, actor = heapq.heappop(self.ready)
             self.now = max(self.now, t)
-            end_time = max(end_time, self.now)
             if isinstance(actor, tuple) and actor and actor[0] == "_arrival":
                 _, target, fid, src, vals = actor
                 fifo = self.m.tiles[target].fifos[fid]
                 fifo.in_flight -= 1
                 fifo.queue.append((src, vals))
-                self.wake(("fifo_data", target, fid), t)
+                self.wake_words("fifo_data", target, fid, 1, t)
                 continue
             self.attempt(actor)
             if self.report.steps > step_limit:
                 self.report.step_limit_hit = True
                 break
-        for actor, since in self.blocked_since.items():  # still parked
+        for actor, (since, _reason) in self.blocked.items():  # still parked
             self.report.blocked_ns[actor] = self.report.blocked_ns.get(
                 actor, 0.0) + (self.now - since) * self.cfg.cycle_ns
         self.report.halted = self.all_halted()
@@ -658,8 +630,8 @@ class _Sim:
             self.report.deadlock = True
         if not self.report.halted:
             self.report.diagnosis = self.diagnose()
-        self.report.cycles = int(end_time)
-        self.report.latency_ns = end_time * self.cfg.cycle_ns
+        self.report.cycles = int(self.now)
+        self.report.latency_ns = self.now * self.cfg.cycle_ns
         tally(self.m, self.report)
         return self.report
 
@@ -732,7 +704,10 @@ def tally(machine, report):
     spill_accesses, mode_switches and energies as sums of hits x instr_cost
     over the machine's sequencers. A cost is worked out once per (op, sub,
     w), and per place for MVMs and, on a tile with spills, loads/stores."""
-    cfg, spills = machine.cfg, machine.spill_ranges
+    cfg, spills = machine.cfg, {}
+    for r in machine.prog.regions:
+        if r.kind == "spill":
+            spills.setdefault(r.tile, []).append((r.lo, r.hi))
     rows = {}    # cost key -> [executions, busy cycles, actor, instruction]
     for actor, unit in machine.units.items():
         placed = ("mvm", "load", "store") if actor[0] in spills else ("mvm",)

@@ -1,0 +1,43 @@
+"""MachineConfig refuses, naming the field, every value that the model of
+the machine cannot mean."""
+
+import pytest
+
+from xbarsim.machine import ConfigError, MachineConfig
+
+POWER = MachineConfig().power_mw
+
+
+def _case(message, **overrides):
+    return pytest.param(overrides, message, id=",".join(
+        f"{k}={v}" for k, v in overrides.items()))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    _case("xbar_dim", xbar_dim=0),
+    _case("xbar_dim", xbar_dim=256),
+    *(_case(f"^{name} must be >= 1$", **{name: 0})
+      for name in ("mvmus_per_core", "cores_per_tile", "tiles", "vfu_lanes",
+                   "num_fifos", "fifo_depth", "dmem_words", "mvm_cycles")),
+    _case("^mvm_cycles must be >= 1$", mvm_cycles=-1),
+    _case("5-bit subop field", mvmus_per_core=6),
+    _case("frac_bits", frac_bits=16),
+    _case("dmem_words", dmem_words=4097),
+    *(_case(f"^{name} must be >= 0$", **{name: value})
+      for name, value in (("register_size", -1), ("adc_bits", -3),
+                          ("noise_sigma", -0.1), ("seed", -1),
+                          ("hop_cycles", -1), ("mode_switch_cycles", -2))),
+    _case("^clock_ghz must be > 0$", clock_ghz=0),
+    _case("^clock_ghz must be > 0$", clock_ghz=-1.0),
+    pytest.param({"power_mw": {**POWER, "vfu": -1.9}},
+                 r"^power\.vfu must be >= 0$", id="power.vfu=-1.9"),
+])
+def test_a_value_outside_its_limits_is_a_config_error(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        MachineConfig(**overrides)
+
+
+def test_each_limit_admits_its_bound():
+    MachineConfig(mvm_cycles=1, register_size=0, adc_bits=0, noise_sigma=0.0,
+                  seed=0, hop_cycles=0, mode_switch_cycles=0, clock_ghz=1e-3,
+                  power_mw=dict.fromkeys(POWER, 0.0))

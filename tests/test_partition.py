@@ -162,7 +162,7 @@ def test_cross_core_store_count_and_loads():
     partition.insert_data_movement(tg, m)
     h_store = [n for n in tg.tnodes if n.kind == "store"]
     assert len(h_store) == 1
-    assert h_store[0].count == 2
+    assert tg.symbols[h_store[0].sym].count == 2
     sym = h_store[0].sym
     loads = [n for n in tg.tnodes if n.kind == "load" and n.sym == sym]
     assert len(loads) == 2

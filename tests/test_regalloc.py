@@ -85,6 +85,22 @@ def test_value_larger_than_register_file_is_an_error():
         _alloc(_chain(2, 16), general=8)
 
 
+def test_value_that_cannot_fit_beside_unspillable_values_is_an_error():
+    """v0 is written, stored and written again, so it cannot spill; v1 is
+    defined while v0 is live and does not fit beside it. Spilling v1 would
+    leave its definition with the same problem, so allocation stops."""
+    seq = [LowInstr("load", 0, VReg(0), Mem(0), 0, 6),
+           LowInstr("store", 0, Mem(1), VReg(0), 1, 6),
+           LowInstr("load", 0, VReg(0), Mem(2), 0, 6),
+           LowInstr("load", 0, VReg(1), Mem(3), 0, 4),
+           LowInstr("store", 0, Mem(4), VReg(0), 1, 6),
+           LowInstr("store", 0, Mem(5), VReg(1), 1, 4)]
+    assert not regalloc.compute_liveness(seq)[0].spillable()
+    with pytest.raises(regalloc.RegAllocError, match=r"^v1 \(4 words\) does "
+                       r"not fit beside values that cannot spill$"):
+        _alloc(seq, general=8)
+
+
 def _assembled(second_off=2, read_between=False):
     """v0 built by two 2-word copies from v1, then read whole."""
     seq = [LowInstr("load", 0, VReg(1), Mem(0), 0, 2),
@@ -105,7 +121,7 @@ def test_value_assembled_piecewise_spills_with_a_store_per_write():
         LowInstr("store", 0, Mem(4), VReg(4), 1, 4),
         LowInstr("store", 0, Mem(5), VReg(0), 1, 4),
     ]
-    assert regalloc.compute_liveness(seq)[0].defs == 2
+    assert len(regalloc.compute_liveness(seq)[0].writes) == 2
     res, slots = _alloc(seq, general=12)
     assert res.spill_count == 1 and slots == [4]
     slot = [li for li in res.instrs

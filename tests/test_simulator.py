@@ -64,8 +64,8 @@ def test_machines_share_one_set_of_rom_tables():
     cfg = cfg_small(lut_bits=6)
     m1 = Machine(cfg, empty_program(cfg))
     m2 = Machine(cfg.with_overrides(seed=3), empty_program(cfg))
-    assert m1.cores[(0, 0)].luts is m2.cores[(1, 1)].luts
-    assert m1.cores[(0, 0)].luts is fp.build_default_luts(cfg.frac_bits, 6)
+    assert m1.luts is m2.luts
+    assert m1.luts is fp.build_default_luts(cfg.frac_bits, 6)
 
 
 def test_geometry_mismatch_rejected():
@@ -120,7 +120,6 @@ def test_store_count_two_serves_two_loads_then_invalidates():
     rep = run(m, {})
     assert rep.halted
     tile = m.tiles[0]
-    assert not tile.mem.valid[100]          # invalid after count drains
     assert tile.mem.count[100] == 0
     assert m.cores[(0, 0)].regs[rs.general(1)] == 99
     assert m.cores[(0, 1)].regs[rs.general(0)] == 99
@@ -168,7 +167,7 @@ def test_preloaded_data_counts():
     assert rep.halted
     assert m.cores[(0, 0)].regs[rs.general(0)] == 111
     assert m.cores[(0, 0)].regs[rs.general(1)] == -7
-    assert not m.tiles[0].mem.valid[10]
+    assert m.tiles[0].mem.count[10] == 0
 
 
 # ---------------------------------------------------------------------------
