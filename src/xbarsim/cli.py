@@ -22,7 +22,7 @@ from . import fixedpoint as fp
 from . import graph as gr
 from . import models
 from .compiler import CompileOptions, compile_model
-from .machine import MachineConfig, load_config
+from .machine import MachineConfig, load_config, parse_config
 from .simulator import Machine, run as sim_run
 
 EXIT_OK = 0
@@ -141,16 +141,6 @@ SWEEP_AXES = ("vfu_lanes", "mvmus_per_core", "crossbar_dim", "register_size",
               "noise_sigma", "bits_per_device")
 
 
-def _cfg_for_point(cfg, axis, value):
-    if axis == "crossbar_dim":
-        return cfg.with_overrides(xbar_dim=int(value))
-    if axis == "noise_sigma":
-        return cfg.with_overrides(noise_sigma=float(value))
-    if axis == "bits_per_device":
-        return cfg.with_overrides(bits_per_device=int(value))
-    return cfg.with_overrides(**{axis: int(value)})
-
-
 # The config fields the compiler never reads: they change the chip a
 # program runs on, not the program. bits_per_device stays in the key, as
 # the container header records it.
@@ -167,8 +157,6 @@ def _sweep_program(graph, cfg, opts):
     """The program of one sweep point, compiled once per frozen graph and
     compile-relevant config. The Program is shared between points, so it
     must not leave sweep_point."""
-    if not graph.frozen:
-        return compile_model(graph, cfg, opts)[0]
     key = (_compile_key(cfg), _opts_key(opts))
     known = _programs.setdefault(graph, {})
     if key not in known:
@@ -215,9 +203,10 @@ def cmd_sweep(args):
         labels = doc["labels"]
         eval_set = [{doc["input"]: fp.from_hex(h)} for h in doc["points"]]
     values = [v for v in args.range.split(",") if v]
+    field = "xbar_dim" if args.axis == "crossbar_dim" else args.axis
     rows = []
     for v in values:
-        pcfg = _cfg_for_point(cfg, args.axis, v)
+        pcfg = parse_config(f"{field}={v}", cfg)
         latency, energy, acc = sweep_point(g, pcfg, inputs, opts, eval_set,
                                            labels, output_name)
         rows.append((v, latency, energy, "" if acc is None else f"{acc:.4f}"))

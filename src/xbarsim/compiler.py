@@ -1,9 +1,12 @@
 """Compilation driver: tiled graph -> scheduled instructions -> container.
 
-One `_Lowerer` emits the pre-allocation instructions of both compile
-modes. Unrolled lowering walks each actor's scheduled sequence: values
-move through general-purpose virtual registers, with explicit copies into
-XbarIn before each (possibly coalesced) MVM and out of XbarOut after it.
+One `_Lowerer` emits the instructions of both compile modes as
+`isa.Instruction`s whose register fields may hold a `regalloc.VReg` and
+whose address fields may hold a `regalloc.Mem`; `_emit_container`
+resolves them to plain ints. Unrolled lowering walks each actor's
+scheduled sequence: values move through general-purpose virtual
+registers, with explicit copies into XbarIn before each (possibly
+coalesced) MVM and out of XbarOut after it.
 Sliding-window MVMs reuse XbarIn contents across consecutive windows when
 input shuffling is enabled: only the fresh window elements are copied in
 and the MVM instruction carries a shuffle-pattern id that re-routes XbarIn
@@ -18,7 +21,6 @@ range of its tile's memory, and no word is reused for a second value
 from dataclasses import dataclass, field
 
 from . import container, isa, regalloc, schedule
-from .lowir import LowInstr, Mem, VReg, finalize
 from .partition import (
     TILE_UNIT,
     CompileError,
@@ -27,6 +29,7 @@ from .partition import (
     plan_dump,
     tile_tensors,
 )
+from .regalloc import Mem, VReg
 
 
 @dataclass
@@ -49,7 +52,6 @@ class CompileReport:
     spill_slots: int = 0
     dmem_words_used: dict = field(default_factory=dict)
     fifo_pairs: int = 0
-    xbar_maxlive: dict = field(default_factory=dict)
     plan: str = ""
 
     def to_text(self):
@@ -73,7 +75,7 @@ class _Lowerer:
         self.tg = tg
         self.opts = opts
         self.rs = machine.regspace()
-        self.code = {}            # actor -> [LowInstr]
+        self.code = {}            # actor -> [Instruction]
         self.vreg_counter = {}    # actor -> next vreg id
         self.value_vreg = {}      # tnode id -> VReg
         # core -> {((mvmu, perm), ...): filter-field id}; an id bundles one
@@ -157,29 +159,30 @@ class _Lowerer:
             else:
                 runs.append([dst, src, 1])
         for dst, src, w in runs:
-            self.emit(actor, LowInstr("copy", 0, dst, src, 0, w))
+            self.emit(actor, isa.Instruction("copy", 0, dst, src, 0, w))
 
     # -- unit lowering -------------------------------------------------------
 
-    def lower_unit(self, unit):
+    def lower_unit(self, members):
         tg = self.tg
-        lead = tg.tnodes[unit.members[0]]
+        lead = tg.tnodes[members[0]]
         actor = lead.place
         k = lead.kind
         if k == "mvm":
-            self._lower_mvm_group(actor, unit.members)
+            self._lower_mvm_group(actor, members)
         elif k == "merge":
             # partial sums fold in ascending row-block order; each step
             # writes a fresh register so intermediates stay spillable
             ins = lead.inputs
             acc = self.new_vreg(actor)
-            self.emit(actor, LowInstr("alu", isa.ALU_OPS["add"], acc,
-                                      self.val(ins[0]), self.val(ins[1]),
-                                      lead.length))
+            self.emit(actor, isa.Instruction(
+                "alu", isa.ALU_OPS["add"], acc, self.val(ins[0]),
+                self.val(ins[1]), lead.length))
             for extra in ins[2:]:
                 nxt = self.new_vreg(actor)
-                self.emit(actor, LowInstr("alu", isa.ALU_OPS["add"], nxt, acc,
-                                          self.val(extra), lead.length))
+                self.emit(actor, isa.Instruction(
+                    "alu", isa.ALU_OPS["add"], nxt, acc, self.val(extra),
+                    lead.length))
                 acc = nxt
             self.value_vreg[lead.id] = acc
         elif k in ("alu", "alu_imm", "act"):
@@ -187,10 +190,9 @@ class _Lowerer:
             src2 = (self.val(lead.inputs[1]) if k == "alu"
                     else lead.imm & 0xFFF if k == "alu_imm" else 0)
             v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("alui" if k == "alu_imm" else "alu",
-                                      isa.ALU_OPS[lead.op], v,
-                                      self.val(lead.inputs[0]), src2,
-                                      lead.length))
+            self.emit(actor, isa.Instruction(
+                "alui" if k == "alu_imm" else "alu", isa.ALU_OPS[lead.op], v,
+                self.val(lead.inputs[0]), src2, lead.length))
             self.value_vreg[lead.id] = v
         elif k == "gather":
             if lead.id in self.elided:
@@ -202,25 +204,26 @@ class _Lowerer:
             self.value_vreg[lead.id] = v
         elif k == "load":
             v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("load", 0, v, Mem(lead.sym), 0,
-                                      lead.length))
+            self.emit(actor, isa.Instruction("load", 0, v, Mem(lead.sym), 0,
+                                             lead.length))
             self.value_vreg[lead.id] = v
         elif k == "store":
-            self.emit(actor, LowInstr("store", 0, Mem(lead.sym),
-                                      self.val(lead.inputs[0]),
-                                      tg.symbols[lead.sym].count, lead.length))
+            self.emit(actor, isa.Instruction(
+                "store", 0, Mem(lead.sym), self.val(lead.inputs[0]),
+                tg.symbols[lead.sym].count, lead.length))
         elif k == "send":
-            self.emit(actor, LowInstr("send", lead.fifo, Mem(lead.sym),
-                                      lead.target, 0, lead.length))
+            self.emit(actor, isa.Instruction(
+                "send", lead.fifo, Mem(lead.sym), lead.target, 0,
+                lead.length))
         elif k == "receive":
-            self.emit(actor, LowInstr("receive", lead.fifo, Mem(lead.sym),
-                                      tg.symbols[lead.sym].count, 0,
-                                      lead.length))
+            self.emit(actor, isa.Instruction(
+                "receive", lead.fifo, Mem(lead.sym),
+                tg.symbols[lead.sym].count, 0, lead.length))
         elif k == "output":
             sym = self.out_syms[lead.id]
-            self.emit(actor, LowInstr("store", 0, Mem(sym.id),
-                                      self.val(lead.inputs[0]), 1,
-                                      lead.length))
+            self.emit(actor, isa.Instruction(
+                "store", 0, Mem(sym.id), self.val(lead.inputs[0]), 1,
+                lead.length))
         else:
             raise CompileError(f"cannot lower tnode kind {k!r}")
 
@@ -242,20 +245,20 @@ class _Lowerer:
                     bundle.append((mvmu, perm))
             else:
                 self.win_state.pop((actor, mvmu), None)
-                self.emit(actor, LowInstr("copy", 0, self.rs.xbar_in(mvmu),
-                                          self.val(src.id), 0, mt.rows))
+                self.emit(actor, isa.Instruction(
+                    "copy", 0, self.rs.xbar_in(mvmu), self.val(src.id), 0,
+                    mt.rows))
         filt = 0
         if bundle:
             table = self.patterns.setdefault(actor, {})
             filt = table.setdefault(tuple(bundle), len(table) + 1)
-        self.emit(actor, LowInstr("mvm", mask, filt, 0, 0, 0))
+        self.emit(actor, isa.Instruction("mvm", mask, filt, 0, 0, 0))
         for tid in ordered:
             n = tg.tnodes[tid]
             mt = tg.matrix_tiles[n.matrix]
             v = self.new_vreg(actor)
-            self.emit(actor, LowInstr("copy", 0, v,
-                                      self.rs.xbar_out(mt.mvmu[2]), 0,
-                                      mt.cols))
+            self.emit(actor, isa.Instruction(
+                "copy", 0, v, self.rs.xbar_out(mt.mvmu[2]), 0, mt.cols))
             self.value_vreg[n.id] = v
 
     def lower_conv_loop(self, actor, tiles, n_windows, mb_in, mb_out,
@@ -281,7 +284,7 @@ class _Lowerer:
                 f"{rs.general_regs}")
 
         def put(*fields):
-            self.emit(actor, LowInstr(*fields))
+            self.emit(actor, isa.Instruction(*fields))
 
         add = isa.ALU_OPS["add"]
         if bias_sym is not None:
@@ -336,16 +339,17 @@ def _emit_container(tg, machine, code, bases, meta):
                              machine.cores_per_tile, machine.tiles,
                              machine.frac_bits, machine.bits_per_device)
 
-    def addr_of(mem):
-        s = tg.symbols[mem.sym]
-        if s.addr is None:
-            raise CompileError(f"symbol {s.id} has no address")
-        return s.addr + mem.off
-
     for actor in sorted(code):
         base = bases.get(actor)
-        instrs = finalize(code[actor], lambda vr: base[vr.v] + vr.off,
-                          addr_of)
+
+        def resolve(f):
+            if isinstance(f, VReg):
+                return base[f.v] + f.off
+            if isinstance(f, Mem):
+                return tg.symbols[f.sym].addr + f.off
+            return int(f)
+        instrs = [isa.Instruction(i.op, i.sub, resolve(i.a), resolve(i.b),
+                                  resolve(i.c), i.w) for i in code[actor]]
         cap = machine.tile_imem_capacity if actor[1] == TILE_UNIT \
             else machine.core_imem_capacity
         if len(instrs) > cap:
@@ -374,8 +378,6 @@ def _emit_container(tg, machine, code, bases, meta):
 
     regions = {}
     for s in tg.symbols:
-        if s.addr is None:
-            continue
         regions.setdefault(s.tile, []).append((s.addr, s.addr + s.size, s.kind))
     for t, rows in sorted(regions.items()):
         rows.sort()
@@ -428,12 +430,6 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
     report.static_histogram = prog.static_histogram()
     report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
                                for s in prog.segments}
-    rs = machine.regspace()
-    for seg in prog.segments:
-        if seg.core != TILE_UNIT:
-            _, peak = regalloc.xbar_liveness(seg.instrs, rs)
-            for cls, v in peak.items():
-                report.xbar_maxlive[cls] = max(report.xbar_maxlive.get(cls, 0), v)
     report.plan = plan_dump(tg)
     return prog, report
 
@@ -442,6 +438,9 @@ def compile_model(graph, machine, opts=None):
     """Full pipeline: tile, place, insert data movement, coalesce,
     linearize, lower, allocate registers, assign memory, emit."""
     opts = opts or CompileOptions()
+    if graph.frac_bits != machine.frac_bits:
+        raise CompileError(f"the model has {graph.frac_bits} fraction bits, "
+                           f"the machine {machine.frac_bits}")
     if opts.conv_loop:
         return _compile_conv_loop(graph, machine, opts)
     tg = tile_tensors(graph, machine.xbar_dim)
@@ -458,8 +457,8 @@ def compile_model(graph, machine, opts=None):
         low.out_syms[tid] = tg.new_symbol(n.place[0], n.length, "output",
                                           name=n.name)
     low.plan_window_elision()
-    for unit in sched.units:
-        low.lower_unit(unit)
+    for members in sched.units:
+        low.lower_unit(members)
 
     return _back_end(tg, machine, low, sched.coalesce_groups, sched.maxlive,
                      loop_mode=0)
@@ -534,6 +533,12 @@ def _compile_conv_loop(graph, machine, opts):
         raise CompileError("loop mode supports a single output block")
     if len(tiles0) > machine.mvmus_per_core:
         raise CompileError("window rows exceed one core's MVMUs")
+    ends = {out.id for _, _, out in chains}
+    lost = [name for name, ids in tg.output_blocks.items()
+            if not ends.issuperset(ids)]
+    if lost:
+        raise CompileError("loop mode cannot produce outputs outside the "
+                           f"windowed layer: {', '.join(sorted(lost))}")
     cols = tiles0[0].cols
     feeder, looper, collector = (0, 0), (0, 1), (0, 2)
     for k, mt_ref in enumerate(tiles0):
@@ -548,7 +553,8 @@ def _compile_conv_loop(graph, machine, opts):
             s = tg.new_symbol(0, n.length, "input", name=n.name, count=1)
             n.sym = s.id
             v = low.value_vreg[n.id] = low.new_vreg(feeder)
-            low.emit(feeder, LowInstr("load", 0, v, Mem(s.id), 0, s.size))
+            low.emit(feeder, isa.Instruction("load", 0, v, Mem(s.id), 0,
+                                             s.size))
     bias_sym = None
     if bias_words is not None:
         bias_sym = tg.new_symbol(0, cols, "const", count=1,
@@ -568,16 +574,17 @@ def _compile_conv_loop(graph, machine, opts):
                 for slot, off in gb.indices]
         low.emit_copies(feeder, [(win + dst, src)
                                  for dst, src in enumerate(srcs)])
-        low.emit(feeder, LowInstr("store", 0, Mem(mb_in), win, 1,
-                                  window_len))
+        low.emit(feeder, isa.Instruction("store", 0, Mem(mb_in), win, 1,
+                                         window_len))
 
     low.lower_conv_loop(looper, tiles0, n_windows, mb_in, mb_out, bias_sym,
                         act_op)
     for w, _, out_node in chains:
         v = low.new_vreg(collector)
-        low.emit(collector, LowInstr("load", 0, v, Mem(mb_out), 0, cols))
-        low.emit(collector, LowInstr("store", 0, Mem(out_syms[w].id), v, 1,
-                                     cols))
+        low.emit(collector, isa.Instruction("load", 0, v, Mem(mb_out), 0,
+                                            cols))
+        low.emit(collector, isa.Instruction("store", 0, Mem(out_syms[w].id),
+                                            v, 1, cols))
 
     return _back_end(tg, machine, low, 1 if len(tiles0) > 1 else 0,
                      maxlive=0, loop_mode=1)

@@ -139,7 +139,9 @@ class AsmError(IsaError):
 
 @dataclass(frozen=True)
 class Instruction:
-    """One decoded instruction; a/b/c are the three 12-bit operand fields."""
+    """One instruction; a/b/c are the three 12-bit operand fields. The
+    compiler's instructions hold a regalloc.VReg or regalloc.Mem there
+    until registers and tile memory are assigned."""
     op: str
     sub: int = 0
     a: int = 0
@@ -208,9 +210,10 @@ def alui_immediate(op, field):
 
 
 def registers(i):
-    """The register operands of an Instruction or a LowInstr, in assembly
-    order, as (operand, words, written). A range spans max(1, w) words, a
-    single register 1. mvm's fixed XbarIn/XbarOut traffic is not listed."""
+    """The register operands of an Instruction, in assembly order, as
+    (operand, words, written); before register allocation an operand may be
+    a regalloc.VReg. A range spans max(1, w) words, a single register 1.
+    mvm's fixed XbarIn/XbarOut traffic is not listed."""
     wide = i.w if i.w > 1 else 1      # max(1, w); this runs per instruction
     out = []
     for slot, vector, written, binary in ISA[i.op].registers:

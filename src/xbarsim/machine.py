@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .crossbar import slices_for_bits
 from .fixedpoint import DEFAULT_FRAC_BITS
-from .isa import INSTR_BYTES, RegisterSpace
+from .isa import INSTR_BYTES, IsaError, RegisterSpace
 
 
 class ConfigError(Exception):
@@ -85,12 +85,18 @@ class MachineConfig:
                 raise ConfigError(f"power.{k} must be >= 0")
         if self.mvmus_per_core > 5:
             raise ConfigError("mvmu mask lives in the 5-bit subop field")
-        slices_for_bits(self.bits_per_device)
+        try:
+            slices_for_bits(self.bits_per_device)
+        except ValueError as e:
+            raise ConfigError(f"bits_per_device: {e}") from e
         if not 0 <= self.frac_bits <= 15:
             raise ConfigError("frac_bits must be in [0, 15]")
         if self.dmem_words > 4096:
             raise ConfigError("dmem_words beyond 12-bit address operands")
-        self.regspace()  # raises if the register space overflows 12 bits
+        try:
+            self.regspace()
+        except IsaError as e:
+            raise ConfigError(f"register_size: {e}") from e
 
     @property
     def general_regs(self):

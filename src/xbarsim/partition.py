@@ -556,7 +556,7 @@ def evaluate_tiled(tg, graph, inputs, luts=None):
             vals[n.id] = full[n.block * d: n.block * d + n.length]
         elif n.kind == "const":
             vals[n.id] = np.asarray(n.words, dtype=np.int64)
-    for nid in (t for u in linearize(tg).units for t in u.members):
+    for nid in (t for u in linearize(tg).units for t in u):
         n = tg.tnodes[nid]
         args = [vals[i] for i in n.inputs]
         if n.kind == "mvm":

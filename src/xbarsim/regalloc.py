@@ -6,21 +6,51 @@ scan with first-fit placement; when pressure exceeds the register file the
 value with the furthest last use is spilled to a tile-memory slot, its
 definition followed by a store and each use preceded by a reload.
 
+Instructions here are `isa.Instruction`s whose register fields may hold a
+`VReg` and whose address fields may hold a `Mem`; the compiler resolves
+both to plain ints once registers and tile memory are assigned.
+
 XbarIn/XbarOut registers are fixed per-MVMU ranges: lowering always moves
 values through general registers with an explicit copy around each MVM, so
-xbar-class live ranges never conflict by construction; their liveness is
-still computed for reporting.
+xbar-class live ranges never conflict by construction and need no
+allocation.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
-from .isa import fired_mvmus, registers
-from .lowir import LowInstr, Mem, VReg, reads_writes
+from .isa import Instruction, registers
 
 
 class RegAllocError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class VReg:
+    """Virtual register range reference (base of value `v`, plus offset)."""
+    v: int
+    off: int = 0
+
+    def __add__(self, off):
+        return VReg(self.v, self.off + off)
+
+
+@dataclass(frozen=True)
+class Mem:
+    """Tile-memory reference: symbol id plus word offset."""
+    sym: int
+    off: int = 0
+
+
+def reads_writes(li):
+    """Register ranges (operand, width) read and written by one
+    instruction, as (reads, writes): isa.registers split by direction
+    (mvm's fixed XbarIn/XbarOut traffic is not included)."""
+    reads, writes = [], []
+    for opnd, words, written in registers(li):
+        (writes if written else reads).append((opnd, words))
+    return reads, writes
 
 
 @dataclass
@@ -175,24 +205,24 @@ def _rewrite_spills(instrs, to_spill, slot_of, next_vreg):
         for opnd, w in reads:
             if isinstance(opnd, VReg) and opnd.v in to_spill:
                 fresh = next_vreg()
-                pre.append(LowInstr("load", 0, VReg(fresh),
-                                    Mem(slot_of[opnd.v], opnd.off), 0, w))
+                pre.append(Instruction("load", 0, VReg(fresh),
+                                       Mem(slot_of[opnd.v], opnd.off), 0, w))
                 repl[opnd] = VReg(fresh)
         for opnd, w in writes:
             if isinstance(opnd, VReg) and opnd.v in to_spill:
                 fresh = next_vreg()
                 repl[opnd] = VReg(fresh)
                 if reload_counts[opnd.v]:
-                    post.append(LowInstr("store", 0,
-                                         Mem(slot_of[opnd.v], opnd.off),
-                                         VReg(fresh), reload_counts[opnd.v], w))
+                    post.append(Instruction(
+                        "store", 0, Mem(slot_of[opnd.v], opnd.off),
+                        VReg(fresh), reload_counts[opnd.v], w))
 
         def swap(x):
             return repl.get(x, x)
 
         out.extend(pre)
-        out.append(LowInstr(li.op, li.sub, swap(li.a), swap(li.b), swap(li.c),
-                            li.w))
+        out.append(Instruction(li.op, li.sub, swap(li.a), swap(li.b),
+                               swap(li.c), li.w))
         out.extend(post)
     return out
 
@@ -206,7 +236,7 @@ def allocate(instrs, machine, mk_spill_symbol):
     total = rs.general_regs
     vmax = 0
     for li in instrs:
-        for opnd in li.operands():
+        for opnd in (li.a, li.b, li.c):
             if isinstance(opnd, VReg):
                 vmax = max(vmax, opnd.v + 1)
     next_vreg = itertools.count(vmax).__next__
@@ -253,40 +283,3 @@ def audit(instrs, result):
             if time_overlap and space_overlap:
                 return False
     return True
-
-
-def xbar_liveness(final_instrs, regspace):
-    """XbarIn/XbarOut live intervals on encodable instructions, for the
-    register-pressure report: a fill is live until its MVM fires; an MVM's
-    outputs are live until their last non-MVM read."""
-    d = regspace.xbar_dim
-    fills = {}      # mvmu -> fill position
-    outs = {}       # mvmu -> definition position
-    intervals = {"xbar_in": [], "xbar_out": []}
-    for pos, i in enumerate(final_instrs):
-        for mvmu in fired_mvmus(i, regspace.mvmus):
-            if mvmu in fills:
-                intervals["xbar_in"].append((fills.pop(mvmu), pos, d))
-            if mvmu in outs:
-                intervals["xbar_out"].append((outs[mvmu], pos - 1, d))
-            outs[mvmu] = pos
-        for opnd, _words, written in registers(i):
-            cls = regspace.class_of(opnd)
-            if cls == "xbar_in" and written:
-                fills.setdefault((opnd - regspace.xbar_in_base) // d, pos)
-            if cls == "xbar_out" and not written:
-                mvmu = (opnd - regspace.xbar_out_base) // d
-                if mvmu in outs:
-                    intervals["xbar_out"].append((outs[mvmu], pos, d))
-    peak = {}
-    for cls, iv in intervals.items():
-        events = []
-        for lo, hi, size in iv:
-            events.append((lo, size))
-            events.append((hi + 1, -size))
-        live = mx = 0
-        for _, delta in sorted(events):
-            live += delta
-            mx = max(mx, live)
-        peak[cls] = mx
-    return intervals, peak

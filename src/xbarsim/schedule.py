@@ -27,13 +27,9 @@ UNSCHEDULED = ("input", "const")
 
 
 @dataclass
-class Unit:
-    members: list              # ascending tnode ids; >1 only for coalesced MVMs
-
-
-@dataclass
 class LinearSchedule:
-    units: list                # global order (list of Unit)
+    units: list                # global order; each unit is its ascending
+                               # tnode ids, >1 only for coalesced MVMs
     actor_seq: dict = field(default_factory=dict)  # (tile, core) -> [unit idx]
     coalesce_groups: int = 0
     maxlive: int = 0
@@ -283,11 +279,11 @@ def linearize(tg, groups=None, naive=False):
     ids = sorted(members)
     order = _kahn_fifo(ids, dg.preds, dg.succs) if naive \
         else _rpo_order(ids, dg.preds, dg.succs)
-    sched = LinearSchedule(units=[Unit(members[i]) for i in order])
+    sched = LinearSchedule(units=[members[i] for i in order])
     sched.coalesce_groups = sum(1 for m in members.values() if len(m) > 1)
     sched.maxlive = max_live(order, dg.preds, dg.succs)
     for gi, u in enumerate(sched.units):
-        actor = tg.tnodes[u.members[0]].place
+        actor = tg.tnodes[u[0]].place
         sched.actor_seq.setdefault(actor, []).append(gi)
     return sched
 

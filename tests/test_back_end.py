@@ -29,11 +29,15 @@ def test_register_file_overflow_is_a_compile_error_naming_the_actor(
         compile_model(g, MachineConfig(register_size=32), opts)
 
 
-def test_loop_mode_fills_xbar_maxlive():
-    g, _ = models.build_example("conv_loop")
-    _, report = compile_model(g, models.default_config_for("conv_loop"), LOOP)
-    assert report.xbar_maxlive["xbar_in"] > 0
-    assert report.xbar_maxlive["xbar_out"] > 0
+@pytest.mark.parametrize("opts", [CompileOptions(), LOOP],
+                         ids=["unrolled", "loop"])
+def test_a_model_in_another_fixed_point_format_is_a_compile_error(opts):
+    g = gr.ModelGraph(frac_bits=10)
+    g.output("y", g.mvm(g.const_matrix(np.eye(4) * 0.5), g.input("x", 4)))
+    g.freeze()
+    with pytest.raises(CompileError, match=r"^the model has 10 fraction bits, "
+                                           r"the machine 12$"):
+        compile_model(g, MachineConfig(tiles=1), opts)
 
 
 @pytest.mark.parametrize("name, opts", [("conv_loop", LOOP),

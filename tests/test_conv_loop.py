@@ -69,6 +69,14 @@ def _read_twice(g, i, p):
     g.output(f"q{i}", p)
 
 
+def _and_the_image_plus_a_quarter(g, i, p):
+    """Pixel outputs plus one output outside the windowed layer, read
+    straight from the image (node 0)."""
+    g.output(f"p{i}", p)
+    if i == 0:
+        g.output("extra", g.alu_imm("add", gr.NodeRef(g, 0), 0.25))
+
+
 def _conv(**kw):
     return models.conv_model(side=4, pixel_outputs=True, **kw)[0]
 
@@ -84,13 +92,16 @@ def _conv(**kw):
      MachineConfig(), "bias must be a constant vector"),
     (lambda: models.conv_model()[0], MachineConfig(),
      "chains must end at model outputs"),
+    (lambda: _conv4(_and_the_image_plus_a_quarter), MachineConfig(tiles=2),
+     "^loop mode cannot produce outputs outside the windowed layer: extra$"),
     (lambda: _conv(filters=16), MachineConfig(xbar_dim=8),
      "supports a single output block"),
     (lambda: _conv(channels=2, filters=2),
      MachineConfig(xbar_dim=8, mvmus_per_core=2),
      "window rows exceed one core's MVMUs"),
 ], ids=["two_cores", "no_windows", "read_twice", "computed_bias",
-        "flat_output", "two_column_blocks", "three_row_tiles"])
+        "flat_output", "output_outside_the_layer", "two_column_blocks",
+        "three_row_tiles"])
 def test_what_loop_mode_cannot_compile_is_named(build, cfg, message):
     with pytest.raises(CompileError, match=message):
         compile_model(build(), cfg, LOOP)

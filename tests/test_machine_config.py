@@ -22,6 +22,8 @@ def _case(message, **overrides):
     _case("^mvm_cycles must be >= 1$", mvm_cycles=-1),
     _case("5-bit subop field", mvmus_per_core=6),
     _case("frac_bits", frac_bits=16),
+    _case("^bits_per_device: ", bits_per_device=3),
+    _case("^register_size: register space 4512 exceeds", register_size=4000),
     _case("dmem_words", dmem_words=4097),
     *(_case(f"^{name} must be >= 0$", **{name: value})
       for name, value in (("register_size", -1), ("adc_bits", -3),

@@ -3,17 +3,18 @@ import pytest
 
 from xbarsim import fixedpoint as fp, graph as gr, isa, layers, regalloc
 from xbarsim.compiler import compile_model
-from xbarsim.lowir import LowInstr, Mem, VReg
+from xbarsim.isa import Instruction
 from xbarsim.machine import MachineConfig
+from xbarsim.regalloc import Mem, VReg
 from xbarsim.simulator import Machine, run
 
 
 def test_liveness_range_ends_at_last_use():
     # a = load; b = a + a: a's range ends at the add
     seq = [
-        LowInstr("load", 0, VReg(0), Mem(0), 0, 4),
-        LowInstr("alu", isa.ALU_OPS["add"], VReg(1), VReg(0), VReg(0), 4),
-        LowInstr("store", 0, Mem(1), VReg(1), 1, 4),
+        Instruction("load", 0, VReg(0), Mem(0), 0, 4),
+        Instruction("alu", isa.ALU_OPS["add"], VReg(1), VReg(0), VReg(0), 4),
+        Instruction("store", 0, Mem(1), VReg(1), 1, 4),
     ]
     ranges = regalloc.compute_liveness(seq)
     assert ranges[0].start == 0 and ranges[0].end == 1
@@ -22,7 +23,7 @@ def test_liveness_range_ends_at_last_use():
 
 
 def test_use_before_def_is_an_error():
-    seq = [LowInstr("store", 0, Mem(0), VReg(5), 1, 2)]
+    seq = [Instruction("store", 0, Mem(0), VReg(5), 1, 2)]
     with pytest.raises(regalloc.RegAllocError, match="before definition"):
         regalloc.compute_liveness(seq)
 
@@ -41,12 +42,14 @@ def _alloc(seq, general, **kw):
 
 
 def _chain(n, width):
-    seq = [LowInstr("load", 0, VReg(k), Mem(k), 0, width) for k in range(n)]
+    seq = [Instruction("load", 0, VReg(k), Mem(k), 0, width) for k in range(n)]
     acc = VReg(n)
-    seq.append(LowInstr("alu", isa.ALU_OPS["add"], acc, VReg(0), VReg(1), width))
+    seq.append(Instruction("alu", isa.ALU_OPS["add"], acc, VReg(0), VReg(1),
+                           width))
     for k in range(2, n):
-        seq.append(LowInstr("alu", isa.ALU_OPS["add"], acc, acc, VReg(k), width))
-    seq.append(LowInstr("store", 0, Mem(99), acc, 1, width))
+        seq.append(Instruction("alu", isa.ALU_OPS["add"], acc, acc, VReg(k),
+                               width))
+    seq.append(Instruction("store", 0, Mem(99), acc, 1, width))
     return seq
 
 
@@ -89,12 +92,12 @@ def test_value_that_cannot_fit_beside_unspillable_values_is_an_error():
     """v0 is written, stored and written again, so it cannot spill; v1 is
     defined while v0 is live and does not fit beside it. Spilling v1 would
     leave its definition with the same problem, so allocation stops."""
-    seq = [LowInstr("load", 0, VReg(0), Mem(0), 0, 6),
-           LowInstr("store", 0, Mem(1), VReg(0), 1, 6),
-           LowInstr("load", 0, VReg(0), Mem(2), 0, 6),
-           LowInstr("load", 0, VReg(1), Mem(3), 0, 4),
-           LowInstr("store", 0, Mem(4), VReg(0), 1, 6),
-           LowInstr("store", 0, Mem(5), VReg(1), 1, 4)]
+    seq = [Instruction("load", 0, VReg(0), Mem(0), 0, 6),
+           Instruction("store", 0, Mem(1), VReg(0), 1, 6),
+           Instruction("load", 0, VReg(0), Mem(2), 0, 6),
+           Instruction("load", 0, VReg(1), Mem(3), 0, 4),
+           Instruction("store", 0, Mem(4), VReg(0), 1, 6),
+           Instruction("store", 0, Mem(5), VReg(1), 1, 4)]
     assert not regalloc.compute_liveness(seq)[0].spillable()
     with pytest.raises(regalloc.RegAllocError, match=r"^v1 \(4 words\) does "
                        r"not fit beside values that cannot spill$"):
@@ -103,11 +106,11 @@ def test_value_that_cannot_fit_beside_unspillable_values_is_an_error():
 
 def _assembled(second_off=2, read_between=False):
     """v0 built by two 2-word copies from v1, then read whole."""
-    seq = [LowInstr("load", 0, VReg(1), Mem(0), 0, 2),
-           LowInstr("copy", 0, VReg(0), VReg(1), 0, 2)]
+    seq = [Instruction("load", 0, VReg(1), Mem(0), 0, 2),
+           Instruction("copy", 0, VReg(0), VReg(1), 0, 2)]
     if read_between:
-        seq.append(LowInstr("store", 0, Mem(1), VReg(0), 1, 2))
-    seq.append(LowInstr("copy", 0, VReg(0, second_off), VReg(1), 0, 2))
+        seq.append(Instruction("store", 0, Mem(1), VReg(0), 1, 2))
+    seq.append(Instruction("copy", 0, VReg(0, second_off), VReg(1), 0, 2))
     return seq
 
 
@@ -115,17 +118,18 @@ def test_value_assembled_piecewise_spills_with_a_store_per_write():
     # two 4-word values and their 4-word sum leave no room for v0 on a
     # 12-word file, and v0 is the active value with the furthest use
     seq = _assembled() + [
-        LowInstr("load", 0, VReg(2), Mem(2), 0, 4),
-        LowInstr("load", 0, VReg(3), Mem(3), 0, 4),
-        LowInstr("alu", isa.ALU_OPS["add"], VReg(4), VReg(2), VReg(3), 4),
-        LowInstr("store", 0, Mem(4), VReg(4), 1, 4),
-        LowInstr("store", 0, Mem(5), VReg(0), 1, 4),
+        Instruction("load", 0, VReg(2), Mem(2), 0, 4),
+        Instruction("load", 0, VReg(3), Mem(3), 0, 4),
+        Instruction("alu", isa.ALU_OPS["add"], VReg(4), VReg(2), VReg(3), 4),
+        Instruction("store", 0, Mem(4), VReg(4), 1, 4),
+        Instruction("store", 0, Mem(5), VReg(0), 1, 4),
     ]
     assert len(regalloc.compute_liveness(seq)[0].writes) == 2
     res, slots = _alloc(seq, general=12)
     assert res.spill_count == 1 and slots == [4]
     slot = [li for li in res.instrs
-            if any(isinstance(f, Mem) and f.sym == 101 for f in li.operands())]
+            if any(isinstance(f, Mem) and f.sym == 101
+                   for f in (li.a, li.b, li.c))]
     # (op, slot operand, store count, words)
     assert [(li.op, li.a, li.c, li.w) if li.op == "store"
             else (li.op, li.b, li.c, li.w) for li in slot] == [
@@ -190,35 +194,3 @@ def test_compiled_spill_count_monotone_in_register_size():
             assert rep.spill_count >= prev
         prev = rep.spill_count
     assert prev > 0
-
-
-def test_xbar_liveness_two_fused_mvms():
-    """A coalesced 2-MVMU instruction holds 2*D XbarOut values live."""
-    rng = np.random.default_rng(1)
-    g = gr.ModelGraph()
-    x = g.input("x", 8)
-    out = g.mvm(g.const_matrix(rng.uniform(-0.3, 0.3, (8, 4))), x)
-    g.output("y", out)
-    g.freeze()
-    cfg = MachineConfig(xbar_dim=4, mvmus_per_core=2, cores_per_tile=2,
-                        tiles=1, dmem_words=512)
-    prog, _ = compile_model(g, cfg)
-    seg = next(s for s in prog.segments
-               if any(i.op == "mvm" for i in s.instrs))
-    intervals, peak = regalloc.xbar_liveness(seg.instrs, cfg.regspace())
-    assert peak["xbar_out"] == 2 * cfg.xbar_dim
-    assert peak["xbar_in"] == 2 * cfg.xbar_dim
-
-
-def test_xbar_liveness_reads_no_immediate_as_a_register():
-    """alui's immediate 300 is a number, not XbarOut register 300."""
-    peaks = []
-    for imm in (300, 5):
-        g = gr.ModelGraph()
-        x = g.input("x", 128)
-        y = g.mvm(g.const_matrix(np.eye(128) * 0.5), x)
-        g.output("y", g.alu_imm("add", g.alu_imm("add", y, imm), imm))
-        g.freeze()
-        _, rep = compile_model(g, MachineConfig(tiles=1))
-        peaks.append(rep.xbar_maxlive["xbar_out"])
-    assert peaks == [128, 128]

@@ -26,10 +26,10 @@ def _prepared(g, m):
 def _topo_ok(tg, sched):
     pos = {}
     for i, u in enumerate(sched.units):
-        for t in u.members:
+        for t in u:
             pos[t] = i
     for u in sched.units:
-        for t in u.members:
+        for t in u:
             for i in tg.tnodes[t].inputs:
                 if tg.tnodes[i].kind in schedule.UNSCHEDULED:
                     continue
@@ -48,7 +48,7 @@ def test_chain_linearizes_in_order():
     m = tiny_machine()
     tg = _prepared(g, m)
     sched = schedule.linearize(tg)
-    kinds = [tg.tnodes[u.members[0]].kind for u in sched.units]
+    kinds = [tg.tnodes[u[0]].kind for u in sched.units]
     acts = [k for k in kinds if k == "act"]
     assert acts == ["act"] * 3
     _topo_ok(tg, sched)
@@ -147,7 +147,7 @@ def test_global_order_embeds_actor_orders():
     for actor, seq in sched.actor_seq.items():
         assert seq == sorted(seq)
         for gi in seq:
-            assert tg.tnodes[sched.units[gi].members[0]].place == actor
+            assert tg.tnodes[sched.units[gi][0]].place == actor
 
 
 def test_cycle_detection():
