@@ -20,12 +20,12 @@ print("\n== bit slicing: 8 crossbars of 2-bit devices ==")
 w = np.array([[fp.quantize(0.75), fp.quantize(-0.5)]])
 sliced = xb.slice_weights(w)
 for i, digits in enumerate(sliced.slices):
-    print(f"  slice {i} (weight 4^{i}): digits {digits.tolist()}")
+    print(f"  slice {i} (weight 4^{i}): digits {digits.astype(int).tolist()}")
 print(f"  reconstructed raw: {sliced.reconstruct_raw().tolist()} == {w.tolist()}")
 
 print("\n== write noise perturbs stored conductances ==")
 noisy = xb.apply_write_noise(sliced, sigma=0.05, seed=7)
-print(f"  slice 7 before: {sliced.slices[7].tolist()}")
+print(f"  slice 7 before: {sliced.slices[7].astype(int).tolist()}")
 print(f"  slice 7 after:  {np.round(noisy.slices[7], 3).tolist()}")
 
 print("\n== crossbar MVM: ideal vs ADC-quantized vs noisy ==")

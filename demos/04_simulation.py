@@ -33,7 +33,7 @@ cfg = MachineConfig(xbar_dim=4, mvmus_per_core=2, cores_per_tile=2, tiles=1,
                     dmem_words=256)
 rs = cfg.regspace()
 prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core, cfg.cores_per_tile,
-                         cfg.tiles, cfg.frac_bits, cfg.bits_per_device)
+                         cfg.tiles, cfg.frac_bits)
 prog.segments.append(container.Segment(0, 0, [
     isa.seti(rs.general(0), 1), isa.store(64, rs.general(0), 1, 1),
     isa.seti(rs.general(0), 2), isa.store(64, rs.general(0), 1, 1)]))
@@ -48,7 +48,7 @@ print(f"  consumer read {int(m.cores[(0, 1)].regs[rs.general(1)])} then "
 
 print("\n== a deadlock, diagnosed ==")
 prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core, cfg.cores_per_tile,
-                         2, cfg.frac_bits, cfg.bits_per_device)
+                         2, cfg.frac_bits)
 for t, other in ((0, 1), (1, 0)):
     prog.segments.append(container.Segment(t, container.TILE_UNIT, [
         isa.recv(1, 0, 1, 1), isa.send(0, 0, other, 1)]))

@@ -142,9 +142,9 @@ SWEEP_AXES = ("vfu_lanes", "mvmus_per_core", "crossbar_dim", "register_size",
 
 
 # The config fields the compiler never reads: they change the chip a
-# program runs on, not the program. bits_per_device stays in the key, as
-# the container header records it.
-RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw")
+# program runs on, not the program.
+RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw",
+                   "bits_per_device")
 _compile_key = operator.attrgetter(*(f.name for f in fields(MachineConfig)
                                      if f.name not in RUN_ONLY_FIELDS))
 _opts_key = operator.attrgetter(*(f.name for f in fields(CompileOptions)))

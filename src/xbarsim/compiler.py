@@ -337,7 +337,7 @@ def _assign_memory(tg, machine):
 def _emit_container(tg, machine, code, bases, meta):
     prog = container.Program(machine.xbar_dim, machine.mvmus_per_core,
                              machine.cores_per_tile, machine.tiles,
-                             machine.frac_bits, machine.bits_per_device)
+                             machine.frac_bits)
 
     for actor in sorted(code):
         base = bases.get(actor)

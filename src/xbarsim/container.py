@@ -18,7 +18,7 @@ import numpy as np
 from . import isa
 
 MAGIC = b"PUMA"
-VERSION = 1
+VERSION = 2
 TILE_UNIT = 0xFFFF  # core-id marker for a tile's send/receive sequence
 
 
@@ -39,7 +39,7 @@ class ContainerError(Exception):
 class Segment:
     tile: int
     core: int          # TILE_UNIT for the tile sequencer
-    instrs: list
+    instrs: list = field(repr=False)
 
 
 @dataclass
@@ -47,7 +47,7 @@ class WeightBlock:
     tile: int
     core: int
     mvmu: int
-    w_raw: np.ndarray  # rows x cols raw int64 weights
+    w_raw: np.ndarray = field(repr=False)  # rows x cols raw int64
 
 
 @dataclass
@@ -57,7 +57,7 @@ class ShufflePattern:
     mvmu: int
     filt: int
     stride: int
-    perm: list         # DAC row r reads XbarIn slot perm[r]
+    perm: list = field(repr=False)  # DAC row r reads XbarIn slot perm[r]
 
 
 @dataclass
@@ -65,7 +65,7 @@ class DataBlock:
     tile: int
     addr: int
     count: int         # consumer count installed with the words
-    words: list
+    words: list = field(repr=False)
 
 
 @dataclass
@@ -93,14 +93,13 @@ class Program:
     cores_per_tile: int
     tiles: int
     frac_bits: int
-    bits_per_device: int
-    segments: list = field(default_factory=list)
-    weights: list = field(default_factory=list)
-    patterns: list = field(default_factory=list)
-    data: list = field(default_factory=list)
-    io: list = field(default_factory=list)
-    regions: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    segments: list = field(default_factory=list, repr=False)
+    weights: list = field(default_factory=list, repr=False)
+    patterns: list = field(default_factory=list, repr=False)
+    data: list = field(default_factory=list, repr=False)
+    io: list = field(default_factory=list, repr=False)
+    regions: list = field(default_factory=list, repr=False)
+    meta: dict = field(default_factory=dict, repr=False)
 
     def static_histogram(self):
         hist = Counter()
@@ -124,6 +123,45 @@ def _pack_str(s):
     return struct.pack("<H", len(raw)) + raw
 
 
+def _pack_segment(s):
+    return (struct.pack("<HHI", s.tile, s.core, len(s.instrs))
+            + isa.encode_program(s.instrs))
+
+
+def _pack_weights(wb):
+    w = np.asarray(wb.w_raw)
+    words = w.astype("<i2")
+    if w.ndim != 2 or np.any(words != w):
+        raise ContainerError(f"tile {wb.tile} core {wb.core} mvmu "
+                             f"{wb.mvmu}: weights are not 2-D int16 "
+                             f"integers")
+    return struct.pack("<HHBHH", wb.tile, wb.core, wb.mvmu,
+                       *w.shape) + words.tobytes()
+
+
+def _pack_pattern(p):
+    return struct.pack(f"<HHBHHH{len(p.perm)}H", p.tile, p.core, p.mvmu,
+                       p.filt, p.stride, len(p.perm), *p.perm)
+
+
+def _pack_data(d):
+    return struct.pack(f"<HHHH{len(d.words)}h", d.tile, d.addr, d.count,
+                       len(d.words), *[int(w) for w in d.words])
+
+
+def _pack_io(b):
+    return (struct.pack("<B", 0 if b.kind == "in" else 1) + _pack_str(b.name)
+            + struct.pack("<HHHH", b.tile, b.addr, b.length, b.count))
+
+
+def _pack_region(r):
+    return struct.pack("<HHHB", r.tile, r.lo, r.hi, REGION_KINDS.index(r.kind))
+
+
+def _pack_meta(item):
+    return _pack_str(item[0]) + struct.pack("<q", int(item[1]))
+
+
 class _Reader:
     def __init__(self, blob):
         self.blob = blob
@@ -145,47 +183,27 @@ class _Reader:
 
 
 def save(prog):
-    """Program -> container bytes."""
-    out = [MAGIC, struct.pack("<B", VERSION)]
-    out.append(struct.pack("<HBBHBB", prog.xbar_dim, prog.mvmus_per_core,
-                           prog.cores_per_tile, prog.tiles, prog.frac_bits,
-                           prog.bits_per_device))
-    out.append(struct.pack("<H", len(prog.segments)))
-    for s in prog.segments:
-        out.append(struct.pack("<HHI", s.tile, s.core, len(s.instrs)))
-        out.append(isa.encode_program(s.instrs))
-    out.append(struct.pack("<H", len(prog.weights)))
-    for wb in prog.weights:
-        w = np.asarray(wb.w_raw)
-        words = w.astype("<i2")
-        if w.ndim != 2 or np.any(words != w):
-            raise ContainerError(f"tile {wb.tile} core {wb.core} mvmu "
-                                 f"{wb.mvmu}: weights are not 2-D int16 "
-                                 f"integers")
-        out.append(struct.pack("<HHBHH", wb.tile, wb.core, wb.mvmu, *w.shape))
-        out.append(words.tobytes())
-    out.append(struct.pack("<H", len(prog.patterns)))
-    for p in prog.patterns:
-        out.append(struct.pack("<HHBHHH", p.tile, p.core, p.mvmu, p.filt,
-                               p.stride, len(p.perm)))
-        out.append(struct.pack(f"<{len(p.perm)}H", *p.perm))
-    out.append(struct.pack("<H", len(prog.data)))
-    for d in prog.data:
-        out.append(struct.pack("<HHHH", d.tile, d.addr, d.count, len(d.words)))
-        out.append(struct.pack(f"<{len(d.words)}h", *[int(w) for w in d.words]))
-    out.append(struct.pack("<H", len(prog.io)))
-    for b in prog.io:
-        out.append(struct.pack("<B", 0 if b.kind == "in" else 1))
-        out.append(_pack_str(b.name))
-        out.append(struct.pack("<HHHH", b.tile, b.addr, b.length, b.count))
-    out.append(struct.pack("<H", len(prog.regions)))
-    for r in prog.regions:
-        out.append(struct.pack("<HHHB", r.tile, r.lo, r.hi,
-                               REGION_KINDS.index(r.kind)))
-    out.append(struct.pack("<H", len(prog.meta)))
-    for k in sorted(prog.meta):
-        out.append(_pack_str(k))
-        out.append(struct.pack("<q", int(prog.meta[k])))
+    """Program -> container bytes. A value that does not fit its field
+    raises ContainerError naming its record; the Program names the header
+    and the record counts."""
+    sections = ((prog.segments, _pack_segment), (prog.weights, _pack_weights),
+                (prog.patterns, _pack_pattern), (prog.data, _pack_data),
+                (prog.io, _pack_io), (prog.regions, _pack_region),
+                (sorted(prog.meta.items()), _pack_meta))
+    out = [MAGIC]
+    rec = prog
+    try:
+        out.append(struct.pack("<BHBBHB", VERSION, prog.xbar_dim,
+                               prog.mvmus_per_core, prog.cores_per_tile,
+                               prog.tiles, prog.frac_bits))
+        for records, pack in sections:
+            rec = prog
+            out.append(struct.pack("<H", len(records)))
+            for rec in records:
+                out.append(pack(rec))
+    except struct.error as e:
+        raise ContainerError(f"{rec!r}: a value does not fit its field "
+                             f"({e})") from None
     return b"".join(out)
 
 
@@ -197,8 +215,7 @@ def loads(blob):
     (version,) = r.unpack("<B")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    dim, mvmus, cores, tiles, frac, bits = r.unpack("<HBBHBB")
-    prog = Program(dim, mvmus, cores, tiles, frac, bits)
+    prog = Program(*r.unpack("<HBBHB"))
     (nseg,) = r.unpack("<H")
     for _ in range(nseg):
         tile, core, n = r.unpack("<HHI")

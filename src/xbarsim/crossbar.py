@@ -32,10 +32,11 @@ def slices_for_bits(bits_per_device):
 class SlicedMatrix:
     """Per-device digit planes of one weight matrix on one MVMU.
 
-    w_raw is the programmed raw weight matrix (int64). slices[i] holds
-    digit i (least significant first) of the biased weights; digits are
-    ints in [0, 2^b - 1] before noise and real-valued conductances after.
-    Planes not given at construction are built on first read of slices.
+    w_raw is the programmed raw weight matrix (int64). slices is one
+    float64 (slices, rows, cols) array whose plane i holds digit i (least
+    significant first) of the biased weights: integers in [0, 2^b - 1]
+    before noise and real-valued conductances after. Without planes at
+    construction they are built on first read of slices.
     """
 
     def __init__(self, w_raw, slices=None, bits_per_device=2, noise_sigma=0.0):
@@ -49,9 +50,9 @@ class SlicedMatrix:
     def slices(self):
         if self._slices is None:
             b = self.bits_per_device
-            biased = self.w_raw + WEIGHT_BIAS
-            self._slices = [(biased >> (b * i)) & ((1 << b) - 1)
-                            for i in range(slices_for_bits(b))]
+            shifts = b * np.arange(slices_for_bits(b))[:, None, None]
+            digits = ((self.w_raw + WEIGHT_BIAS) >> shifts) & ((1 << b) - 1)
+            self._slices = digits.astype(np.float64)
         return self._slices
 
     @property
@@ -60,11 +61,9 @@ class SlicedMatrix:
 
     def reconstruct_raw(self):
         """Shift-and-add the (noise-free) digits back to signed raw weights."""
-        radix = 1 << self.bits_per_device
-        acc = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, digits in enumerate(self.slices):
-            acc += np.asarray(np.rint(digits), dtype=np.int64) * (radix ** i)
-        return acc - WEIGHT_BIAS
+        place = (1 << self.bits_per_device) ** np.arange(self.num_slices)
+        digits = np.rint(self.slices).astype(np.int64)
+        return np.tensordot(place, digits, axes=1) - WEIGHT_BIAS
 
 
 def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
@@ -93,19 +92,18 @@ def apply_write_noise(m, sigma, seed):
     """Gaussian conductance write noise, applied once at configuration time.
 
     Each stored digit g becomes clamp(g + eps, 0, g_range) with
-    eps ~ Normal(0, sigma * g_range). Deterministic for a fixed seed.
+    eps ~ Normal(0, sigma * g_range), drawn plane after plane from one
+    generator. Deterministic for a fixed seed.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0:
-        return SlicedMatrix(m.w_raw, [s.copy() for s in m.slices],
-                            m.bits_per_device)
-    rng = np.random.default_rng(seed)
+        return SlicedMatrix(m.w_raw, m.slices.copy(), m.bits_per_device)
     g_range = (1 << m.bits_per_device) - 1
-    noisy = []
-    for digits in m.slices:
-        eps = rng.normal(0.0, sigma * g_range, size=digits.shape)
-        noisy.append(np.clip(np.asarray(digits, np.float64) + eps, 0.0, g_range))
+    noisy = np.random.default_rng(seed).normal(0.0, sigma * g_range,
+                                               size=m.slices.shape)
+    noisy += m.slices
+    np.clip(noisy, 0.0, g_range, out=noisy)
     return SlicedMatrix(m.w_raw, noisy, m.bits_per_device, sigma)
 
 
@@ -144,13 +142,15 @@ def crossbar_mvm(m, x_raw, adc_bits=None, frac_bits=DEFAULT_FRAC_BITS, xbar_dim=
 
     radix = 1 << m.bits_per_device
     full_scale = float(xbar_dim * (radix - 1) * WEIGHT_BIAS)
-    x = np.ascontiguousarray(x_raw, dtype=np.float64)[..., None, :]
+    # one batched product: each lane's row times each plane, (..., 1, 1,
+    # rows) @ (slices, rows, cols) -> (..., slices, 1, cols)
+    x = np.asarray(x_raw, dtype=np.float64)[..., None, None, :]
+    planes = (x @ m.slices)[..., 0, :]
+    if adc_bits is not None:
+        planes = adc_transfer(planes, adc_bits, full_scale)
     combined = np.zeros(x_raw.shape[:-1] + (m.cols,), dtype=np.float64)
-    for i, digits in enumerate(m.slices):
-        s = (x @ np.asarray(digits, np.float64))[..., 0, :]
-        if adc_bits is not None:
-            s = adc_transfer(s, adc_bits, full_scale)
-        combined += s * float(radix ** i)
+    for i in range(m.num_slices):  # plane by plane fixes the sum order
+        combined += planes[..., i, :] * float(radix ** i)
     combined -= float(WEIGHT_BIAS) * x_raw.sum(axis=-1, keepdims=True)
     out = np.rint(combined / (1 << frac_bits))
     return np.clip(out, RAW_MIN, RAW_MAX).astype(np.int64)

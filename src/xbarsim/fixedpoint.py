@@ -212,13 +212,10 @@ class LutTable:
     interpolation).
     """
 
-    def __init__(self, name, frac_bits=DEFAULT_FRAC_BITS, bits=8, lo=None, hi=None):
+    def __init__(self, name, frac_bits=DEFAULT_FRAC_BITS, bits=8):
         if name not in LUT_FUNCTIONS:
             raise ValueError(f"unknown LUT function {name!r}")
-        if lo is None or hi is None:
-            lo, hi = LUT_DEFAULT_RANGES[name]
-        if not hi > lo:
-            raise ValueError("LUT range must be non-empty")
+        lo, hi = LUT_DEFAULT_RANGES[name]
         self.name = name
         self.frac_bits = frac_bits
         self.bits = bits

@@ -228,25 +228,9 @@ def coalesce_mvms(tg, machine):
 
 def check_groups_independent(tg, groups):
     """Dependence oracle: no member of a group may reach another member,
-    share a core boundary, or share an MVMU."""
-    succs = {n.id: [] for n in tg.tnodes}
-    for n in tg.tnodes:
-        for i in n.inputs:
-            succs[i].append(n.id)
-
-    def reaches(a, b):
-        stack = [a]
-        seen = set()
-        while stack:
-            x = stack.pop()
-            if x == b:
-                return True
-            for s in succs[x]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return False
-
+    share a core boundary, or share an MVMU. It walks a fresh dependence
+    graph, which no coalescing contraction has touched."""
+    reaches = _DepGraph(tg).reaches
     for g in groups:
         for i, a in enumerate(g):
             for b in g[i + 1:]:

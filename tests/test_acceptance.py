@@ -152,8 +152,7 @@ def test_criterion_5_deadlock_freedom_and_detection():
     # prevents; it must deadlock and be diagnosed on both tile units
     rs = cfg.regspace()
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     for t, other in ((0, 1), (1, 0)):
         prog.segments.append(container.Segment(t, 0, [
             isa.seti(rs.general(0), t), isa.store(0, rs.general(0), 1, 1)]))
@@ -180,8 +179,7 @@ def test_criterion_6_store_count_synchronization():
         segs.append(container.Segment(0, c, delay + [
             isa.load(rs.general(2), 100, 1)]))
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     prog.segments.extend(segs)
     m = Machine(cfg, prog)
     rep = run(m, {})
@@ -204,8 +202,7 @@ def test_criterion_7_fifo_per_source_ordering():
 
     def build():
         prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                                 cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                                 cfg.bits_per_device)
+                                 cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
         for src in (0, 1):
             core = []
             unit = []

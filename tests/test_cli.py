@@ -88,8 +88,7 @@ def test_run_exit_code_on_deadlock(tmp_path):
     cfg = MachineConfig(xbar_dim=4, mvmus_per_core=2, cores_per_tile=2,
                         tiles=2, dmem_words=256)
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     prog.segments.append(container.Segment(
         0, container.TILE_UNIT, [isa.recv(0, 0, 1, 1)]))
     binpath = tmp_path / "bad.bin"

@@ -23,8 +23,7 @@ W = np.eye(4, dtype=np.int64)
 
 def _program(segments=(), weights=((0, 0, 0), (0, 0, 1)), **blocks):
     prog = container.Program(CFG.xbar_dim, CFG.mvmus_per_core,
-                             CFG.cores_per_tile, CFG.tiles, CFG.frac_bits,
-                             CFG.bits_per_device)
+                             CFG.cores_per_tile, CFG.tiles, CFG.frac_bits)
     prog.segments.extend(segments)
     prog.weights.extend(container.WeightBlock(*at, W) for at in weights)
     for kind, items in blocks.items():

@@ -174,7 +174,7 @@ def test_register_space_exhaustive_partition_random_geometry():
 # ---------------------------------------------------------------------------
 
 def _tiny_program():
-    prog = container.Program(128, 2, 8, 2, 12, 2)
+    prog = container.Program(128, 2, 8, 2, 12)
     prog.segments.append(container.Segment(0, 0, [isa.seti(512, 1), isa.jmp(2)]))
     prog.segments.append(container.Segment(0, container.TILE_UNIT,
                                            [isa.send(10, 0, 1, 4)]))
@@ -232,6 +232,47 @@ def test_container_rejects_non_integer_weight_naming_the_mvmu():
     prog.weights[-1] = container.WeightBlock(0, 0, 0, [[3.0, -2.0]])
     back = container.loads(container.save(prog))
     assert back.weights[-1].w_raw.tolist() == [[3, -2]]
+
+
+@pytest.mark.parametrize("section, record, match", [
+    pytest.param("data", container.DataBlock(0, 0, 1, [40000]),
+                 r"DataBlock\(tile=0, addr=0, count=1\)", id="data-word"),
+    pytest.param("data", container.DataBlock(0, 70000, 1, [1]),
+                 r"DataBlock\(tile=0, addr=70000, ", id="data-addr"),
+    pytest.param("data", container.DataBlock(0, 0, 1 << 16, [1]),
+                 r"count=65536\)", id="data-count"),
+    pytest.param("patterns", container.ShufflePattern(0, 0, 0, 1, 0,
+                                                      [0, 1 << 16]),
+                 r"ShufflePattern\(tile=0, core=0, mvmu=0, filt=1, "
+                 r"stride=0\)", id="perm-entry"),
+    pytest.param("io", container.IoBinding("in", "x" * (1 << 16), 0, 0, 4, 1),
+                 r"IoBinding\(kind='in', name='xxx", id="io-name"),
+    pytest.param("io", container.IoBinding("out", "y", 0, -1, 4, 1),
+                 r"name='y', tile=0, addr=-1", id="io-addr"),
+    pytest.param("regions", container.Region(0, 0, 1 << 16, "spill"),
+                 r"Region\(tile=0, lo=0, hi=65536", id="region-end"),
+    pytest.param("segments", container.Segment(1 << 16, 0, []),
+                 r"Segment\(tile=65536, core=0\)", id="segment-tile"),
+])
+def test_container_names_the_record_whose_value_does_not_fit(section, record,
+                                                              match):
+    prog = _tiny_program()
+    getattr(prog, section).append(record)
+    with pytest.raises(container.ContainerError,
+                       match=match + r".*does not fit its field"):
+        container.save(prog)
+
+
+def test_container_names_the_header_and_meta_entry_that_do_not_fit():
+    prog = _tiny_program()
+    prog.mvmus_per_core = 256
+    with pytest.raises(container.ContainerError,
+                       match=r"Program\(xbar_dim=128, mvmus_per_core=256, "):
+        container.save(prog)
+    prog = _tiny_program()
+    prog.meta["huge"] = 1 << 63
+    with pytest.raises(container.ContainerError, match=r"\('huge', "):
+        container.save(prog)
 
 
 def test_container_static_histogram_sums_to_length():

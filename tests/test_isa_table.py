@@ -40,8 +40,7 @@ def every_opcode_program():
         isa.store(4, g(8), 1, 4),
     ]
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     prog.segments += [
         container.Segment(0, 0, core),
         container.Segment(0, container.TILE_UNIT, [isa.send(4, 0, 1, 4)]),

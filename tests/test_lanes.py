@@ -68,8 +68,7 @@ def _branch_program(cfg):
     """Core 0 loads input word x[0] and branches on it."""
     rs = cfg.regspace()
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     prog.segments.append(container.Segment(0, 0, [
         isa.load(rs.general(0), 0, 1),
         isa.seti(rs.general(1), 0),

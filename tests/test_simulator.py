@@ -26,8 +26,7 @@ def cfg_small(**kw):
 
 def empty_program(cfg, segments=()):
     prog = container.Program(cfg.xbar_dim, cfg.mvmus_per_core,
-                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits,
-                             cfg.bits_per_device)
+                             cfg.cores_per_tile, cfg.tiles, cfg.frac_bits)
     prog.segments.extend(segments)
     return prog
 

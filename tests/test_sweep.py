@@ -16,7 +16,8 @@ from xbarsim.machine import MachineConfig
 from xbarsim.partition import CompileError
 
 RUN_ONLY_VALUES = {"noise_sigma": 0.05, "seed": 7, "adc_bits": 9,
-                   "power_mw": dict(MachineConfig().power_mw, net=1.0)}
+                   "power_mw": dict(MachineConfig().power_mw, net=1.0),
+                   "bits_per_device": 4}
 
 
 def _model(name):
@@ -49,7 +50,7 @@ def test_run_only_fields_leave_the_program_unchanged(name):
 
 @pytest.mark.parametrize("axis, values, compiles", [
     ("noise_sigma", "0,0.01,0.02", 1),
-    ("bits_per_device", "2,4,2", 2),
+    ("bits_per_device", "2,4,2", 1),
 ])
 def test_a_sweep_compiles_once_per_distinct_program(tmp_path, monkeypatch,
                                                      axis, values, compiles):
