@@ -22,8 +22,8 @@ from . import fixedpoint as fp
 from . import graph as gr
 from . import models
 from .compiler import CompileOptions, compile_model
-from .machine import MachineConfig, load_config, parse_config
-from .simulator import Machine, run as sim_run
+from .machine import CHIP_FIELDS, MachineConfig, load_config, parse_config
+from .simulator import Chip, Machine, run as sim_run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -141,45 +141,41 @@ SWEEP_AXES = ("vfu_lanes", "mvmus_per_core", "crossbar_dim", "register_size",
               "noise_sigma", "bits_per_device")
 
 
-# The config fields the compiler never reads: they change the chip a
-# program runs on, not the program.
-RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw",
-                   "bits_per_device")
-_compile_key = operator.attrgetter(*(f.name for f in fields(MachineConfig)
-                                     if f.name not in RUN_ONLY_FIELDS))
+_compile_key = operator.attrgetter(*CHIP_FIELDS)
 _opts_key = operator.attrgetter(*(f.name for f in fields(CompileOptions)))
-# frozen graph -> {(config key, options key): Program}; an entry goes
-# with its graph
-_programs = weakref.WeakKeyDictionary()
+# frozen graph -> {(config key, options key): Chip}; an entry goes with its
+# graph
+_chips = weakref.WeakKeyDictionary()
 
 
-def _sweep_program(graph, cfg, opts):
-    """The program of one sweep point, compiled once per frozen graph and
-    compile-relevant config. The Program is shared between points, so it
-    must not leave sweep_point."""
+def _sweep_chip(graph, cfg, opts):
+    """The checked chip of one sweep point, compiled and checked once per
+    frozen graph and compile-relevant config. The Chip is shared between
+    points, so it must not leave sweep_point."""
     key = (_compile_key(cfg), _opts_key(opts))
-    known = _programs.setdefault(graph, {})
+    known = _chips.setdefault(graph, {})
     if key not in known:
-        known[key] = compile_model(graph, cfg, opts)[0]
+        known[key] = Chip(cfg, compile_model(graph, cfg, opts)[0])
     return known[key]
 
 
 def sweep_point(graph, cfg, inputs, opts, eval_set=None, labels=None,
                 output_name=None, step_limit=2_000_000):
     """One run -> (latency_ns, energy_nj, accuracy|None). Points that
-    differ only in RUN_ONLY_FIELDS share one compile of a frozen graph.
+    differ only in RUN_ONLY_FIELDS share one compile of a frozen graph
+    and one Chip, which each point programs with its own fields.
 
     The eval points ride along as extra lanes of the timed run: the
     modeled figures are those of one inference, and accuracy is scored on
     the eval lanes."""
-    prog = _sweep_program(graph, cfg, opts or CompileOptions())
+    chip = _sweep_chip(graph, cfg, opts or CompileOptions())
     if eval_set is not None:
         # an input some lane lacks stays out, and the run reports it missing
         lanes = [inputs] + list(eval_set)
         inputs = {name: np.stack([p[name] for p in lanes])
-                  for name in {b.name for b in prog.inputs()}
+                  for name in {b.name for b in chip.prog.inputs()}
                   if all(name in p for p in lanes)}
-    report = sim_run(Machine(cfg, prog), inputs, step_limit=step_limit)
+    report = sim_run(Machine(cfg, chip), inputs, step_limit=step_limit)
     if not report.halted:
         raise RuntimeError("sweep point did not terminate: "
                            + "; ".join(report.diagnosis))

@@ -143,6 +143,12 @@ class MachineConfig:
         return "\n".join(lines) + "\n"
 
 
+# The config fields the compiler never reads: they change how a Machine
+# programs a chip, not the program or its Chip, which CHIP_FIELDS fix.
+RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw",
+                   "bits_per_device")
+CHIP_FIELDS = tuple(f.name for f in fields(MachineConfig)
+                    if f.name not in RUN_ONLY_FIELDS)
 _FIELD_TYPES = {f.name: f.type for f in fields(MachineConfig)}
 
 

@@ -16,11 +16,11 @@ Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
 same-cycle events without breaking determinism.
 
-A configured Machine holds only what configuration fixes, each fact once
-(one register space, ROM set and shuffle-pattern table for all cores);
-every run builds fresh run state (pcs, hits, registers, tile memory with
-the data blocks written in, FIFOs), so one Machine runs any number of
-times, batched or not.
+A Chip checks a program once and holds what it and the geometry fix; a
+Machine programs a chip's MVMUs with the run-only config fields. Every run
+builds fresh run state (pcs, hits and registers for the actors with code;
+tile memory with the data blocks written in and FIFOs for every tile), so
+one Machine runs any number of times, batched or not.
 
 One run can carry a batch of B independent inferences: the value state
 (registers, tile memory words, FIFO payloads) then has a trailing lane
@@ -44,6 +44,7 @@ from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
 from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
     IsaError, alui_immediate, disassemble_one, fired_mvmus, registers, \
     validate
+from .machine import CHIP_FIELDS
 
 log = logging.getLogger("xbarsim")
 
@@ -165,22 +166,23 @@ class Fifo:
         self.in_flight = 0     # reserved by sends not yet arrived
 
 
-class _Sequencer:
-    """An instruction stream, checked against the machine once, and for a
-    core the sliced weights of its MVMUs (mvmus). A run gives it a pc, each
-    pc's executions (hits) and cycles (busy), and registers (regs) to a core,
-    tile memory (mem) and receive FIFOs (fifos) to a tile's sequencer."""
+class _Tile:
+    """One run's tile memory (mem) and receive FIFOs (fifos)."""
 
-    def __init__(self, actor, cfg, rs, program, mvmus=()):
+    def __init__(self, words, num_fifos):
+        self.mem = TileMemoryState(words)
+        self.fifos = [Fifo() for _ in range(num_fifos)]
+
+
+class _Sequencer:
+    """One run of an actor's code: its pc, each pc's executions (hits) and
+    cycles (busy), and for a core its registers (regs)."""
+
+    def __init__(self, program):
         self.program = program
-        self.mvmus = mvmus
-        loaded = sum(1 << u for u, m in enumerate(mvmus) if m is not None)
-        for pc, i in enumerate(program):
-            try:
-                validate(i)
-                _check_fits(i, cfg, loaded, rs)
-            except (IsaError, SimError) as e:
-                raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
+        self.pc = 0
+        self.hits = [0] * len(program)
+        self.busy = [0] * len(program)
 
     def halted(self):
         return self.pc >= len(self.program)
@@ -213,10 +215,11 @@ def _check_fits(i, cfg, loaded, rs):
                 + f" {max(addr, lo)}")
 
 
-class Machine:
-    """A configured node: tiles of cores with checked programs and programmed
-    MVMUs, and the register space (rs), ROM set (luts) and shuffle patterns
-    (patterns) all cores share; each run gives it fresh run state (`start`)."""
+class Chip:
+    """A program checked once against cfg's CHIP_FIELDS, and what they fix:
+    the code of each actor that has any (programs, cores first), register
+    space (rs), ROM set (luts) and shuffle patterns (patterns) all cores
+    share, spill regions (spills), histogram (static) and cost memo (costs)."""
 
     def __init__(self, cfg, prog):
         if (prog.xbar_dim, prog.mvmus_per_core, prog.cores_per_tile,
@@ -229,11 +232,10 @@ class Machine:
                 f"x{cfg.tiles}")
         if prog.frac_bits != cfg.frac_bits:
             raise GeometryError("fixed-point format mismatch")
-        self.cfg = cfg
-        self.prog = prog
+        self.cfg, self.prog = cfg, prog
         self.rs = cfg.regspace()
         self.luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)
-        mvmus = {(t, c): [None] * cfg.mvmus_per_core for t in range(cfg.tiles)
+        cores = {(t, c) for t in range(cfg.tiles)
                  for c in range(cfg.cores_per_tile)}
         outside = (f"lies outside the machine ({cfg.tiles} tiles x "
                    f"{cfg.cores_per_tile} cores x {cfg.mvmus_per_core} MVMUs, "
@@ -242,7 +244,7 @@ class Machine:
         for seg in prog.segments:
             on_tile = seg.core == TILE_UNIT
             actor = (seg.tile, seg.core)
-            if (seg.tile, 0 if on_tile else seg.core) not in mvmus:
+            if (seg.tile, 0 if on_tile else seg.core) not in cores:
                 raise GeometryError(f"the segment of {actor_name(actor)} "
                                     f"{outside}")
             if actor in programs:
@@ -259,7 +261,7 @@ class Machine:
                                f"{min(misplaced)!r}")
             programs[actor] = seg.instrs
         for b in (*prog.weights, *prog.patterns):
-            if (b.tile, b.core) not in mvmus or not 0 <= b.mvmu < cfg.mvmus_per_core:
+            if (b.tile, b.core) not in cores or not 0 <= b.mvmu < cfg.mvmus_per_core:
                 raise GeometryError(f"{type(b).__name__} of {actor_name((b.tile, b.core))}"
                                     f" mvmu {b.mvmu} {outside}")
         for b in (*prog.data, *prog.io):
@@ -267,25 +269,51 @@ class Machine:
             if not 0 <= b.tile < cfg.tiles or end > cfg.dmem_words:
                 raise GeometryError(f"{type(b).__name__} of words [{b.addr}, "
                                     f"{end}) on tile {b.tile} {outside}")
-        for wb in prog.weights:
+        loaded = {}    # core -> bit mask of its MVMUs that hold weights
+        for b in prog.weights:
+            loaded[b.tile, b.core] = loaded.get((b.tile, b.core), 0) | 1 << b.mvmu
+        self.programs = {a: programs[a] for a in sorted(
+            programs, key=lambda a: (a[1] == TILE_UNIT, a))}
+        for actor, instrs in self.programs.items():
+            for pc, i in enumerate(instrs):
+                try:
+                    validate(i)
+                    _check_fits(i, cfg, loaded.get(actor, 0), self.rs)
+                except (IsaError, SimError) as e:
+                    raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
+        self.patterns = {}   # (actor, filter id) -> {mvmu: perm array}
+        for pat in prog.patterns:
+            self.patterns.setdefault(((pat.tile, pat.core), pat.filt), {})[
+                pat.mvmu] = np.asarray(pat.perm, dtype=np.int64)
+        self.spills = {}     # tile -> its spill regions' (lo, hi)
+        for r in prog.regions:
+            if r.kind == "spill":
+                self.spills.setdefault(r.tile, []).append((r.lo, r.hi))
+        self.static = prog.static_histogram()
+        self.costs = {}      # tally cost key -> instr_cost, filled by runs
+
+
+class Machine:
+    """A chip programmed with cfg's RUN_ONLY_FIELDS (each core's sliced and
+    write-noised MVMU weights, mvmus), and each run's fresh state (`start`).
+    prog is a Program or a Chip whose cfg differs at most in those fields."""
+
+    def __init__(self, cfg, prog):
+        chip = prog if isinstance(prog, Chip) else Chip(cfg, prog)
+        for name in CHIP_FIELDS:
+            if getattr(cfg, name) != getattr(chip.cfg, name):
+                raise GeometryError(f"{name} is {getattr(cfg, name)!r} but "
+                                    f"the chip's is {getattr(chip.cfg, name)!r}")
+        self.cfg, self.chip = cfg, chip
+        self.mvmus = {}      # core -> its MVMUs' SlicedMatrix or None
+        for wb in chip.prog.weights:
             sliced = slice_weights(wb.w_raw, cfg.xbar_dim, cfg.bits_per_device)
             if cfg.noise_sigma > 0:
                 seed = np.random.SeedSequence(
                     [cfg.seed, wb.tile, wb.core, wb.mvmu])
                 sliced = apply_write_noise(sliced, cfg.noise_sigma, seed)
-            mvmus[(wb.tile, wb.core)][wb.mvmu] = sliced
-        self.cores = {a: _Sequencer(a, cfg, self.rs, programs.get(a, []), m)
-                      for a, m in mvmus.items()}
-        self.tiles = {t: _Sequencer((t, TILE_UNIT), cfg, self.rs,
-                                    programs.get((t, TILE_UNIT), []))
-                      for t in range(cfg.tiles)}
-        # actor -> its instruction sequencer, cores first
-        self.units = {**self.cores, **{(t, TILE_UNIT): unit
-                                       for t, unit in self.tiles.items()}}
-        self.patterns = {}   # (actor, filter id) -> {mvmu: perm array}
-        for pat in prog.patterns:
-            self.patterns.setdefault(((pat.tile, pat.core), pat.filt), {})[
-                pat.mvmu] = np.asarray(pat.perm, dtype=np.int64)
+            self.mvmus.setdefault((wb.tile, wb.core),
+                                  [None] * cfg.mvmus_per_core)[wb.mvmu] = sliced
 
     def start(self, inputs):
         """Build fresh run state and write the data blocks and `inputs`
@@ -294,7 +322,7 @@ class Machine:
         batch (B, n); batches must all have the same B, which becomes the
         length of the trailing lane axis of registers and tile memory."""
         vecs = {}
-        for b in self.prog.inputs():
+        for b in self.chip.prog.inputs():
             if b.name not in inputs:
                 raise SimError(f"missing value for input {b.name!r}")
             vecs[b.name] = np.asarray(inputs[b.name], dtype=np.int64)
@@ -314,21 +342,19 @@ class Machine:
             size = n * batch[0]
             return np.frombuffer(mmap.mmap(-1, 8 * size), np.int64,
                                  size).reshape(n, *batch)
-        for unit in self.units.values():
-            unit.pc = 0
-            unit.hits = [0] * len(unit.program)
-            unit.busy = [0] * len(unit.program)
+        # actor -> its run state, cores first
+        self.units = {a: _Sequencer(p) for a, p in self.chip.programs.items()}
+        self.cores = {a: u for a, u in self.units.items() if a[1] != TILE_UNIT}
         for core in self.cores.values():
-            core.regs = zeros(self.rs.total)
-        for tile in self.tiles.values():
-            tile.mem = TileMemoryState(zeros(self.cfg.dmem_words))
-            tile.fifos = [Fifo() for _ in range(self.cfg.num_fifos)]
-        for db in self.prog.data:   # every lane gets the same words
+            core.regs = zeros(self.chip.rs.total)
+        self.tiles = {t: _Tile(zeros(self.cfg.dmem_words), self.cfg.num_fifos)
+                      for t in range(self.cfg.tiles)}
+        for db in self.chip.prog.data:   # every lane gets the same words
             self.tiles[db.tile].mem.write(
                 db.addr, np.reshape(db.words, (-1,) + (1,) * len(batch)),
                 db.count)
         cursor = {}
-        for b in self.prog.inputs():
+        for b in self.chip.prog.inputs():
             vec = vecs[b.name]
             at = cursor.get(b.name, 0)
             if at + b.length > vec.shape[-1]:
@@ -345,7 +371,7 @@ class Machine:
     def collect_outputs(self):
         """Output name -> (n,) words, or (B, n) for a batched run."""
         out = {}
-        for b in self.prog.outputs():
+        for b in self.chip.prog.outputs():
             vec = self.tiles[b.tile].mem.data[b.addr:b.addr + b.length]
             out.setdefault(b.name, []).append(vec)
         return {k: np.concatenate(v).T for k, v in out.items()}
@@ -494,10 +520,10 @@ class _Sim:
         return 1 + w
 
     def exec_mvm(self, actor, core, i):
-        cfg, rs = self.cfg, self.m.rs
+        cfg, rs = self.cfg, self.m.chip.rs
         for u in fired_mvmus(i, cfg.mvmus_per_core):
-            sliced = core.mvmus[u]
-            perm = self.m.patterns.get((actor, i.a), {}).get(u)
+            sliced = self.m.mvmus[actor][u]
+            perm = self.m.chip.patterns.get((actor, i.a), {}).get(u)
             base_in = rs.xbar_in(u)
             if perm is None:
                 x = core.regs[base_in:base_in + sliced.rows]
@@ -519,7 +545,7 @@ class _Sim:
         if name in ALU_TRANSCENDENTAL:
             # ROM mode: RAM (the registers) is buffered and restored around
             # the table read, so it is preserved by construction
-            out = self.m.luts[name].lookup(a)
+            out = self.m.chip.luts[name].lookup(a)
             cycles += cfg.mode_switch_cycles
         else:
             b = alui_immediate(name, i.c) if i.op == "alui" else \
@@ -542,8 +568,8 @@ class _Sim:
         v = fp.SCALAR_OPS[ISA["aluint"].subop_names[i.sub]](
             _lane_uniform(core, i.b, i.op),
             _lane_uniform(core, i.c, i.op))
-        self.report.saturations += fp.saturation_count(v)
-        core.regs[i.a] = fp.saturate(np.array([v]))[0]
+        core.regs[i.a] = clamped = min(max(v, fp.RAW_MIN), fp.RAW_MAX)
+        self.report.saturations += clamped != v
         return 1
 
     def exec_branch(self, actor, core, i):
@@ -702,12 +728,10 @@ def instr_cost(cfg, i, mvmus=(), spills=()):
 def tally(machine, report):
     """Fill report's instr_dynamic, instr_cycles, reg_accesses,
     spill_accesses, mode_switches and energies as sums of hits x instr_cost
-    over the machine's sequencers. A cost is worked out once per (op, sub,
-    w), and per place for MVMs and, on a tile with spills, loads/stores."""
-    cfg, spills = machine.cfg, {}
-    for r in machine.prog.regions:
-        if r.kind == "spill":
-            spills.setdefault(r.tile, []).append((r.lo, r.hi))
+    over the machine's sequencers. The chip keeps each cost, worked out once
+    per (op, sub, w), and per place for MVMs and, on a tile with spills,
+    loads/stores."""
+    cfg, spills, costs = machine.cfg, machine.chip.spills, machine.chip.costs
     rows = {}    # cost key -> [executions, busy cycles, actor, instruction]
     for actor, unit in machine.units.items():
         placed = ("mvm", "load", "store") if actor[0] in spills else ("mvm",)
@@ -720,11 +744,13 @@ def tally(machine, report):
                 row[0] += n
                 row[1] += busy
     dynamic, cycles, totals = {}, {}, {}
-    for n, busy, actor, i in rows.values():
+    for key, (n, busy, actor, i) in rows.items():
         dynamic[i.op] = dynamic.get(i.op, 0) + n
         cycles[i.op] = cycles.get(i.op, 0) + busy
-        for what, amount in instr_cost(cfg, i, machine.units[actor].mvmus,
-                                       spills.get(actor[0], ())).items():
+        if key not in costs:
+            costs[key] = instr_cost(cfg, i, machine.mvmus.get(actor, ()),
+                                    spills.get(actor[0], ()))
+        for what, amount in costs[key].items():
             totals[what] = totals.get(what, 0) + n * amount
     report.instr_dynamic, report.instr_cycles = dynamic, cycles
     report.reg_accesses = totals.get("reg_words", 0)
@@ -756,16 +782,16 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     Each run starts from fresh run state (`Machine.start`), so running
     one Machine again gives the same report for the same inputs."""
     machine.start(inputs)
-    log.info("run: %d instructions over %d tiles",
-             machine.prog.total_instructions(), machine.cfg.tiles)
+    chip = machine.chip
+    log.info("run: instructions %s on %d tiles", chip.static, machine.cfg.tiles)
     sim = _Sim(machine, order_seed)
     report = sim.run(step_limit)
     log.info("run done: halted=%s cycles=%d steps=%d",
              sim.all_halted(), report.cycles, report.steps)
-    report.instr_static = machine.prog.static_histogram()
-    report.coalesce_groups = machine.prog.meta.get("coalesce_groups", 0)
-    report.maxlive = machine.prog.meta.get("maxlive", 0)
-    report.spill_count = machine.prog.meta.get("spill_count", 0)
+    report.instr_static = dict(chip.static)
+    report.coalesce_groups = chip.prog.meta.get("coalesce_groups", 0)
+    report.maxlive = chip.prog.meta.get("maxlive", 0)
+    report.spill_count = chip.prog.meta.get("spill_count", 0)
     if report.halted:
         report.outputs = machine.collect_outputs()
     return report

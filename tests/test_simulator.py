@@ -50,8 +50,8 @@ def test_load_program_installs_sliced_weights():
     from xbarsim.crossbar import slice_weights
     want = slice_weights(fp.quantize(w), 4)
     installed = None
-    for core in m.cores.values():
-        for s in core.mvmus:
+    for mvmus in m.mvmus.values():
+        for s in mvmus:
             if s is not None:
                 installed = s
     assert installed is not None
@@ -63,8 +63,8 @@ def test_machines_share_one_set_of_rom_tables():
     cfg = cfg_small(lut_bits=6)
     m1 = Machine(cfg, empty_program(cfg))
     m2 = Machine(cfg.with_overrides(seed=3), empty_program(cfg))
-    assert m1.luts is m2.luts
-    assert m1.luts is fp.build_default_luts(cfg.frac_bits, 6)
+    assert m1.chip.luts is m2.chip.luts
+    assert m1.chip.luts is fp.build_default_luts(cfg.frac_bits, 6)
 
 
 def test_geometry_mismatch_rejected():

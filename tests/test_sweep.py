@@ -12,7 +12,7 @@ import pytest
 
 from xbarsim import cli, container, fixedpoint as fp, graph as gr, models
 from xbarsim.compiler import CompileOptions, compile_model
-from xbarsim.machine import MachineConfig
+from xbarsim.machine import RUN_ONLY_FIELDS, MachineConfig
 from xbarsim.partition import CompileError
 
 RUN_ONLY_VALUES = {"noise_sigma": 0.05, "seed": 7, "adc_bits": 9,
@@ -45,7 +45,7 @@ def test_run_only_fields_leave_the_program_unchanged(name):
     for field, value in RUN_ONLY_VALUES.items():
         prog, _ = compile_model(g, cfg.with_overrides(**{field: value}))
         assert container.save(prog) == want, field
-    assert set(RUN_ONLY_VALUES) == set(cli.RUN_ONLY_FIELDS)
+    assert set(RUN_ONLY_VALUES) == set(RUN_ONLY_FIELDS)
 
 
 @pytest.mark.parametrize("axis, values, compiles", [
@@ -85,12 +85,12 @@ def test_a_graph_that_is_not_frozen_compiles_on_every_call(monkeypatch):
 def test_the_memo_lets_go_of_a_deleted_graph():
     g, pts, _ = models.trained_tiny_classifier()
     cli.sweep_point(g, MachineConfig(tiles=1), pts[0], CompileOptions())
-    assert g in cli._programs
+    assert g in cli._chips
     gone = weakref.ref(g)
     del g
     gc.collect()
     assert gone() is None
-    assert len(cli._programs) == 0
+    assert len(cli._chips) == 0
 
 
 def _per_row_accuracy(outputs, labels):
