@@ -172,7 +172,7 @@ def sweep_point(graph, cfg, inputs, opts, eval_set=None, labels=None,
     if eval_set is not None:
         # an input some lane lacks stays out, and the run reports it missing
         lanes = [inputs] + list(eval_set)
-        inputs = {name: np.stack([p[name] for p in lanes])
+        inputs = {name: np.array([p[name] for p in lanes])
                   for name in {b.name for b in chip.prog.inputs()}
                   if all(name in p for p in lanes)}
     report = sim_run(Machine(cfg, chip), inputs, step_limit=step_limit)

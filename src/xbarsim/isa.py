@@ -233,11 +233,14 @@ def validate(i):
     """Raise IsaError unless every field is in range for its slot."""
     if i.op not in ISA:
         raise IsaError(f"unknown mnemonic {i.op!r}")
-    for name, v, hi in (("subop", i.sub, SUBOP_MAX), ("a", i.a, FIELD_MAX),
-                        ("b", i.b, FIELD_MAX), ("c", i.c, FIELD_MAX),
-                        ("vec_width", i.w, WIDTH_MAX)):
-        if not 0 <= v <= hi:
-            raise IsaError(f"{i.op}: operand {name}={v} out of range [0, {hi}]")
+    if not (0 <= i.sub <= SUBOP_MAX and 0 <= i.a <= FIELD_MAX
+            and 0 <= i.b <= FIELD_MAX and 0 <= i.c <= FIELD_MAX
+            and 0 <= i.w <= WIDTH_MAX):   # this runs per instruction
+        for name, v, hi in (("subop", i.sub, SUBOP_MAX), ("a", i.a, FIELD_MAX),
+                            ("b", i.b, FIELD_MAX), ("c", i.c, FIELD_MAX),
+                            ("vec_width", i.w, WIDTH_MAX)):
+            if not 0 <= v <= hi:
+                raise IsaError(f"{i.op}: operand {name}={v} out of range [0, {hi}]")
     _check_subop(i, IsaError)
 
 

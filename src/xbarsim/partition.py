@@ -112,9 +112,8 @@ class TiledGraph:
     def consumers(self):
         out = [[] for _ in self.tnodes]
         for n in self.tnodes:
-            for i in n.inputs:
-                if n.id not in out[i]:
-                    out[i].append(n.id)
+            for i in dict.fromkeys(n.inputs):
+                out[i].append(n.id)
         return out
 
 
@@ -370,32 +369,34 @@ def place(tg, machine, naive=False, seed=0):
         for mt, slot_idx in zip(tg.matrix_tiles, picks):
             mt.mvmu = mvmu_slots[int(slot_idx)]
     else:
-        aff = _matrix_tile_affinity(tg)
-
-        def pair_w(a, b):
-            return aff.get((min(a, b), max(a, b)), 0)
-
-        unplaced = list(range(ntiles))
-        core_idx = 0
-        core_members = []
-        tile_members = []
-        cur_tile = 0
+        neighbors = [{} for _ in range(ntiles)]   # matrix tile -> {other: w}
+        for (a, b), w in _matrix_tile_affinity(tg).items():
+            neighbors[a][b] = neighbors[b][a] = w
+        unplaced = dict.fromkeys(range(ntiles))   # ascending
+        # unplaced matrix tile -> its highest affinity (> 0) to a member of
+        # the current core (core_best) or of the current tile (tile_best)
+        core_best, tile_best = {}, {}
+        core_idx = core_members = cur_tile = 0
         while unplaced:
             t, c = slots[core_idx]
             if t != cur_tile:
-                tile_members = []
-                cur_tile = t
-            if len(core_members) >= m.mvmus_per_core:
-                core_idx += 1
-                core_members = []
+                tile_best, cur_tile = {}, t
+            if core_members >= m.mvmus_per_core:
+                core_idx, core_members, core_best = core_idx + 1, 0, {}
                 continue
-            ref = core_members if core_members else tile_members
-            best = min(unplaced,
-                       key=lambda x: (-max((pair_w(x, r) for r in ref), default=0), x))
-            tg.matrix_tiles[best].mvmu = (t, c, len(core_members))
-            core_members.append(best)
-            tile_members.append(best)
-            unplaced.remove(best)
+            # highest affinity first, then the lowest id; 0 for the rest
+            ref = core_best if core_members else tile_best
+            best = min(ref, key=lambda x: (-ref[x], x),
+                       default=next(iter(unplaced)))
+            tg.matrix_tiles[best].mvmu = (t, c, core_members)
+            core_members += 1
+            del unplaced[best]
+            core_best.pop(best, None)
+            tile_best.pop(best, None)
+            for x, w in neighbors[best].items():
+                if x in unplaced:
+                    core_best[x] = max(core_best.get(x, 0), w)
+                    tile_best[x] = max(tile_best.get(x, 0), w)
 
     _place_tnodes(tg)
     return tg

@@ -20,7 +20,8 @@ A Chip checks a program once and holds what it and the geometry fix; a
 Machine programs a chip's MVMUs with the run-only config fields. Every run
 builds fresh run state (pcs, hits and registers for the actors with code;
 tile memory with the data blocks written in and FIFOs for every tile), so
-one Machine runs any number of times, batched or not.
+one Machine runs any number of times, batched or not. Registers and tile
+memory are sized to the program's footprint, the words it can reach.
 
 One run can carry a batch of B independent inferences: the value state
 (registers, tile memory words, FIFO payloads) then has a trailing lane
@@ -31,7 +32,6 @@ the lane-uniform rule for aluint/brn operands guarantees.
 
 import heapq
 import logging
-import mmap
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -191,7 +191,9 @@ class _Sequencer:
 def _check_fits(i, cfg, loaded, rs):
     """Raise GeometryError if valid instruction i names what the machine
     lacks, SimError if it reads XbarIn or writes XbarOut; loaded is the bit
-    mask of the core's MVMUs that hold weights, rs the register space."""
+    mask of the core's MVMUs that hold weights, rs the register space.
+    Returns i's footprint (words, regs): one past the highest tile memory
+    word and the highest register it reaches, 0 where it reaches none."""
     if i.op == "mvm" and i.sub & ~loaded:
         raise GeometryError(f"mvm mask {i.sub:#b} fires an MVMU without "
                             f"weights (loaded: {loaded:#b})")
@@ -200,26 +202,35 @@ def _check_fits(i, cfg, loaded, rs):
     if i.op == "send" and i.b >= cfg.tiles:
         raise GeometryError(f"send targets tile {i.b} of {cfg.tiles}")
     slot = MEM_ADDR_SLOT.get(i.op)
-    if slot and getattr(i, slot) + max(1, i.w) > cfg.dmem_words:
+    words = getattr(i, slot) + max(1, i.w) if slot else 0
+    if words > cfg.dmem_words:
         raise GeometryError(f"{i.op} of {max(1, i.w)} words at {getattr(i, slot)}"
                             f" runs past the {cfg.dmem_words}-word memory")
+    regs = rs.general_base if i.op == "mvm" else 0   # all XbarIn and XbarOut
     for addr, n, written in registers(i):
-        if addr + n > rs.total:
+        end = addr + n
+        if end > rs.total:
             raise GeometryError(f"{i.op} of {n} registers at {addr} runs past "
                                 f"the {rs.total}-register file")
         lo, hi = ((rs.xbar_out_base, rs.general_base) if written
                   else (rs.xbar_in_base, rs.xbar_out_base))
-        if addr < hi and addr + n > lo:
+        if addr < hi and end > lo:
             raise SimError(f"class-access violation: {i.op} " + (
                 "writes XbarOut" if written else "reads XbarIn")
                 + f" {max(addr, lo)}")
+        if end > regs:
+            regs = end
+    return words, regs
 
 
 class Chip:
     """A program checked once against cfg's CHIP_FIELDS, and what they fix:
     the code of each actor that has any (programs, cores first), register
     space (rs), ROM set (luts) and shuffle patterns (patterns) all cores
-    share, spill regions (spills), histogram (static) and cost memo (costs)."""
+    share, spill regions (spills), histogram (static), cost memo (costs),
+    each weight block's digit planes per bits_per_device (`planes`) and the
+    footprint that sizes run state: the words of each tile and the
+    registers of each core with code that the program reaches."""
 
     def __init__(self, cfg, prog):
         if (prog.xbar_dim, prog.mvmus_per_core, prog.cores_per_tile,
@@ -264,23 +275,30 @@ class Chip:
             if (b.tile, b.core) not in cores or not 0 <= b.mvmu < cfg.mvmus_per_core:
                 raise GeometryError(f"{type(b).__name__} of {actor_name((b.tile, b.core))}"
                                     f" mvmu {b.mvmu} {outside}")
+        self.words = dict.fromkeys(range(cfg.tiles), 0)   # tile -> footprint
         for b in (*prog.data, *prog.io):
             end = b.addr + (b.length if hasattr(b, "length") else len(b.words))
             if not 0 <= b.tile < cfg.tiles or end > cfg.dmem_words:
                 raise GeometryError(f"{type(b).__name__} of words [{b.addr}, "
                                     f"{end}) on tile {b.tile} {outside}")
+            self.words[b.tile] = max(self.words[b.tile], end)
         loaded = {}    # core -> bit mask of its MVMUs that hold weights
         for b in prog.weights:
             loaded[b.tile, b.core] = loaded.get((b.tile, b.core), 0) | 1 << b.mvmu
         self.programs = {a: programs[a] for a in sorted(
             programs, key=lambda a: (a[1] == TILE_UNIT, a))}
+        self.regs = {}       # core with code -> footprint
         for actor, instrs in self.programs.items():
+            fits = [(self.words[actor[0]], 0)]   # (words, regs) reached
             for pc, i in enumerate(instrs):
                 try:
                     validate(i)
-                    _check_fits(i, cfg, loaded.get(actor, 0), self.rs)
+                    fits.append(_check_fits(i, cfg, loaded.get(actor, 0), self.rs))
                 except (IsaError, SimError) as e:
                     raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
+            self.words[actor[0]], regs = map(max, zip(*fits))
+            if actor[1] != TILE_UNIT:
+                self.regs[actor] = regs
         self.patterns = {}   # (actor, filter id) -> {mvmu: perm array}
         for pat in prog.patterns:
             self.patterns.setdefault(((pat.tile, pat.core), pat.filt), {})[
@@ -291,6 +309,15 @@ class Chip:
                 self.spills.setdefault(r.tile, []).append((r.lo, r.hi))
         self.static = prog.static_histogram()
         self.costs = {}      # tally cost key -> instr_cost, filled by runs
+        self._planes = {}    # bits_per_device -> SlicedMatrix per weight block
+
+    def planes(self, bits):
+        """Each weight block's SlicedMatrix at bits per device, in
+        prog.weights order: checked and sliced on first use, then shared."""
+        if bits not in self._planes:
+            self._planes[bits] = [slice_weights(wb.w_raw, self.cfg.xbar_dim, bits)
+                                  for wb in self.prog.weights]
+        return self._planes[bits]
 
 
 class Machine:
@@ -306,9 +333,9 @@ class Machine:
                                     f"the chip's is {getattr(chip.cfg, name)!r}")
         self.cfg, self.chip = cfg, chip
         self.mvmus = {}      # core -> its MVMUs' SlicedMatrix or None
-        for wb in chip.prog.weights:
-            sliced = slice_weights(wb.w_raw, cfg.xbar_dim, cfg.bits_per_device)
-            if cfg.noise_sigma > 0:
+        for wb, sliced in zip(chip.prog.weights,
+                              chip.planes(cfg.bits_per_device)):
+            if cfg.noise_sigma > 0:   # drawn onto a copy of the shared planes
                 seed = np.random.SeedSequence(
                     [cfg.seed, wb.tile, wb.core, wb.mvmu])
                 sliced = apply_write_noise(sliced, cfg.noise_sigma, seed)
@@ -318,9 +345,10 @@ class Machine:
     def start(self, inputs):
         """Build fresh run state and write the data blocks and `inputs`
         into tile memory: every pc at 0 with no hits or busy cycles, zeroed
-        registers and words, empty FIFOs. An input is one vector (n,) or a
-        batch (B, n); batches must all have the same B, which becomes the
-        length of the trailing lane axis of registers and tile memory."""
+        registers and words (the chip's footprint), empty FIFOs. An input
+        is one vector (n,) or a batch (B, n); batches must all have the
+        same B, which becomes the length of the trailing lane axis of
+        registers and tile memory."""
         vecs = {}
         for b in self.chip.prog.inputs():
             if b.name not in inputs:
@@ -333,22 +361,14 @@ class Machine:
                            "B >= 1; got " + ", ".join(
                                f"{k} {v.shape}" for k, v in vecs.items()))
         batch = next(iter(lanes), ())
-
-        def zeros(n):
-            """(n,) zeros, or (n, B) in an anonymous memory map, which reads
-            as zeros and takes memory only for the pages that get written."""
-            if not batch:
-                return np.zeros(n, dtype=np.int64)
-            size = n * batch[0]
-            return np.frombuffer(mmap.mmap(-1, 8 * size), np.int64,
-                                 size).reshape(n, *batch)
         # actor -> its run state, cores first
         self.units = {a: _Sequencer(p) for a, p in self.chip.programs.items()}
         self.cores = {a: u for a, u in self.units.items() if a[1] != TILE_UNIT}
-        for core in self.cores.values():
-            core.regs = zeros(self.chip.rs.total)
-        self.tiles = {t: _Tile(zeros(self.cfg.dmem_words), self.cfg.num_fifos)
-                      for t in range(self.cfg.tiles)}
+        for a, core in self.cores.items():
+            core.regs = np.zeros((self.chip.regs[a], *batch), dtype=np.int64)
+        self.tiles = {t: _Tile(np.zeros((n, *batch), dtype=np.int64),
+                               self.cfg.num_fifos)
+                      for t, n in self.chip.words.items()}
         for db in self.chip.prog.data:   # every lane gets the same words
             self.tiles[db.tile].mem.write(
                 db.addr, np.reshape(db.words, (-1,) + (1,) * len(batch)),

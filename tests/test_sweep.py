@@ -111,3 +111,11 @@ def test_accuracy_matches_the_per_row_score():
         got = models.classifier_accuracy(outputs, labs)
         assert got == _per_row_accuracy(outputs, labs)
     assert models.classifier_accuracy(ties, [0, 1, 2, 2]) == 0.5
+
+
+def test_a_ragged_eval_set_is_refused():
+    g, pts, labels = models.trained_tiny_classifier()
+    ragged = [pts[1], {"x": np.append(pts[2]["x"], 0)}]
+    with pytest.raises(ValueError):
+        cli.sweep_point(g, MachineConfig(tiles=1), pts[0], CompileOptions(),
+                        ragged, labels[1:3], "y")
