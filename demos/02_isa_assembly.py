@@ -8,7 +8,7 @@ for mnem, names in isa.OPERAND_NAMES.items():
 
 print("\n== encode / decode ==")
 prog = [
-    isa.mvm(0b11, filt=0, stride=0),
+    isa.mvm(0b11, filter=0, stride=0),
     isa.alu("add", 520, 512, 516, 128),
     isa.alu("sigmoid", 524, 520, 0, 128),
     isa.copy(0, 520, 128),

@@ -55,8 +55,9 @@ print("\n== coalescing and linearization ==")
 groups = schedule.coalesce_mvms(tg, cfg)
 print(f"  fused groups: {[[t for t in grp] for grp in groups]}")
 sched = schedule.linearize(tg, groups)
-print(f"  {len(sched.units)} scheduled units over {len(sched.actor_seq)} "
-      f"actors; max live values {sched.maxlive}")
+actors = {tg.tnodes[u[0]].place for u in sched.units}
+print(f"  {len(sched.units)} scheduled units over {len(actors)} actors; "
+      f"max live values {sched.maxlive}")
 
 print("\n== the whole pipeline ==")
 prog, report = compile_model(g, cfg)

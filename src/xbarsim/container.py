@@ -28,6 +28,7 @@ def actor_name(actor):
     return f"tile {t} " + ("unit" if c == TILE_UNIT else f"core {c}")
 
 
+IO_KINDS = ("in", "out")
 REGION_KINDS = ("input", "output", "const", "value", "spill")
 
 
@@ -150,7 +151,7 @@ def _pack_data(d):
 
 
 def _pack_io(b):
-    return (struct.pack("<B", 0 if b.kind == "in" else 1) + _pack_str(b.name)
+    return (struct.pack("<B", IO_KINDS.index(b.kind)) + _pack_str(b.name)
             + struct.pack("<HHHH", b.tile, b.addr, b.length, b.count))
 
 
@@ -177,6 +178,12 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def kind(self, kinds, what):
+        (k,) = self.unpack("<B")
+        if k >= len(kinds):
+            raise ContainerError(f"{what} kind byte {k} is not one of {kinds}")
+        return kinds[k]
+
     def string(self):
         (n,) = self.unpack("<H")
         return self.take(n).decode("utf-8")
@@ -201,7 +208,7 @@ def save(prog):
             out.append(struct.pack("<H", len(records)))
             for rec in records:
                 out.append(pack(rec))
-    except struct.error as e:
+    except (struct.error, ValueError) as e:   # a field or kind out of range
         raise ContainerError(f"{rec!r}: a value does not fit its field "
                              f"({e})") from None
     return b"".join(out)
@@ -237,15 +244,12 @@ def loads(blob):
         prog.data.append(DataBlock(tile, addr, count, list(r.unpack(f"<{n}h"))))
     (nio,) = r.unpack("<H")
     for _ in range(nio):
-        (kind,) = r.unpack("<B")
-        name = r.string()
-        tile, addr, length, count = r.unpack("<HHHH")
-        prog.io.append(IoBinding("in" if kind == 0 else "out", name, tile,
-                                 addr, length, count))
+        kind = r.kind(IO_KINDS, "io binding")
+        prog.io.append(IoBinding(kind, r.string(), *r.unpack("<HHHH")))
     (nr,) = r.unpack("<H")
     for _ in range(nr):
-        tile, lo, hi, kind = r.unpack("<HHHB")
-        prog.regions.append(Region(tile, lo, hi, REGION_KINDS[kind]))
+        tile, lo, hi = r.unpack("<HHH")
+        prog.regions.append(Region(tile, lo, hi, r.kind(REGION_KINDS, "region")))
     (nm,) = r.unpack("<H")
     for _ in range(nm):
         k = r.string()

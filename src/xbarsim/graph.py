@@ -238,12 +238,12 @@ def mvm_blockwise(w_raw, x_raw, xbar_dim, frac_bits):
     return out
 
 
-def evaluate(graph, inputs, xbar_dim=128, luts=None):
+def evaluate(graph, inputs, xbar_dim=128):
     """Run the graph in ideal numerics. inputs maps input names to raw
     int vectors (use quantize for real-valued data). Returns the dict of
     output name -> raw vector."""
     frac = graph.frac_bits
-    luts = luts or fp.build_default_luts(frac)
+    luts = fp.build_default_luts(frac)
     values = {}
     outputs = {}
     for node in graph.nodes:

@@ -33,8 +33,14 @@ all derived from the table. The roles:
     imm     12-bit immediate; negative text wraps to 12 bits, and
             `alui_immediate` says how each subop reads it
     num     plain number
+
+Each row also gives its constructor, `isa.<op>` (`seti` for set, `recv` for
+receive). It takes the operands that have a slot, in assembly order or as
+keywords by their names; a subop by its name, an immediate wrapped to 12
+bits. key and bsrc operands default to 0 and vec_width to 1.
 """
 
+import inspect
 from dataclasses import dataclass
 
 INSTR_BYTES = 7
@@ -150,56 +156,38 @@ class Instruction:
     w: int = 0
 
 
-# Constructors named for what each field means per opcode.
+def _constructor(op, name):
+    """The constructor of row op (see the module docstring)."""
+    spec = ISA[op]
+    operands = [o for o in spec.operands if o[1]]
+    sig = inspect.Signature([inspect.Parameter(
+        n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        default=1 if n == "vec_width" else 0 if role in ("key", "bsrc")
+        else inspect.Parameter.empty) for n, _, role in operands])
 
-def mvm(mask, filt=0, stride=0):
-    return Instruction("mvm", mask, filt, stride, 0, 0)
+    def make(*args, **kwargs):
+        if kwargs or len(args) != len(operands):   # defaults, keywords, errors
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.arguments.values()
+        fields = {}
+        for (_, slot, role), v in zip(operands, args):
+            if role == "op":
+                if v not in spec.subops:
+                    raise IsaError(f"{op} does not support {v!r}")
+                v = spec.subops[v]
+            fields[slot] = v & FIELD_MAX if role == "imm" else v
+        return Instruction(op, **fields)
 
-
-def alu(op, dest, src1, src2=0, w=1):
-    return Instruction("alu", ALU_OPS[op], dest, src1, src2, w)
-
-
-def alui(op, dest, src1, imm, w=1):
-    if op not in ALUI_OPS:
-        raise IsaError(f"alui does not support {op!r}")
-    return Instruction("alui", ALU_OPS[op], dest, src1, imm & FIELD_MAX, w)
-
-
-def aluint(op, dest, src1, src2):
-    return Instruction("aluint", ALUINT_OPS[op], dest, src1, src2, 0)
-
-
-def seti(dest, imm):
-    return Instruction("set", 0, dest, imm, 0, 0)
-
-
-def copy(dest, src, w):
-    return Instruction("copy", 0, dest, src, 0, w)
-
-
-def load(dest, addr, w=1):
-    return Instruction("load", 0, dest, addr, 0, w)
+    make.__name__ = make.__qualname__ = name
+    make.__signature__ = sig
+    make.__doc__ = f"The {op} Instruction of operands {sig}."
+    return make
 
 
-def store(addr, src, count, w=1):
-    return Instruction("store", 0, addr, src, count, w)
-
-
-def send(addr, fifo, target, w):
-    return Instruction("send", fifo, addr, target, 0, w)
-
-
-def recv(addr, fifo, count, w):
-    return Instruction("receive", fifo, addr, count, 0, w)
-
-
-def jmp(pc):
-    return Instruction("jmp", 0, 0, 0, pc, 0)
-
-
-def brn(op, src1, src2, pc):
-    return Instruction("brn", BRN_OPS[op], src1, src2, pc, 0)
+(mvm, alu, alui, aluint, seti, copy, load, store, send, recv, jmp,
+ brn) = (_constructor(op, {"set": "seti", "receive": "recv"}.get(op, op))
+         for op in ISA)
 
 
 def alui_immediate(op, field):

@@ -17,6 +17,13 @@ class ConfigError(Exception):
     pass
 
 
+# Power (mW) of each rail; a config gives exactly these rails.
+DEFAULT_POWER_MW = {
+    "control": 0.25, "core_imem": 1.52, "regfile": 0.477, "vfu": 1.90,
+    "sfu": 0.055, "tile_ctrl": 0.5, "tile_imem": 1.91, "dmem": 17.66,
+    "attr": 2.77, "bus": 7.0, "rxbuf": 9.14, "net": 570.63}
+
+
 @dataclass
 class MachineConfig:
     # Geometry
@@ -49,20 +56,7 @@ class MachineConfig:
 
     # Energy: paper-anchored MVM figure; everything else power x time.
     mvm_nj_per_mvmu: float = 43.97
-    power_mw: dict = field(default_factory=lambda: {
-        "control": 0.25,
-        "core_imem": 1.52,
-        "regfile": 0.477,
-        "vfu": 1.90,
-        "sfu": 0.055,
-        "tile_ctrl": 0.5,
-        "tile_imem": 1.91,
-        "dmem": 17.66,
-        "attr": 2.77,
-        "bus": 7.0,
-        "rxbuf": 9.14,
-        "net": 570.63,
-    })
+    power_mw: dict = field(default_factory=lambda: dict(DEFAULT_POWER_MW))
 
     def __post_init__(self):
         self.validate()
@@ -80,6 +74,10 @@ class MachineConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if not self.clock_ghz > 0:
             raise ConfigError("clock_ghz must be > 0")
+        given, rails = self.power_mw.keys(), DEFAULT_POWER_MW.keys()
+        for what, names in (("unknown", given - rails), ("missing", rails - given)):
+            if names:
+                raise ConfigError(f"power_mw: {what} rails {sorted(names)}")
         for k, v in self.power_mw.items():
             if v < 0:
                 raise ConfigError(f"power.{k} must be >= 0")
@@ -149,7 +147,8 @@ RUN_ONLY_FIELDS = ("noise_sigma", "seed", "adc_bits", "power_mw",
                    "bits_per_device")
 CHIP_FIELDS = tuple(f.name for f in fields(MachineConfig)
                     if f.name not in RUN_ONLY_FIELDS)
-_FIELD_TYPES = {f.name: f.type for f in fields(MachineConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(MachineConfig)
+                if f.name != "power_mw"}     # set by power.<rail> lines
 
 
 def parse_config(text, base=None):
@@ -165,17 +164,18 @@ def parse_config(text, base=None):
         key, val = key.strip(), val.strip()
         if not sep or not val:
             raise ConfigError(f"line {ln}: expected key=value, got {raw!r}")
+        into, name, kind = kw, key, _FIELD_TYPES.get(key)
         if key.startswith("power."):
-            powers[key[len("power."):]] = float(val)
-            continue
-        if key not in _FIELD_TYPES:
+            into, name, kind = powers, key[len("power."):], float
+        elif kind is None:
             raise ConfigError(f"line {ln}: unknown config key {key!r}")
-        if val.lower() in ("ideal", "none") and key == "adc_bits":
-            kw[key] = 0
-        elif _FIELD_TYPES[key] in (float, "float"):
-            kw[key] = float(val)
-        else:
-            kw[key] = int(val)
+        if key == "adc_bits" and val.lower() in ("ideal", "none"):
+            val = "0"
+        try:
+            into[name] = kind(val)
+        except ValueError:
+            raise ConfigError(f"line {ln}: {key} must be of type "
+                              f"{kind.__name__}, got {val!r}") from None
     kw["power_mw"] = powers
     return cfg.with_overrides(**kw)
 

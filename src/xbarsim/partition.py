@@ -545,10 +545,10 @@ def _renumber_fifos(tg, machine):
 # Augmented-graph interpreter (ideal numerics) for equivalence checks
 # ---------------------------------------------------------------------------
 
-def evaluate_tiled(tg, graph, inputs, luts=None):
+def evaluate_tiled(tg, graph, inputs):
     """Execute the tiled graph blockwise; used to check that partitioning
     and data movement preserve interpreter semantics exactly."""
-    luts = luts or fp.build_default_luts(graph.frac_bits)
+    luts = fp.build_default_luts(graph.frac_bits)
     d = tg.xbar_dim
     vals = {}
     for n in tg.tnodes:

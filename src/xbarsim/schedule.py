@@ -21,7 +21,7 @@ orders break ties toward the lowest name.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 UNSCHEDULED = ("input", "const")
 
@@ -30,7 +30,6 @@ UNSCHEDULED = ("input", "const")
 class LinearSchedule:
     units: list                # global order; each unit is its ascending
                                # tnode ids, >1 only for coalesced MVMs
-    actor_seq: dict = field(default_factory=dict)  # (tile, core) -> [unit idx]
     coalesce_groups: int = 0
     maxlive: int = 0
 
@@ -266,8 +265,5 @@ def linearize(tg, groups=None, naive=False):
     sched = LinearSchedule(units=[members[i] for i in order])
     sched.coalesce_groups = sum(1 for m in members.values() if len(m) > 1)
     sched.maxlive = max_live(order, dg.preds, dg.succs)
-    for gi, u in enumerate(sched.units):
-        actor = tg.tnodes[u[0]].place
-        sched.actor_seq.setdefault(actor, []).append(gi)
     return sched
 

@@ -146,32 +146,21 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-class TileMemoryState:
-    """Shared data words plus a reader count per word; a word is valid while
-    its count is above 0. data is (words,) or (words, B) with a lane axis."""
+class _Tile:
+    """One run's tile memory and receive FIFOs: data words, (words,) or
+    (words, B) with a lane axis; a reader count per word (valid while above
+    0); each FIFO's queued payloads and its sends not yet arrived."""
 
-    def __init__(self, data):
+    def __init__(self, data, num_fifos):
         self.data = data
         self.count = np.zeros(len(data), dtype=np.int64)
+        self.fifos = [deque() for _ in range(num_fifos)]
+        self.in_flight = [0] * num_fifos
 
     def write(self, addr, values, count):
         n = len(values)
         self.data[addr:addr + n] = values
         self.count[addr:addr + n] = count
-
-
-class Fifo:
-    def __init__(self):
-        self.queue = deque()
-        self.in_flight = 0     # reserved by sends not yet arrived
-
-
-class _Tile:
-    """One run's tile memory (mem) and receive FIFOs (fifos)."""
-
-    def __init__(self, words, num_fifos):
-        self.mem = TileMemoryState(words)
-        self.fifos = [Fifo() for _ in range(num_fifos)]
 
 
 class _Sequencer:
@@ -370,7 +359,7 @@ class Machine:
                                self.cfg.num_fifos)
                       for t, n in self.chip.words.items()}
         for db in self.chip.prog.data:   # every lane gets the same words
-            self.tiles[db.tile].mem.write(
+            self.tiles[db.tile].write(
                 db.addr, np.reshape(db.words, (-1,) + (1,) * len(batch)),
                 db.count)
         cursor = {}
@@ -380,8 +369,8 @@ class Machine:
             if at + b.length > vec.shape[-1]:
                 raise SimError(
                     f"input {b.name!r} too short: need {at + b.length} words")
-            self.tiles[b.tile].mem.write(b.addr, vec[..., at:at + b.length].T,
-                                         b.count)
+            self.tiles[b.tile].write(b.addr, vec[..., at:at + b.length].T,
+                                     b.count)
             cursor[b.name] = at + b.length
         for name, n in cursor.items():
             if n != vecs[name].shape[-1]:
@@ -392,7 +381,7 @@ class Machine:
         """Output name -> (n,) words, or (B, n) for a batched run."""
         out = {}
         for b in self.chip.prog.outputs():
-            vec = self.tiles[b.tile].mem.data[b.addr:b.addr + b.length]
+            vec = self.tiles[b.tile].data[b.addr:b.addr + b.length]
             out.setdefault(b.name, []).append(vec)
         return {k: np.concatenate(v).T for k, v in out.items()}
 
@@ -467,7 +456,7 @@ class _Sim:
         load, send) or are all drained (valid=False: store, receive)."""
         tile_id = actor[0]
         stuck = np.nonzero(
-            (self.m.tiles[tile_id].mem.count[addr:addr + w] > 0) != valid)[0]
+            (self.m.tiles[tile_id].count[addr:addr + w] > 0) != valid)[0]
         if len(stuck):
             word = addr + int(stuck[0])
             cond, what = ("mem_valid", "word") if valid else \
@@ -479,16 +468,16 @@ class _Sim:
     def consume(self, tile_id, addr, w, end):
         """Read w words and count one reader off each; a word whose count
         reaches 0 invalidates and wakes its writers at `end`."""
-        mem = self.m.tiles[tile_id].mem
-        vals = mem.data[addr:addr + w].copy()
-        mem.count[addr:addr + w] -= 1
-        drained = mem.count[addr:addr + w] <= 0
+        tile = self.m.tiles[tile_id]
+        vals = tile.data[addr:addr + w].copy()
+        tile.count[addr:addr + w] -= 1
+        drained = tile.count[addr:addr + w] <= 0
         self.wake_words("mem_free", tile_id, addr, w, end, drained)
         return vals
 
     def fill(self, tile_id, addr, w, vals, count, end):
         """Write w words for `count` readers, which wake at `end`."""
-        self.m.tiles[tile_id].mem.write(addr, vals, count)
+        self.m.tiles[tile_id].write(addr, vals, count)
         if count > 0:
             self.wake_words("mem_valid", tile_id, addr, w, end)
 
@@ -605,8 +594,8 @@ class _Sim:
         addr, fid, target, w = i.a, i.sub, i.b, max(1, i.w)
         if self.wait_words(actor, addr, w, i.op, True):
             return None
-        dest = self.m.tiles[target].fifos[fid]
-        if len(dest.queue) + dest.in_flight >= cfg.fifo_depth:
+        dest = self.m.tiles[target]
+        if len(dest.fifos[fid]) + dest.in_flight[fid] >= cfg.fifo_depth:
             self.park(actor, ("fifo_space", target, fid),
                       f"send waiting on fifo {fid} space at tile {target}")
             return None
@@ -614,21 +603,21 @@ class _Sim:
         bus_start = max(self.now, self.bus_free)
         self.bus_free = end = bus_start + flits
         vals = self.consume(actor[0], addr, w, end)
-        dest.in_flight += 1
-        self.push(end + cfg.hop_cycles,
-                  ("_arrival", target, fid, actor[0], vals), pri=-1.0)
+        dest.in_flight[fid] += 1
+        self.push(end + cfg.hop_cycles, ("_arrival", target, fid, vals),
+                  pri=-1.0)
         return int(end - self.now)
 
     def exec_receive(self, actor, unit, i):
         addr, fid, count, w = i.a, i.sub, i.b, max(1, i.w)
         fifo = self.m.tiles[actor[0]].fifos[fid]
-        if not fifo.queue:
+        if not fifo:
             self.park(actor, ("fifo_data", actor[0], fid),
                       f"receive waiting on fifo {fid}")
             return None
         if self.wait_words(actor, addr, w, i.op, False):
             return None
-        _src, vals = fifo.queue.popleft()
+        vals = fifo.popleft()
         if len(vals) != w:
             raise SimError(
                 f"receive of {w} words got a {len(vals)}-word message")
@@ -658,10 +647,10 @@ class _Sim:
             t, _pri, _ser, actor = heapq.heappop(self.ready)
             self.now = max(self.now, t)
             if isinstance(actor, tuple) and actor and actor[0] == "_arrival":
-                _, target, fid, src, vals = actor
-                fifo = self.m.tiles[target].fifos[fid]
-                fifo.in_flight -= 1
-                fifo.queue.append((src, vals))
+                _, target, fid, vals = actor
+                tile = self.m.tiles[target]
+                tile.in_flight[fid] -= 1
+                tile.fifos[fid].append(vals)
                 self.wake_words("fifo_data", target, fid, 1, t)
                 continue
             self.attempt(actor)

@@ -188,8 +188,8 @@ def test_criterion_6_store_count_synchronization():
     for c in range(1, 1 + k):
         assert int(m.cores[(0, c)].regs[rs.general(2)]) == 77
     assert rep.blocked_ns[(0, 0)] > 0
-    assert int(m.tiles[0].mem.data[100]) == 88
-    assert m.tiles[0].mem.count[100] == 1   # second value still unconsumed
+    assert int(m.tiles[0].data[100]) == 88
+    assert m.tiles[0].count[100] == 1   # second value still unconsumed
     _ok(6, f"entry invalidated after exactly {k} loads; re-store blocked")
 
 
@@ -224,8 +224,8 @@ def test_criterion_7_fifo_per_source_ordering():
         m = Machine(cfg, build())
         rep = run(m, {}, order_seed=seed)
         assert rep.halted, rep.diagnosis
-        got0 = [int(m.tiles[2].mem.data[10 + k]) for k in range(n_msgs)]
-        got1 = [int(m.tiles[2].mem.data[20 + k]) for k in range(n_msgs)]
+        got0 = [int(m.tiles[2].data[10 + k]) for k in range(n_msgs)]
+        got1 = [int(m.tiles[2].data[20 + k]) for k in range(n_msgs)]
         assert got0 == [100 + k for k in range(n_msgs)], (seed, got0)
         assert got1 == [200 + k for k in range(n_msgs)], (seed, got1)
     _ok(7, "per-source order preserved over 1000 seeded interleavings")

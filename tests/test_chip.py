@@ -146,9 +146,9 @@ def test_run_state_holds_the_program_footprint_times_the_lanes():
     rep = run(m, {"x": lanes})
     assert rep.halted and m.chip.words == {0: 24}
     held = {a: u.regs.shape for a, u in m.cores.items()}
-    held.update({t: tile.mem.data.shape for t, tile in m.tiles.items()})
+    held.update({t: tile.data.shape for t, tile in m.tiles.items()})
     assert held == {(0, 0): (560, 10_000), 0: (24, 10_000)}
-    assert m.tiles[0].mem.count.shape == (24,)
+    assert m.tiles[0].count.shape == (24,)
     one = run(m, _lanes(pts)).outputs["y"]
     assert np.array_equal(rep.outputs["y"], np.resize(one, (10_000, 3)))
 
@@ -189,8 +189,8 @@ def test_a_tile_without_code_or_data_gets_no_words():
     cfg = MachineConfig(xbar_dim=4, cores_per_tile=2, tiles=3)
     m = Machine(cfg, _edge_program(cfg))
     run(m, {"x": [[5, 7], [1, 2]]})
-    assert m.tiles[2].mem.data.shape == (0, 2)
-    assert m.tiles[2].mem.count.shape == (0,)
+    assert m.tiles[2].data.shape == (0, 2)
+    assert m.tiles[2].count.shape == (0,)
     assert len(m.tiles[2].fifos) == cfg.num_fifos
 
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -249,8 +250,12 @@ def test_container_rejects_non_integer_weight_naming_the_mvmu():
                  r"IoBinding\(kind='in', name='xxx", id="io-name"),
     pytest.param("io", container.IoBinding("out", "y", 0, -1, 4, 1),
                  r"name='y', tile=0, addr=-1", id="io-addr"),
+    pytest.param("io", container.IoBinding("inout", "y", 0, 0, 4, 1),
+                 r"IoBinding\(kind='inout', ", id="io-kind"),
     pytest.param("regions", container.Region(0, 0, 1 << 16, "spill"),
                  r"Region\(tile=0, lo=0, hi=65536", id="region-end"),
+    pytest.param("regions", container.Region(0, 0, 1, "bogus"),
+                 r"Region\(tile=0, lo=0, hi=1, kind='bogus'\)", id="region-kind"),
     pytest.param("segments", container.Segment(1 << 16, 0, []),
                  r"Segment\(tile=65536, core=0\)", id="segment-tile"),
 ])
@@ -280,3 +285,15 @@ def test_container_static_histogram_sums_to_length():
     hist = prog.static_histogram()
     assert sum(hist.values()) == prog.total_instructions() == 3
     assert hist == {"set": 1, "jmp": 1, "send": 1}
+
+
+@pytest.mark.parametrize("record, at, byte", [
+    (b"\x01\x01\x00y", 0, 5),                    # io binding "y": kind "out"
+    (struct.pack("<HHHB", 0, 100, 103, 2), 6, 9),  # region: kind "const"
+], ids=["io", "region"])
+def test_container_rejects_an_unknown_kind_byte_naming_it(record, at, byte):
+    blob = container.save(_tiny_program())
+    at += blob.index(record)
+    bad = blob[:at] + bytes([byte]) + blob[at + 1:]
+    with pytest.raises(container.ContainerError, match=rf"kind byte {byte}\b"):
+        container.loads(bad)

@@ -3,7 +3,7 @@ the machine cannot mean."""
 
 import pytest
 
-from xbarsim.machine import ConfigError, MachineConfig
+from xbarsim.machine import ConfigError, MachineConfig, parse_config
 
 POWER = MachineConfig().power_mw
 
@@ -43,3 +43,28 @@ def test_each_limit_admits_its_bound():
     MachineConfig(mvm_cycles=1, register_size=0, adc_bits=0, noise_sigma=0.0,
                   seed=0, hop_cycles=0, mode_switch_cycles=0, clock_ghz=1e-3,
                   power_mw=dict.fromkeys(POWER, 0.0))
+
+
+@pytest.mark.parametrize("power, message", [
+    ({"vfu": 1.0}, r"^power_mw: missing rails \['attr', 'bus', "),
+    ({**POWER, "vfuu": 3.0}, r"^power_mw: unknown rails \['vfuu'\]$"),
+    ({k: v for k, v in POWER.items() if k != "net"},
+     r"^power_mw: missing rails \['net'\]$"),
+], ids=["one rail", "misspelt rail", "no net"])
+def test_power_must_name_exactly_the_default_rails(power, message):
+    with pytest.raises(ConfigError, match=message):
+        MachineConfig(tiles=1, power_mw=power)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("power.vfuu=3", r"^power_mw: unknown rails \['vfuu'\]$"),
+    ("power_mw=3", r"^line 1: unknown config key 'power_mw'$"),
+    ("seed=1\ntiles=1.5", r"^line 2: tiles must be of type int, got '1\.5'$"),
+    ("power.vfu=abc", r"^line 1: power\.vfu must be of type float, got 'abc'$"),
+    ("noise_sigma=lots", r"^line 1: noise_sigma must be of type float, got 'lots'$"),
+], ids=["unknown rail", "power_mw", "float for int", "power word",
+        "float word"])
+def test_parse_config_names_an_unknown_rail_and_a_value_not_a_number(text,
+                                                                     message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)

@@ -119,7 +119,7 @@ def test_store_count_two_serves_two_loads_then_invalidates():
     rep = run(m, {})
     assert rep.halted
     tile = m.tiles[0]
-    assert tile.mem.count[100] == 0
+    assert tile.count[100] == 0
     assert m.cores[(0, 0)].regs[rs.general(1)] == 99
     assert m.cores[(0, 1)].regs[rs.general(0)] == 99
 
@@ -166,7 +166,7 @@ def test_preloaded_data_counts():
     assert rep.halted
     assert m.cores[(0, 0)].regs[rs.general(0)] == 111
     assert m.cores[(0, 0)].regs[rs.general(1)] == -7
-    assert m.tiles[0].mem.count[10] == 0
+    assert m.tiles[0].count[10] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_fifo_backpressure_blocks_sender():
     rep = run(m, {})
     assert rep.halted
     assert rep.blocked_ns[(0, container.TILE_UNIT)] > 0
-    got = [int(m.tiles[1].mem.data[10 + k]) for k in range(4)]
+    got = [int(m.tiles[1].data[10 + k]) for k in range(4)]
     assert got == [0, 1, 2, 3]
 
 
@@ -330,8 +330,8 @@ def test_fixed_order_exchange_terminates():
     m = Machine(cfg, empty_program(cfg, progs))
     rep = run(m, {})
     assert rep.halted
-    assert int(m.tiles[0].mem.data[1]) == 41
-    assert int(m.tiles[1].mem.data[1]) == 40
+    assert int(m.tiles[0].data[1]) == 41
+    assert int(m.tiles[1].data[1]) == 40
 
 
 def test_step_limit_reports_blocked_state():
@@ -386,7 +386,7 @@ def test_identity_shuffle_equals_unshuffled():
     w = fp.quantize(np.arange(16).reshape(4, 4) / 32.0)
     fills = [isa.seti(rs.xbar_in(0, k), fp.quantize(0.1) + k) for k in range(4)]
     ident = container.ShufflePattern(0, 0, 0, 1, 0, [0, 1, 2, 3])
-    m1 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01, filt=1)], [ident])
+    m1 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01, filter=1)], [ident])
     m2 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01)])
     r1, r2 = run(m1, {}), run(m2, {})
     assert r1.halted and r2.halted
@@ -408,7 +408,7 @@ def test_rotation_shuffle_equals_physical_rotation():
     # 12-bit set immediates cannot carry negatives; use small positives
     x = [100, 200, 300, 400]
     fills = [isa.seti(rs.xbar_in(0, k), x[k]) for k in range(4)]
-    m1 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01, filt=1)], [pat])
+    m1 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01, filter=1)], [pat])
     rotated = [x[perm[r]] for r in range(4)]
     fills2 = [isa.seti(rs.xbar_in(0, k), rotated[k]) for k in range(4)]
     m2 = _mvm_machine(cfg, [w], fills2 + [isa.mvm(0b01)])
