@@ -1,7 +1,8 @@
 """Compilation driver: tiled graph -> scheduled instructions -> container.
 
 One `_Lowerer` emits the instructions of both compile modes as
-`isa.Instruction`s whose register fields may hold a `regalloc.VReg` and
+`isa.Instruction`s, each built by its ISA row's constructor (`isa.copy`,
+`isa.alu`, ...), whose register fields may hold a `regalloc.VReg` and
 whose address fields may hold a `regalloc.Mem`; `_emit_container`
 resolves them to plain ints. Unrolled lowering walks each actor's
 scheduled sequence: values move through general-purpose virtual
@@ -159,7 +160,7 @@ class _Lowerer:
             else:
                 runs.append([dst, src, 1])
         for dst, src, w in runs:
-            self.emit(actor, isa.Instruction("copy", 0, dst, src, 0, w))
+            self.emit(actor, isa.copy(dst, src, w))
 
     # -- unit lowering -------------------------------------------------------
 
@@ -175,24 +176,21 @@ class _Lowerer:
             # writes a fresh register so intermediates stay spillable
             ins = lead.inputs
             acc = self.new_vreg(actor)
-            self.emit(actor, isa.Instruction(
-                "alu", isa.ALU_OPS["add"], acc, self.val(ins[0]),
-                self.val(ins[1]), lead.length))
+            self.emit(actor, isa.alu("add", acc, self.val(ins[0]),
+                                     self.val(ins[1]), lead.length))
             for extra in ins[2:]:
                 nxt = self.new_vreg(actor)
-                self.emit(actor, isa.Instruction(
-                    "alu", isa.ALU_OPS["add"], nxt, acc, self.val(extra),
-                    lead.length))
+                self.emit(actor, isa.alu("add", nxt, acc, self.val(extra),
+                                         lead.length))
                 acc = nxt
             self.value_vreg[lead.id] = acc
         elif k in ("alu", "alu_imm", "act"):
             # act is a unary alu; alu_imm holds its immediate in field c
             src2 = (self.val(lead.inputs[1]) if k == "alu"
-                    else lead.imm & 0xFFF if k == "alu_imm" else 0)
+                    else lead.imm if k == "alu_imm" else 0)
             v = self.new_vreg(actor)
-            self.emit(actor, isa.Instruction(
-                "alui" if k == "alu_imm" else "alu", isa.ALU_OPS[lead.op], v,
-                self.val(lead.inputs[0]), src2, lead.length))
+            self.emit(actor, (isa.alui if k == "alu_imm" else isa.alu)(
+                lead.op, v, self.val(lead.inputs[0]), src2, lead.length))
             self.value_vreg[lead.id] = v
         elif k == "gather":
             if lead.id in self.elided:
@@ -204,25 +202,21 @@ class _Lowerer:
             self.value_vreg[lead.id] = v
         elif k == "load":
             v = self.new_vreg(actor)
-            self.emit(actor, isa.Instruction("load", 0, v, Mem(lead.sym), 0,
-                                             lead.length))
+            self.emit(actor, isa.load(v, Mem(lead.sym), lead.length))
             self.value_vreg[lead.id] = v
         elif k == "store":
-            self.emit(actor, isa.Instruction(
-                "store", 0, Mem(lead.sym), self.val(lead.inputs[0]),
+            self.emit(actor, isa.store(
+                Mem(lead.sym), self.val(lead.inputs[0]),
                 tg.symbols[lead.sym].count, lead.length))
         elif k == "send":
-            self.emit(actor, isa.Instruction(
-                "send", lead.fifo, Mem(lead.sym), lead.target, 0,
-                lead.length))
+            self.emit(actor, isa.send(Mem(lead.sym), lead.fifo, lead.target,
+                                      lead.length))
         elif k == "receive":
-            self.emit(actor, isa.Instruction(
-                "receive", lead.fifo, Mem(lead.sym),
-                tg.symbols[lead.sym].count, 0, lead.length))
+            self.emit(actor, isa.recv(Mem(lead.sym), lead.fifo,
+                                      tg.symbols[lead.sym].count, lead.length))
         elif k == "output":
-            sym = self.out_syms[lead.id]
-            self.emit(actor, isa.Instruction(
-                "store", 0, Mem(sym.id), self.val(lead.inputs[0]), 1,
+            self.emit(actor, isa.store(
+                Mem(self.out_syms[lead.id].id), self.val(lead.inputs[0]), 1,
                 lead.length))
         else:
             raise CompileError(f"cannot lower tnode kind {k!r}")
@@ -245,20 +239,19 @@ class _Lowerer:
                     bundle.append((mvmu, perm))
             else:
                 self.win_state.pop((actor, mvmu), None)
-                self.emit(actor, isa.Instruction(
-                    "copy", 0, self.rs.xbar_in(mvmu), self.val(src.id), 0,
-                    mt.rows))
+                self.emit(actor, isa.copy(self.rs.xbar_in(mvmu),
+                                          self.val(src.id), mt.rows))
         filt = 0
         if bundle:
             table = self.patterns.setdefault(actor, {})
             filt = table.setdefault(tuple(bundle), len(table) + 1)
-        self.emit(actor, isa.Instruction("mvm", mask, filt, 0, 0, 0))
+        self.emit(actor, isa.mvm(mask, filt, 0))
         for tid in ordered:
             n = tg.tnodes[tid]
             mt = tg.matrix_tiles[n.matrix]
             v = self.new_vreg(actor)
-            self.emit(actor, isa.Instruction(
-                "copy", 0, v, self.rs.xbar_out(mt.mvmu[2]), 0, mt.cols))
+            self.emit(actor, isa.copy(v, self.rs.xbar_out(mt.mvmu[2]),
+                                      mt.cols))
             self.value_vreg[n.id] = v
 
     def lower_conv_loop(self, actor, tiles, n_windows, mb_in, mb_out,
@@ -283,32 +276,29 @@ class _Lowerer:
                 f"{2 * cols + 3} register words, the register file has "
                 f"{rs.general_regs}")
 
-        def put(*fields):
-            self.emit(actor, isa.Instruction(*fields))
-
-        add = isa.ALU_OPS["add"]
+        put = self.code.setdefault(actor, []).append
         if bias_sym is not None:
-            put("load", 0, r_bias, Mem(bias_sym), 0, cols)
+            put(isa.load(r_bias, Mem(bias_sym), cols))
         for reg, value in ((r_cnt, 0), (r_one, 1), (r_lim, n_windows)):
-            put("set", 0, reg, value, 0, 0)
+            put(isa.seti(reg, value))
         body = len(self.code[actor])
         off = 0
         for mt in tiles:
-            put("load", 0, rs.xbar_in(mt.mvmu[2]), Mem(mb_in, off), 0, mt.rows)
+            put(isa.load(rs.xbar_in(mt.mvmu[2]), Mem(mb_in, off), mt.rows))
             off += mt.rows
-        put("mvm", sum(1 << mt.mvmu[2] for mt in tiles), 0, 0, 0, 0)
+        put(isa.mvm(sum(1 << mt.mvmu[2] for mt in tiles), 0, 0))
         outs = [rs.xbar_out(mt.mvmu[2]) for mt in tiles]
         if len(outs) == 1:
-            put("copy", 0, r_acc, outs[0], 0, cols)
+            put(isa.copy(r_acc, outs[0], cols))
         for k, reg in enumerate(outs[1:]):
-            put("alu", add, r_acc, r_acc if k else outs[0], reg, cols)
+            put(isa.alu("add", r_acc, r_acc if k else outs[0], reg, cols))
         if bias_sym is not None:
-            put("alu", add, r_acc, r_acc, r_bias, cols)
+            put(isa.alu("add", r_acc, r_acc, r_bias, cols))
         if act_op is not None:
-            put("alu", isa.ALU_OPS[act_op], r_acc, r_acc, 0, cols)
-        put("store", 0, Mem(mb_out), r_acc, 1, cols)
-        put("aluint", isa.ALUINT_OPS["add"], r_cnt, r_cnt, r_one, 0)
-        put("brn", isa.BRN_OPS["ne"], r_cnt, r_lim, body, 0)
+            put(isa.alu(act_op, r_acc, r_acc, 0, cols))
+        put(isa.store(Mem(mb_out), r_acc, 1, cols))
+        put(isa.aluint("add", r_cnt, r_cnt, r_one))
+        put(isa.brn("ne", r_cnt, r_lim, body))
 
 def _assign_memory(tg, machine):
     """Bind every symbol to a distinct tile-memory range.
@@ -553,8 +543,7 @@ def _compile_conv_loop(graph, machine, opts):
             s = tg.new_symbol(0, n.length, "input", name=n.name, count=1)
             n.sym = s.id
             v = low.value_vreg[n.id] = low.new_vreg(feeder)
-            low.emit(feeder, isa.Instruction("load", 0, v, Mem(s.id), 0,
-                                             s.size))
+            low.emit(feeder, isa.load(v, Mem(s.id), s.size))
     bias_sym = None
     if bias_words is not None:
         bias_sym = tg.new_symbol(0, cols, "const", count=1,
@@ -574,17 +563,14 @@ def _compile_conv_loop(graph, machine, opts):
                 for slot, off in gb.indices]
         low.emit_copies(feeder, [(win + dst, src)
                                  for dst, src in enumerate(srcs)])
-        low.emit(feeder, isa.Instruction("store", 0, Mem(mb_in), win, 1,
-                                         window_len))
+        low.emit(feeder, isa.store(Mem(mb_in), win, 1, window_len))
 
     low.lower_conv_loop(looper, tiles0, n_windows, mb_in, mb_out, bias_sym,
                         act_op)
     for w, _, out_node in chains:
         v = low.new_vreg(collector)
-        low.emit(collector, isa.Instruction("load", 0, v, Mem(mb_out), 0,
-                                            cols))
-        low.emit(collector, isa.Instruction("store", 0, Mem(out_syms[w].id),
-                                            v, 1, cols))
+        low.emit(collector, isa.load(v, Mem(mb_out), cols))
+        low.emit(collector, isa.store(Mem(out_syms[w].id), v, 1, cols))
 
     return _back_end(tg, machine, low, 1 if len(tiles0) > 1 else 0,
                      maxlive=0, loop_mode=1)

@@ -32,15 +32,19 @@ all derived from the table. The roles:
     key     number written as name=value, in the row's order
     imm     12-bit immediate; negative text wraps to 12 bits, and
             `alui_immediate` says how each subop reads it
+    addr    tile-memory address of the first of max(1, w) words
+    fifo    FIFO id; an opcode with one runs on the tile unit, not a core
+    tile    target tile
     num     plain number
 
 Each row also gives its constructor, `isa.<op>` (`seti` for set, `recv` for
-receive). It takes the operands that have a slot, in assembly order or as
-keywords by their names; a subop by its name, an immediate wrapped to 12
-bits. key and bsrc operands default to 0 and vec_width to 1.
+receive; also `ISA[op].make`). It takes the operands that have a slot, in
+assembly order or as keywords by their names; a subop by its name, an
+immediate wrapped to 12 bits. key and bsrc operands default to 0 and
+vec_width to 1. Assembly and the compiler build every instruction through
+it.
 """
 
-import inspect
 from dataclasses import dataclass
 
 INSTR_BYTES = 7
@@ -85,6 +89,12 @@ class OpSpec:
         self.sub_name, self.sub_role = next(
             ((n, role) for n, slot, role in operands if slot == "sub"),
             (None, None))
+        # operands naming a part of the machine; the tile-memory address
+        # slot, if any; whether the tile unit runs the opcode (fifo role)
+        self.places = tuple(o for o in operands
+                            if o[2] in ("mask", "fifo", "tile", "addr"))
+        self.addr = next((s for _, s, r in operands if r == "addr"), None)
+        self.on_tile = any(role == "fifo" for *_, role in operands)
         # (slot, vector wide, written, read only by binary subops)
         self.registers = tuple(
             (slot, *_REGISTER_ROLES[role], role == "bsrc")
@@ -108,16 +118,16 @@ ISA = {
     "set": OpSpec(5, None, (("dest", "a", "dst"), ("immediate", "b", "num"))),
     "copy": OpSpec(6, None, (("dest", "a", "vdst"), ("src1", "b", "vsrc"),
                              ("vec_width", "w", "num"))),
-    "load": OpSpec(7, None, (("dest", "a", "vdst"), ("immediate", "b", "num"),
+    "load": OpSpec(7, None, (("dest", "a", "vdst"), ("immediate", "b", "addr"),
                              ("vec_width", "w", "num"))),
     "store": OpSpec(8, None, (
-        ("dest", "a", "num"), ("src1", "b", "vsrc"), ("count", "c", "num"),
+        ("dest", "a", "addr"), ("src1", "b", "vsrc"), ("count", "c", "num"),
         ("vec_width", "w", "num"))),
     "send": OpSpec(9, None, (
-        ("memaddr", "a", "num"), ("fifo_id", "sub", "num"),
-        ("target", "b", "num"), ("vec_width", "w", "num"))),
+        ("memaddr", "a", "addr"), ("fifo_id", "sub", "fifo"),
+        ("target", "b", "tile"), ("vec_width", "w", "num"))),
     "receive": OpSpec(10, None, (
-        ("memaddr", "a", "num"), ("fifo_id", "sub", "num"),
+        ("memaddr", "a", "addr"), ("fifo_id", "sub", "fifo"),
         ("count", "b", "num"), ("vec_width", "w", "num"))),
     "jmp": OpSpec(11, None, (("pc", "c", "num"),)),
     "brn": OpSpec(12, BRN_OPS, (("brnop", "sub", "op"), ("src1", "a", "src"),
@@ -157,31 +167,29 @@ class Instruction:
 
 
 def _constructor(op, name):
-    """The constructor of row op (see the module docstring)."""
+    """The constructor of row op (see the module docstring). Its source is
+    generated from the row, as `dataclasses` generates `__init__`, so that
+    a call costs what a hand-written constructor's call does."""
     spec = ISA[op]
-    operands = [o for o in spec.operands if o[1]]
-    sig = inspect.Signature([inspect.Parameter(
-        n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        default=1 if n == "vec_width" else 0 if role in ("key", "bsrc")
-        else inspect.Parameter.empty) for n, _, role in operands])
+    # each Instruction field's expression, in field order
+    params, fields = [], dict.fromkeys(("sub", "a", "b", "c", "w"), "0")
+    for n, slot, role in spec.fields:
+        params.append(n + ("=1" if n == "vec_width" else
+                           "=0" if role in ("key", "bsrc") else ""))
+        fields[slot] = (f"(subops[{n}] if {n} in subops else bad({n}))"
+                        if role == "op" else
+                        f"{n} & {FIELD_MAX}" if role == "imm" else n)
 
-    def make(*args, **kwargs):
-        if kwargs or len(args) != len(operands):   # defaults, keywords, errors
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.arguments.values()
-        fields = {}
-        for (_, slot, role), v in zip(operands, args):
-            if role == "op":
-                if v not in spec.subops:
-                    raise IsaError(f"{op} does not support {v!r}")
-                v = spec.subops[v]
-            fields[slot] = v & FIELD_MAX if role == "imm" else v
-        return Instruction(op, **fields)
+    def bad(v):
+        raise IsaError(f"{op} does not support {v!r}")
 
-    make.__name__ = make.__qualname__ = name
-    make.__signature__ = sig
-    make.__doc__ = f"The {op} Instruction of operands {sig}."
+    scope = {"Instruction": Instruction, "subops": spec.subops, "bad": bad,
+             "__name__": __name__}
+    exec(f"def {name}({', '.join(params)}):\n"
+         f"    return Instruction({op!r}, {', '.join(fields.values())})",
+         scope)
+    spec.make = make = scope[name]
+    make.__doc__ = f"The {op} Instruction of operands ({', '.join(params)})."
     return make
 
 
@@ -211,9 +219,7 @@ def registers(i):
 
 
 def fired_mvmus(i, mvmus):
-    """The MVMUs that i activates: the set bits of its mask operand, if any."""
-    if ISA[i.op].sub_role != "mask":
-        return []
+    """The MVMUs that mvm i activates: the set bits of its mask."""
     return [u for u in range(mvmus) if i.sub >> u & 1]
 
 
@@ -370,25 +376,22 @@ def assemble_one(text, line=None):
     if len(parts) != len(spec.fields):
         raise AsmError(f"{m} expects {len(spec.fields)} operand(s), got "
                        f"{len(parts)}", line)
-    fields = {}
-    for (name, slot, role), tok in zip(spec.fields, parts):
-        if role == "op":
-            if tok not in spec.subops:
-                raise AsmError(f"unknown sub-operation {tok!r}", line)
-            fields[slot] = spec.subops[tok]
-        elif role == "key":
+    args = []     # a subop stays its name; the constructor looks it up
+    for (name, _, role), tok in zip(spec.fields, parts):
+        if role == "key":
             key, _, val = tok.partition("=")
             if key != name or not val:
                 raise AsmError(f"{m} expects {name}= here, got {tok!r}", line)
-            fields[slot] = _parse_int(val, line)
+            tok = val
         elif role in _REGISTER_ROLES:
             if not tok.startswith("$"):
                 raise AsmError(f"expected register ($n), got {tok!r}", line)
-            fields[slot] = _parse_int(tok[1:], line)
-        else:
-            v = _parse_int(tok, line)
-            fields[slot] = v & FIELD_MAX if role == "imm" else v
-    return Instruction(m, **fields)
+            tok = tok[1:]
+        args.append(tok if role == "op" else _parse_int(tok, line))
+    try:
+        return spec.make(*args)
+    except IsaError as e:
+        raise AsmError(str(e), line) from None
 
 
 def assemble(text):

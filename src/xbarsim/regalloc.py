@@ -8,7 +8,8 @@ definition followed by a store and each use preceded by a reload.
 
 Instructions here are `isa.Instruction`s whose register fields may hold a
 `VReg` and whose address fields may hold a `Mem`; the compiler resolves
-both to plain ints once registers and tile memory are assigned.
+both to plain ints once registers and tile memory are assigned. Spill
+loads and stores are built by their ISA rows' constructors.
 
 XbarIn/XbarOut registers are fixed per-MVMU ranges: lowering always moves
 values through general registers with an explicit copy around each MVM, so
@@ -19,7 +20,7 @@ allocation.
 import itertools
 from dataclasses import dataclass, field
 
-from .isa import Instruction, registers
+from .isa import Instruction, load, registers, store
 
 
 class RegAllocError(Exception):
@@ -205,17 +206,16 @@ def _rewrite_spills(instrs, to_spill, slot_of, next_vreg):
         for opnd, w in reads:
             if isinstance(opnd, VReg) and opnd.v in to_spill:
                 fresh = next_vreg()
-                pre.append(Instruction("load", 0, VReg(fresh),
-                                       Mem(slot_of[opnd.v], opnd.off), 0, w))
+                pre.append(load(VReg(fresh), Mem(slot_of[opnd.v], opnd.off),
+                                w))
                 repl[opnd] = VReg(fresh)
         for opnd, w in writes:
             if isinstance(opnd, VReg) and opnd.v in to_spill:
                 fresh = next_vreg()
                 repl[opnd] = VReg(fresh)
                 if reload_counts[opnd.v]:
-                    post.append(Instruction(
-                        "store", 0, Mem(slot_of[opnd.v], opnd.off),
-                        VReg(fresh), reload_counts[opnd.v], w))
+                    post.append(store(Mem(slot_of[opnd.v], opnd.off),
+                                      VReg(fresh), reload_counts[opnd.v], w))
 
         def swap(x):
             return repl.get(x, x)

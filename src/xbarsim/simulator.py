@@ -49,8 +49,7 @@ from .machine import CHIP_FIELDS
 log = logging.getLogger("xbarsim")
 
 PIPELINE_FILL_CYCLES = 2   # fetch + decode before the first execute
-TILE_OPS = {"send", "receive"}   # run by the tile unit; the rest by cores
-MEM_ADDR_SLOT = {"load": "b", "store": "a", "send": "a", "receive": "a"}
+TILE_OPS = {op for op, spec in ISA.items() if spec.on_tile}
 FETCH_RAILS = {False: ("control", "core_imem"),   # a core's fetch, decode
                True: ("tile_ctrl", "tile_imem")}  # the tile unit's
 
@@ -179,23 +178,28 @@ class _Sequencer:
 
 def _check_fits(i, cfg, loaded, rs):
     """Raise GeometryError if valid instruction i names what the machine
-    lacks, SimError if it reads XbarIn or writes XbarOut; loaded is the bit
-    mask of the core's MVMUs that hold weights, rs the register space.
-    Returns i's footprint (words, regs): one past the highest tile memory
-    word and the highest register it reaches, 0 where it reaches none."""
-    if i.op == "mvm" and i.sub & ~loaded:
-        raise GeometryError(f"mvm mask {i.sub:#b} fires an MVMU without "
-                            f"weights (loaded: {loaded:#b})")
-    if i.op in TILE_OPS and i.sub >= cfg.num_fifos:
-        raise GeometryError(f"{i.op} names fifo {i.sub} of {cfg.num_fifos}")
-    if i.op == "send" and i.b >= cfg.tiles:
-        raise GeometryError(f"send targets tile {i.b} of {cfg.tiles}")
-    slot = MEM_ADDR_SLOT.get(i.op)
-    words = getattr(i, slot) + max(1, i.w) if slot else 0
-    if words > cfg.dmem_words:
-        raise GeometryError(f"{i.op} of {max(1, i.w)} words at {getattr(i, slot)}"
-                            f" runs past the {cfg.dmem_words}-word memory")
-    regs = rs.general_base if i.op == "mvm" else 0   # all XbarIn and XbarOut
+    lacks (each operand read by its role), SimError if it reads XbarIn or
+    writes XbarOut; loaded is the bit mask of the core's MVMUs that hold
+    weights, rs the register space. Returns i's footprint (words, regs):
+    one past the highest tile memory word and the highest register it
+    reaches, 0 where it reaches none."""
+    words = regs = 0
+    for name, slot, role in ISA[i.op].places:
+        v = getattr(i, slot)
+        if role == "mask":
+            if v & ~loaded:
+                raise GeometryError(f"{i.op} {name} {v:#b} fires an MVMU "
+                                    f"without weights (loaded: {loaded:#b})")
+            regs = rs.general_base                  # all XbarIn and XbarOut
+        elif role == "fifo" and v >= cfg.num_fifos:
+            raise GeometryError(f"{i.op} names fifo {v} of {cfg.num_fifos}")
+        elif role == "tile" and v >= cfg.tiles:
+            raise GeometryError(f"{i.op} targets tile {v} of {cfg.tiles}")
+        elif role == "addr":
+            words = v + max(1, i.w)
+            if words > cfg.dmem_words:
+                raise GeometryError(f"{i.op} of {max(1, i.w)} words at {v} runs"
+                                    f" past the {cfg.dmem_words}-word memory")
     for addr, n, written in registers(i):
         end = addr + n
         if end > rs.total:
@@ -702,15 +706,15 @@ def instr_cost(cfg, i, mvmus=(), spills=()):
     Where i sits matters only through mvmus (the running core's crossbars)
     and spills (its tile's (lo, hi) spill regions). A send's contended bus
     time is no cost: it reaches the report through `busy`."""
-    w = max(1, i.w)
+    w, slot = max(1, i.w), ISA[i.op].addr
     cost = dict.fromkeys(FETCH_RAILS[i.op in TILE_OPS], 1)   # fetch, decode
     cost["reg_words"] = sum(n for _, n, _ in registers(i))
-    if i.op in MEM_ADDR_SLOT:      # a tile memory access: data and attributes
+    if slot:                       # a tile memory access: data and attributes
         cost.update(dmem=w, attr=w)
     if i.op in ("load", "store"):
         cost.update(bus=(w + BUS_WORDS_PER_CYCLE - 1) // BUS_WORDS_PER_CYCLE,
                     regfile=w)
-        addr = getattr(i, MEM_ADDR_SLOT[i.op])
+        addr = getattr(i, slot)
         if any(addr < hi and addr + w > lo for lo, hi in spills):
             cost["spill_words"] = w
     elif i.op in ("send", "receive"):

@@ -60,6 +60,12 @@ def test_tile_instruction_overflow_is_a_compile_error_naming_the_unit():
                       MachineConfig(tiles=4, tile_imem_bytes=14))
 
 
+def test_tile_memory_overflow_is_a_compile_error_naming_the_tile():
+    with pytest.raises(CompileError, match=r"^tile 1 shared memory exhausted: "
+                                           r"need 4608 of 4096 words$"):
+        compile_model(models.mlp_model(640)[0], MachineConfig(tiles=8))
+
+
 def test_a_machine_runs_again_from_fresh_state():
     g, pts, _ = models.trained_tiny_classifier()
     cfg = MachineConfig(tiles=1)

@@ -82,6 +82,17 @@ def test_a_segment_or_block_outside_the_machine_is_named(prog, message):
     ((0, 0), [isa.store(64, G0, 1, 0)], [], GeometryError,
      "tile 0 core 0 pc 0: store of 1 words at 64 runs past the 64-word "
      "memory"),
+    ((0, TILE_UNIT), [isa.send(60, 0, 1, 8)], [], GeometryError,
+     "tile 0 unit pc 0: send of 8 words at 60 runs past the 64-word memory"),
+    ((1, TILE_UNIT), [isa.recv(62, 0, 1, 4)], [], GeometryError,
+     "tile 1 unit pc 0: receive of 4 words at 62 runs past the 64-word "
+     "memory"),
+    ((0, TILE_UNIT), [isa.send(0, 16, 1, 1)], [], GeometryError,
+     "tile 0 unit pc 0: send names fifo 16 of 16"),
+    ((0, 0), [isa.Instruction("frob")], [], isa.IsaError,
+     "tile 0 core 0 pc 0: unknown mnemonic 'frob'"),
+    ((0, TILE_UNIT), [isa.Instruction("frob")], [], SimError,
+     "tile 0 unit cannot execute 'frob'"),
     ((0, 1), [isa.Instruction("copy", 0, a=30, b=30, w=4)], [], GeometryError,
      "tile 0 core 1 pc 0: copy of 4 registers at 30 runs past the "
      "32-register file"),
@@ -101,7 +112,9 @@ def test_a_segment_or_block_outside_the_machine_is_named(prog, message):
     ((0, 0), [isa.copy(CFG.regspace().xbar_in(1), G0, 12)], [], SimError,
      "tile 0 core 0 pc 0: class-access violation: copy writes XbarOut 8"),
 ], ids=["invalid", "mask_beyond_core", "mask_without_weights", "send_target",
-        "fifo_id", "load_words", "store_words", "copy_registers",
+        "fifo_id", "load_words", "store_words", "send_words", "receive_words",
+        "send_fifo_id", "unknown_on_core", "unknown_on_tile_unit",
+        "copy_registers",
         "alu_registers", "set_register", "reads_xbar_in", "writes_xbar_out",
         "load_into_xbar_out", "copy_into_xbar_out"])
 def test_an_instruction_is_checked_once_when_configured(actor, instrs, weights,

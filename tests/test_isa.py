@@ -90,6 +90,15 @@ def test_truncated_input_is_a_length_error():
         isa.decode(b"\x00" * 5)
 
 
+def test_reserved_bits_and_a_partial_instruction_are_decode_errors():
+    val = int.from_bytes(isa.encode(isa.jmp(0)), "little") | 1 << 54
+    with pytest.raises(isa.DecodeError, match="^reserved bits set$"):
+        isa.decode(val.to_bytes(isa.INSTR_BYTES, "little"))
+    with pytest.raises(isa.DecodeError,
+                       match="^program length 8 not a multiple of 7$"):
+        isa.decode_program(isa.encode(isa.jmp(0)) + b"\0")
+
+
 def test_unknown_opcode_names_byte_offset():
     bad = (31).to_bytes(7, "little")  # opcode 31 unused
     with pytest.raises(isa.DecodeError, match="byte offset 0"):
@@ -213,6 +222,16 @@ def test_container_rejects_bad_magic_and_truncation():
         container.loads(b"XXXX" + blob[4:])
     with pytest.raises(container.ContainerError, match="truncated"):
         container.loads(blob[:-3])
+
+
+def test_container_rejects_another_version_and_trailing_bytes():
+    blob = container.save(_tiny_program())
+    with pytest.raises(container.ContainerError,
+                       match="^unsupported container version 1$"):
+        container.loads(blob[:4] + bytes([1]) + blob[5:])
+    with pytest.raises(container.ContainerError,
+                       match="^trailing bytes after container$"):
+        container.loads(blob + b"\0")
 
 
 def test_container_rejects_weight_outside_int16_naming_the_mvmu():

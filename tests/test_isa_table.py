@@ -132,8 +132,17 @@ def test_mvm_keywords_are_positional(text, where):
 
 def test_assembler_rejects_a_subop_outside_the_row_table():
     with pytest.raises(isa.AsmError,
-                       match="line 2: unknown sub-operation 'min'"):
+                       match="line 2: alui does not support 'min'"):
         isa.assemble("jmp 0\nalui min, $600, $610, 3, 8\n")
+
+
+def test_operand_roles_place_tile_memory_and_tile_unit_opcodes():
+    roles = {op: {role for *_, role in spec.operands}
+             for op, spec in isa.ISA.items()}
+    assert {op for op, r in roles.items() if "addr" in r} == {
+        "load", "store", "send", "receive"}
+    assert {op for op, spec in isa.ISA.items() if spec.on_tile} == {
+        "send", "receive"}
 
 
 @pytest.mark.parametrize("op, sub, message", [
