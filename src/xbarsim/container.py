@@ -6,7 +6,7 @@ then per-core and per-tile instruction segments each prefixed by
 7-byte records. Configuration sections follow: crossbar weights, shuffle
 patterns, preloaded data-memory words, input/output bindings, memory
 region tags, and integer metadata from the compiler. A weight block is a
-2-D int64 ndarray in memory and row-major little-endian int16 words here.
+2-D int16 ndarray in memory and row-major little-endian int16 words here.
 """
 
 import struct
@@ -48,7 +48,7 @@ class WeightBlock:
     tile: int
     core: int
     mvmu: int
-    w_raw: np.ndarray = field(repr=False)  # rows x cols raw int64
+    w_raw: np.ndarray = field(repr=False)  # rows x cols raw int16
 
 
 @dataclass
@@ -131,8 +131,8 @@ def _pack_segment(s):
 
 def _pack_weights(wb):
     w = np.asarray(wb.w_raw)
-    words = w.astype("<i2")
-    if w.ndim != 2 or np.any(words != w):
+    words = w.astype("<i2", copy=False)
+    if w.ndim != 2 or (w.dtype != np.int16 and np.any(words != w)):
         raise ContainerError(f"tile {wb.tile} core {wb.core} mvmu "
                              f"{wb.mvmu}: weights are not 2-D int16 "
                              f"integers")
@@ -232,7 +232,8 @@ def loads(blob):
     for _ in range(nw):
         tile, core, mvmu, rows, cols = r.unpack("<HHBHH")
         w = np.frombuffer(r.take(2 * rows * cols), "<i2").reshape(rows, cols)
-        prog.weights.append(WeightBlock(tile, core, mvmu, w.astype(np.int64)))
+        prog.weights.append(WeightBlock(tile, core, mvmu,
+                                        w.astype(np.int16, copy=False)))
     (np_,) = r.unpack("<H")
     for _ in range(np_):
         tile, core, mvmu, filt, stride, n = r.unpack("<HHBHHH")

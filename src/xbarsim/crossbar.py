@@ -32,8 +32,9 @@ def slices_for_bits(bits_per_device):
 class SlicedMatrix:
     """Per-device digit planes of one weight matrix on one MVMU.
 
-    w_raw is the programmed raw weight matrix (int64). slices is one
-    float64 (slices, rows, cols) array whose plane i holds digit i (least
+    w_raw is the programmed raw weight matrix, int16; the MAC and the
+    digit extraction widen it to int64. slices is one float64
+    (slices, rows, cols) array whose plane i holds digit i (least
     significant first) of the biased weights: integers in [0, 2^b - 1]
     before noise and real-valued conductances after. Without planes at
     construction they are built on first read of slices.
@@ -51,7 +52,8 @@ class SlicedMatrix:
         if self._slices is None:
             b = self.bits_per_device
             shifts = b * np.arange(slices_for_bits(b))[:, None, None]
-            digits = ((self.w_raw + WEIGHT_BIAS) >> shifts) & ((1 << b) - 1)
+            biased = self.w_raw.astype(np.int64) + WEIGHT_BIAS
+            digits = (biased >> shifts) & ((1 << b) - 1)
             self._slices = digits.astype(np.float64)
         return self._slices
 
@@ -70,11 +72,11 @@ def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
     """Decompose a raw Fixed16 weight matrix into unsigned digit planes.
 
     Digit d of slice i equals floor((raw + 2^15) / (2^b)^i) mod 2^b. The
-    matrix is checked against the crossbar and the 16-bit range here; the
-    planes are built on their first read, since the ideal MVM never reads
-    them.
+    matrix is checked against the crossbar, and one of any dtype but int16
+    against the 16-bit range, then narrowed to int16; the planes are built
+    on their first read, since the ideal MVM never reads them.
     """
-    w_raw = np.asarray(w_raw, dtype=np.int64)
+    w_raw = np.asarray(w_raw)
     if w_raw.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
     rows, cols = w_raw.shape
@@ -83,8 +85,10 @@ def slice_weights(w_raw, xbar_dim=128, bits_per_device=2):
             f"matrix {rows}x{cols} exceeds crossbar dimension {xbar_dim}"
         )
     slices_for_bits(bits_per_device)
-    if w_raw.min() < RAW_MIN or w_raw.max() > RAW_MAX:
-        raise ValueError("weights outside 16-bit raw range")
+    if w_raw.dtype != np.int16:
+        if w_raw.min() < RAW_MIN or w_raw.max() > RAW_MAX:
+            raise ValueError("weights outside 16-bit raw range")
+        w_raw = w_raw.astype(np.int16)
     return SlicedMatrix(w_raw, None, bits_per_device)
 
 
@@ -121,8 +125,10 @@ def adc_transfer(values, adc_bits, full_scale):
 
 def ideal_mvm(w_raw, x_raw, frac_bits=DEFAULT_FRAC_BITS):
     """Exact integer MAC over raw weights, rounded half-even, saturated.
-    x_raw is one input vector or a (batch, rows) stack of them."""
-    return saturate(rshift_round_even(x_raw @ w_raw, frac_bits))
+    x_raw is one input vector or a (batch, rows) stack of them; the
+    product accumulates in int64 whatever the weights' dtype."""
+    return saturate(rshift_round_even(np.asarray(x_raw, np.int64) @ w_raw,
+                                      frac_bits))
 
 
 def crossbar_mvm(m, x_raw, adc_bits=None, frac_bits=DEFAULT_FRAC_BITS, xbar_dim=128):

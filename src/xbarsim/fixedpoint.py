@@ -1,9 +1,11 @@
 """16-bit fixed-point arithmetic and ROM lookup tables.
 
 All values are carried as raw two's-complement integers in numpy int64
-arrays (logical range is int16). The radix point sits at ``frac_bits``
-(default Q3.12). Every operation saturates at the representable range
-instead of wrapping, and rounding is round-to-nearest-even throughout.
+arrays (logical range is int16), except weight matrices, which stay int16
+from quantization to the crossbar and are widened only inside the MAC.
+The radix point sits at ``frac_bits`` (default Q3.12). Every operation
+saturates at the representable range instead of wrapping, and rounding is
+round-to-nearest-even throughout.
 """
 
 import operator
@@ -168,7 +170,7 @@ def to_hex(raw):
 
 
 def from_hex(text):
-    """Hex text of whole 4-digit words -> raw int64 values."""
+    """Hex text of whole 4-digit words -> raw values as native int16."""
     try:
         data = bytes.fromhex(text)
     except ValueError:
@@ -176,7 +178,7 @@ def from_hex(text):
     if len(text) % 4 or data is None or 2 * len(data) != len(text):
         raise ValueError(f"not whole 4-digit hex words ({len(text)} "
                          f"characters)")
-    return np.frombuffer(data, ">i2").astype(np.int64)
+    return np.frombuffer(data, ">i2").astype(np.int16)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class ModelGraph:
     def __init__(self, frac_bits=fp.DEFAULT_FRAC_BITS):
         self.frac_bits = frac_bits
         self.nodes = []
-        self.constants = {}        # node id -> raw int64 matrix (rows x cols)
+        self.constants = {}        # node id -> raw int16 matrix (rows x cols)
         self.input_names = []
         self.output_names = []
         self.stream_steps = {}     # stream name -> step count
@@ -127,7 +127,7 @@ class ModelGraph:
         w = np.asarray(w)
         if w.ndim != 2:
             raise ShapeError("constant matrix must be 2-D")
-        w_raw = fp.quantize(w, self.frac_bits)
+        w_raw = fp.quantize(w, self.frac_bits).astype(np.int16)  # saturated
         ref = self._add("const_matrix")
         self.constants[ref.id] = w_raw
         return ref

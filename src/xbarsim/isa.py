@@ -389,9 +389,11 @@ def assemble_one(text, line=None):
             tok = tok[1:]
         args.append(tok if role == "op" else _parse_int(tok, line))
     try:
-        return spec.make(*args)
+        instr = spec.make(*args)
+        validate(instr)
     except IsaError as e:
         raise AsmError(str(e), line) from None
+    return instr
 
 
 def assemble(text):
@@ -401,7 +403,5 @@ def assemble(text):
         code = raw_line.split("#", 1)[0].strip()
         if not code:
             continue
-        instr = assemble_one(code, line=ln)
-        validate(instr)
-        out.append(instr)
+        out.append(assemble_one(code, line=ln))
     return out

@@ -65,7 +65,7 @@ class MatrixTile:
     orig: int              # const_matrix node id
     row_block: int
     col_block: int
-    w_raw: np.ndarray      # rows x cols raw int64 weights (a view)
+    w_raw: np.ndarray      # rows x cols raw int16 weights (a view)
     mvmu: tuple = None     # (tile, core, mvmu index)
 
     @property

@@ -152,6 +152,20 @@ def test_assemble_errors_carry_line_numbers():
         isa.assemble("copy 1, $2, 4\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("set $5000, 1", "set: operand a=5000 out of range [0, 4095]"),
+    ("alu add, $1, $2, $3, 300",
+     "alu: operand vec_width=300 out of range [0, 255]"),
+    ("mvm 0, filter=0, stride=0",
+     "mvm: mask must activate at least one MVMU"),
+])
+def test_assemble_field_errors_carry_line_numbers(line, message):
+    with pytest.raises(isa.AsmError) as e:
+        isa.assemble("jmp 0\n" + line)
+    assert str(e.value) == "line 2: " + message
+    assert e.value.line == 2 and isinstance(e.value, isa.IsaError)
+
+
 def test_register_space_partition():
     rs = isa.RegisterSpace(128, 2)
     assert rs.general_regs == 512          # 2 * dim * mvmus
@@ -207,7 +221,7 @@ def test_container_round_trip():
     assert back.segments[0].instrs == prog.segments[0].instrs
     assert back.segments[1].core == container.TILE_UNIT
     w = back.weights[0].w_raw
-    assert isinstance(w, np.ndarray) and w.dtype == np.int64 and w.ndim == 2
+    assert isinstance(w, np.ndarray) and w.dtype == np.int16 and w.ndim == 2
     assert np.array_equal(w, [[1, -2], [3, 4]])
     assert back.patterns[0].perm == [1, 0, 2, 3]
     assert back.data[0].words == [7, -8, 9]
