@@ -6,8 +6,9 @@ One `_Lowerer` emits the instructions of both compile modes as
 whose address fields may hold a `regalloc.Mem`; `_emit_container`
 resolves them to plain ints. Unrolled lowering walks each actor's
 scheduled sequence: values move through general-purpose virtual
-registers, with explicit copies into XbarIn before each (possibly
-coalesced) MVM and out of XbarOut after it.
+registers, except where `_feed_crossbars` lets the MVMU's fixed registers
+hold them: a value that only feeds an MVM lands in XbarIn, and the result
+is read from XbarOut until that MVMU fires again.
 Sliding-window MVMs reuse XbarIn contents across consecutive windows when
 input shuffling is enabled: only the fresh window elements are copied in
 and the MVM instruction carries a shuffle-pattern id that re-routes XbarIn
@@ -19,7 +20,7 @@ range of its tile's memory, and no word is reused for a second value
 (see _assign_memory).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import container, isa, regalloc, schedule
 from .partition import (
@@ -300,6 +301,62 @@ class _Lowerer:
         put(isa.aluint("add", r_cnt, r_cnt, r_one))
         put(isa.brn("ne", r_cnt, r_lim, body))
 
+
+def _feed_crossbars(code, rs):
+    """Copy coalescing onto the MVMUs' fixed registers (Chaitin, SIGPLAN
+    1982; George and Appel, TOPLAS 1996), in two passes over one core's
+    straight-line code. Copy-in: `copy XbarIn(u)+k <- v` goes when v's one
+    writer is a full-width load, alu or alui, the copy is v's one reader,
+    and nothing between the two writes those words or fires u; the writer
+    then writes XbarIn(u)+k. Copy-out: `copy v <- XbarOut(u)`, v's one
+    writer, goes when every read of v comes before the next mvm that fires
+    u; the reads then read XbarOut(u). Other copies stay."""
+    dim, xout = rs.xbar_dim, rs.xbar_out_base
+    fires = [[pos for pos, li in enumerate(code) if li.op == "mvm" and u in
+              isa.fired_mvmus(li, rs.mvmus)] + [len(code)]
+             for u in range(rs.mvmus)]      # MVMU -> its mvms, then the end
+    if all(len(f) == 1 for f in fires):     # no mvm, so no staging copy
+        return code
+    defs, uses = {}, {}                     # VReg -> positions
+    for pos, li in enumerate(code):
+        for opnd, _w, written in isa.registers(li):
+            if isinstance(opnd, VReg):
+                (defs if written else uses).setdefault(opnd.v, []).append(pos)
+    touched = [-1] * xout       # XbarIn word -> its last write or mvm read
+    seen = [0] * rs.mvmus       # MVMU -> mvms that have fired it so far
+    out, out_at, renamed, rename_at = [], {}, {}, set()
+    for pos, li in enumerate(code):
+        a, b, w = li.a, li.b, max(1, li.w)
+        for u in isa.fired_mvmus(li, rs.mvmus) if li.op == "mvm" else ():
+            seen[u] += 1
+            touched[u * dim:(u + 1) * dim] = [pos] * dim
+        if li.op == "copy" and isinstance(a, int) and a < xout \
+                and isinstance(b, VReg) and uses[b.v] == [pos] \
+                and len(defs.get(b.v, ())) == 1:
+            d = defs[b.v][0]
+            if code[d].op in ("load", "alu", "alui") and code[d].a == b \
+                    and code[d].w == li.w and max(touched[a:a + w]) < d:
+                out[out_at[d]] = replace(out[out_at[d]], a=a)
+                touched[a:a + w] = [d] * w
+                continue
+        if li.op == "copy" and isinstance(a, VReg) and isinstance(b, int) \
+                and xout <= b < rs.general_base and defs[a.v] == [pos]:
+            u = (b - xout) // dim
+            if a.off == 0 and uses.get(a.v, [pos])[-1] < fires[u][seen[u]]:
+                renamed[a.v] = b
+                rename_at.update(uses.get(a.v, ()))
+                continue
+        if pos in rename_at:
+            li = isa.Instruction(li.op, li.sub, *(
+                renamed[f.v] + f.off if isinstance(f, VReg) and f.v in renamed
+                else f for f in (a, b, li.c)), li.w)
+        if isinstance(a, int) and a < xout:     # XbarIn writes name field a
+            touched[a:a + w] = [pos] * w
+        out_at[pos] = len(out)
+        out.append(li)
+    return out
+
+
 def _assign_memory(tg, machine):
     """Bind every symbol to a distinct tile-memory range.
 
@@ -387,7 +444,7 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
     """Shared tail of both compile modes: allocate registers per core of
     the lowerer's code, assign tile memory, emit the container and fill the
     report. Code that already names physical registers has no virtual
-    registers and passes allocation unchanged."""
+    registers and passes copy coalescing and allocation unchanged."""
     code = low.code
     report = CompileReport(coalesce_groups=coalesce_groups, maxlive=maxlive,
                            fifo_pairs=len(tg.fifo_map))
@@ -399,6 +456,7 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
         def mk_spill(size, _tile=actor[0]):
             return tg.new_symbol(_tile, size, "spill").id
 
+        code[actor] = _feed_crossbars(code[actor], machine.regspace())
         try:
             res = regalloc.allocate(code[actor], machine, mk_spill)
         except regalloc.RegAllocError as e:

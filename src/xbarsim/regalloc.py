@@ -11,10 +11,10 @@ Instructions here are `isa.Instruction`s whose register fields may hold a
 both to plain ints once registers and tile memory are assigned. Spill
 loads and stores are built by their ISA rows' constructors.
 
-XbarIn/XbarOut registers are fixed per-MVMU ranges: lowering always moves
-values through general registers with an explicit copy around each MVM, so
-xbar-class live ranges never conflict by construction and need no
-allocation.
+XbarIn/XbarOut registers are fixed per-MVMU ranges and need no
+allocation: lowering writes XbarIn only with a value that the next MVM
+reads, and reads XbarOut only before that MVMU fires again
+(compiler._feed_crossbars), so their live ranges never conflict.
 """
 
 import itertools

@@ -112,6 +112,8 @@ class RunReport:
             "steps": self.steps,
             "mode_switches": self.mode_switches,
             "saturations": self.saturations,
+            "reg_accesses": self.reg_accesses,
+            "spill_accesses": self.spill_accesses,
             "spill_access_pct": round(self.spill_access_pct, 4),
             "coalesce_groups": self.coalesce_groups,
             "maxlive": self.maxlive,

@@ -61,9 +61,19 @@ def test_tile_instruction_overflow_is_a_compile_error_naming_the_unit():
 
 
 def test_tile_memory_overflow_is_a_compile_error_naming_the_tile():
-    with pytest.raises(CompileError, match=r"^tile 1 shared memory exhausted: "
-                                           r"need 4608 of 4096 words$"):
-        compile_model(models.mlp_model(640)[0], MachineConfig(tiles=8))
+    with pytest.raises(CompileError, match=r"^tile 0 shared memory exhausted: "
+                                           r"need 4736 of 4096 words$"):
+        compile_model(models.mlp_model(1152)[0], MachineConfig(tiles=16))
+
+
+def test_a_1024_wide_mlp_runs_bit_exact_on_16_tiles():
+    g, inputs = models.mlp_model(1024)
+    cfg = MachineConfig(tiles=16)
+    prog, report = compile_model(g, cfg)
+    assert report.spill_count == 64
+    rep = run(Machine(cfg, prog), inputs)
+    assert rep.halted
+    assert rep.outputs["y"].tolist() == gr.evaluate(g, inputs)["y"].tolist()
 
 
 def test_a_machine_runs_again_from_fresh_state():

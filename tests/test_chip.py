@@ -132,8 +132,8 @@ def test_only_actors_with_code_get_run_state():
     m = Machine(BASE.with_overrides(noise_sigma=0.03, adc_bits=9), prog)
     first = run(m, _lanes(pts[:4]))
     assert list(m.units) == list(m.cores) == [(0, 0)]
-    assert m.chip.regs == {(0, 0): 560}
-    assert m.cores[(0, 0)].regs.shape == (560, 4)
+    assert m.chip.regs == {(0, 0): 544}
+    assert m.cores[(0, 0)].regs.shape == (544, 4)
     assert list(m.tiles) == [0] and len(m.tiles[0].fifos) == BASE.num_fifos
     again = run(m, _lanes(pts[:4]))
     assert again.to_dict() == first.to_dict()
@@ -147,7 +147,7 @@ def test_run_state_holds_the_program_footprint_times_the_lanes():
     assert rep.halted and m.chip.words == {0: 24}
     held = {a: u.regs.shape for a, u in m.cores.items()}
     held.update({t: tile.data.shape for t, tile in m.tiles.items()})
-    assert held == {(0, 0): (560, 10_000), 0: (24, 10_000)}
+    assert held == {(0, 0): (544, 10_000), 0: (24, 10_000)}
     assert m.tiles[0].count.shape == (24,)
     one = run(m, _lanes(pts)).outputs["y"]
     assert np.array_equal(rep.outputs["y"], np.resize(one, (10_000, 3)))

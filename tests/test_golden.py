@@ -82,104 +82,104 @@ def _hashes(case):
 
 GOLDEN = {
     'cnn_small': (
-        '964bf84bffdf6f02cfa10d67376eaa4947c72fca07aa8cc4ba6866ed9ee89d9a',
+        'f41109c26baf05911d95574b818b8e1a801d1fab9c25346d4dcd3157fcd7041e',
         'dc80e7c9874b55da4c5a58ed34fc00020b33f8765447939ea9b976e51f676d86',
-        '24b02cb0f9e878ec9d6d53822690fcc4fd4de53828f23e1f5a276302769a0161',
+        'a5f1212f344801c63c6df67394bfa9dc01f7f530e1eccd09b1d71db32a28dfc9',
     ),
     'conv8x8': (
-        '6c5a697b7e7ce1db6ed8a4e703b78221ac37fedf020742d59d0d0e7fe3d723b3',
+        'cb3ae3b9c97b582f39198ff755a3da1a90d83bbb25fce22d81599a8e6028036a',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '503ff9356222bc74202d928025078df50e2ef29493276332b5b94a2e555996be',
+        '768a73794f15f50decc470c1095556eac76d3972e0586bdb230c8d02f583557e',
     ),
     'conv_loop': (
-        'd8e99b5c8b2ec6af7ec012b38b0a6f5828fab7f980170f2b7dbf699baa8fcf22',
+        '11362343c23ffcedd21eb09a8d7c76ff741cd52b9454915dd9dace74a179dd02',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        '15c373c689f5dfa5f5277c0e193da7fa4ec157c442cd3ef947a6b9fe2b2a160f',
+        'ee6074ac3d9032747e0c4e5c02ab380db8092232688d01b171df00446df3ba89',
     ),
     'conv_loop/loop': (
         '462f13207c9e14e6c7cb4e655ab50f802aa2c9d2db2acc8c063b695ce68f20d8',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        '74a2d49bb5fe779525b39ba0f72a48fa530449224c2bf37110e3babc20bae706',
+        'a11a24c5e1a8ee8f15a8426cb81f883a123a11071005f7448ff047bf89de081e',
     ),
     'lstm128': (
-        '5bf6e6d29dce509977b69cdb47dcd19ee36c25889199186000e55c1a8b94323c',
+        '790e08bb5b89597da309965ea1427ba8bf632cb670bbea9e1c95289ce68753b1',
         '6229375791dfc5780f15b0af3c21867ea0a74afc3032fb4f2a3b05ef448e8512',
-        'ba179920332620b1308533c869a19138f99ab5489d1e9980ba708b368f0c5f45',
+        'a3b0af8cd5d6b4b944c2c9bc8c84ae8da41ea3011f33e5663154fbda9db5ae73',
     ),
     'lstm8': (
-        'ed5ab804c12a7baeff922df5134442c6c3d109854c473997670396aa28c4874d',
+        '6ec7f7e7d4c1d992cce105f5a80f3d72eeb1837edcc6937fa895c527303646e0',
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
-        '3594c833d439fbc87d11e1d684fd9370fb98dcb726f162fc1f4b2531ed8c1965',
+        '843d51138435337c910200d976a7a2de167e711b25a66b0dc709e7c83ab41b25',
     ),
     'mlp128': (
-        'e2ab269d0aa9bb52ff4a487b2ecf17a94acda0c0944a3e6b7294733cb80b01e5',
+        'd6e60c6a1ba64a9c0ad3d84cee89b028b37822ed599bfc4b3744d5104b0c4f27',
         '5d213750cab0793a7b3b260d475b1958eba7ef81b645b051151c7faacd38663a',
-        '8193ed4bf1f211d079545f7372440fe683fef83217e17e250f04158098c53a34',
+        'd09c153c70de958da6e40f7ef3091f69d221d4e61a6579452f3888ab8612a41f',
     ),
     'mlp256': (
-        'c036c510853d32156c73c1d75a29154464870dca04f99205065e642723412c15',
+        '64ed5649e14d5fb1f76c43729c08a81bb235d5a94b701eaa19b486e58499ab08',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        '4546462077e59574388bce51cd8b20b316aad771cc484f084667575bf9047ff5',
+        'b6d3cf3e73d258b1a8ca23fc4031ac7cf4d18dc521a0af361d28c747774ea2b1',
     ),
     'mlp4': (
-        'c0552394155601fc74408d16315ece251fba7f6feb2510e87b6af97339fdbf57',
+        'b4fdba8544157c80f8dea1a989d6d60d1dd2f69341dcc85ae5e49a7f202e3cf5',
         'e3a14bd5683be4bf604e071f11fbc25089520ee70daea90ce68b0f15d5ff227c',
-        '9bcb3628fdcec0abbb085b17374c9e50e4498832cb666fd97722f5d74c728ca9',
+        '31dd432ae2fd711b81647ab5412498b3adc9fd626b211dca3f4601dc8870c6c8',
     ),
     'mlp_l4': (
-        'a65f6d90724e1fbaa3bee720ad294c41f2496cd9d3dcc63c3382b80cfcb47782',
+        'b4ae86b086ebc1ca748f156b96a2b254960a69ed16e92d6b66af1224dc1f6894',
         '46d5c6db94e2bc1ff0280cfa8d6cfb6685961b960afe02ae2ccc8e4ffd0fe51c',
-        'e164a902925df01219a98e4052484adb6fc0eafb82b448d02fe2545b33bae765',
+        '2637b13cd4617b376fefdfa1cc7b90bcab11699450106f78850545c1771b0b69',
     ),
     'mvm_pair': (
-        '8c1cd4363e22290082af7b0dcf75d22497ab5538daf106bc285e0e3bcc2532bb',
+        '709b3d4274ec19c0588e33557b00808848a85f47f628be7a83999e0ed2c4b90e',
         'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
-        '815e9ca23a377bf4823475de9ec33b170a8131b94846a81199cdc4a6e1fcf9b8',
+        '253b2d34f2d61b550b51f115f299776a5e02a121dda4f4d5d1fa2ecdf9290798',
     ),
     'vector': (
         'f539b27b2103df44c1053b05641a7467bd6a1be03f6b533fc2593f3348ae7072',
         'bf6e138c2e7b15140ca9d292abd43feca625862bde66719c0eab25d534a98aa1',
-        '0506fa496a342f387b37b75ee29850f94df61201cf6af1718893351271b95861',
+        '5c684a3d1d5c7614efd4a785686e83031114e303d517f8e01e69b87307a70f51',
     ),
     'mlp512/4tiles': (
-        '232ba95886148f67bd285fed845a7fe6bbc8339532392e232b14955856c72158',
+        '67ca8662894120912c6d4576a409f1aca8bad068d44efa639e4df84a05618e04',
         '6c5cf0b379b7380d91dbebe4bffe5e0b57b70ce4bdb9b1f543185cfe7bd1cfee',
-        'b2bc219e2d5c54367dffd401e1a8e24ff03c1e94ae28206e29659e2f949d8ba1',
+        'b773aceeaf3af6770d2f73bd5ae56e4dc551566fef68ab4531473c6487fc82f2',
     ),
     'mlp256/naive_order': (
-        '90169b9c613e71788c6ce14db1967793ce82702962e2c05e6f72980d07636d24',
+        'ccdf970ed4c40f2e4d70ea729da0b6c575d3142eb581110273f2a0cdffa426d4',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        '77b5b46d2bf24285d75efb0c0c469435aac816b97b51e43b0b286cc851b50c3b',
+        '3c43d2f45ab503b6acf847c201282556948ea8007063976c489e2fbf65f014b1',
     ),
     'mvm_pair/no_coalesce': (
-        '4a3d0f96b5409f70e2478b51fa162a60d499d2fa0ce6c9244366f67accd47d68',
+        'fd55d60a91b6f618580a903e2b0f4dfe6abffe23dc54799bf40d360831bfb6c4',
         'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
-        'c79674ffa7d21ea152174136b14ac2cbf561e7864d5a03f417644f93be3eff29',
+        '7f38f7b24dd4c78e82b1b43661a20410a325a64082e91f171f5cdb5edc0d3f4b',
     ),
     'conv8x8/no_shuffle': (
-        '587832d3166db36f687e2462f3c251fc8880a4651c4b4e753303c86a9bc41f6c',
+        '0025b823a54c9e32db165d3e257d20bde40270f7c0fa31553cd4af4a4630325e',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '0644e7213ff23d0692518a92616bb52bb2f2e852508936ba233d2e9fd62cd23e',
+        '8bd386aac5a1362a53db047ec8cb31db7a519e029268496ae6fc6eff0361d146',
     ),
     'mlp256/naive_partition': (
-        'a200827df2c0077f2926b2ba1e16b97515fe5b7f4df2a96d9738e9c5a6386f4d',
+        '3a120aba46155f3bcfbed79c5d1c29486f5b6cb6b8bc578e98694167faad27e7',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        '41ddfdf0a479d7d5e2bde72ae9c9d2a8dbc0f47dddcf4a3ee3de3266f640d39b',
+        '98da2d292b2e8baecf9c7f089784e09260bf85c51160210fac226304ff881e57',
     ),
     'lstm8/xbar8': (
-        '0392efc76054412f6ca14d9fa50948ab1bd73b3cc9cb58e106717e998017e426',
+        '8fe2e38271209b5d57262dbd0721d3a4190ff8bcf1502a038a653fc4a3d640dd',
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
-        'd83a725ed68baefe4df4cbe536a618d636619da1c7ed7ff6d9779cf9f6257c82',
+        'c58861f34b72ead9c2f14f6ba5c6182bedea348f518d601343e0a08f428208b1',
     ),
     'conv_c16/loop2': (
         '80c709bcea2cd9e432f58c38f4a0f567b223a8f75848183e3e729bce354945b4',
         'c8a6c1e5c3ed5e78b7287d8007e90af6df4c5827ff8c634f6e482204e1199aa6',
-        '3487fee3a58399a80c7178ce765e4c71475d449fbbc9e32474fe23d0150163bd',
+        '8c427ad8ab6958f57dfd405e8618a264d6221a6093fe8725dd6f4912b845b8fa',
     ),
     'conv_c2/loop3_xbar8': (
         '0732465a768f0798cab9f38c26ee23549fbfc7438acc050c7463e25648bf20af',
         '19e5b4c762a6f284a24a98b84cb7d4bafd9abcc471d05506bf3dd753b678634c',
-        '6954c4cd65ca78bc74e680994cb0f3c020aeb86c61c05bbabcfe2afdba195e8c',
+        '6c0ec06d70977608c7cfb52711f78c2599fbac42db46e03c76e2f6858fbb7017',
     ),
 }
 
@@ -230,13 +230,13 @@ def _mvm_hash(case):
 
 NOISY_GOLDEN = {
     (2, 0.017, 5, 0):
-        '7ab347b447d3b6696e5fa6e43a577fb70f3560a86c539b630d968cd0896cc3ba',
+        '035e93661999c33a0667428832bdd1da92e98b361d941a4671d26541d759a2ec',
     (4, 0.057, 8, 0):
-        'e42fc2b3c1c38a8000186c1e9b2553ebc7321d1fb60767df8a49ba8ad5991642',
+        '7f05e8e7ff160c280c693a5d847be760b46a14bace86019b7bdb073a6abdae11',
     (1, 0.038, 3, 12):
-        'b6974e2abdacc2a3cb2dbb1026eb71835924589210908059e044580108a5d894',
+        '82c8bf7a362ec39f298f190a9775c9b8c05e9b6e5f7e951e67423c318c3f9b97',
     (2, 0.0, 0, 9):
-        'b351edbf71b759842f3b85ffb089b267b2e75df645f6ad0b1714399ba6eaff06',
+        '2759c38e46372f7b2c828fb23420c6b4db3b76ece74cf3570b36e04b8036cc02',
     'bits1/sigma0.0/adc9/single':
         '2a2710db1769f125f55e56587a4beff55afb5fd5aefeeea4a05a0b3adc5c2528',
     'bits1/sigma0.0/adc9/batched':

@@ -59,8 +59,8 @@ def every_opcode_program():
 
 def test_every_opcode_program_pins_its_report():
     """Pinned figures: a change to any of them is a change in behaviour.
-    No benchmark workload runs alui or jmp, and RunReport.to_dict does not
-    carry reg_accesses, so the golden hashes do not cover these paths."""
+    No benchmark workload runs alui or jmp, so the golden hashes do not
+    cover these paths."""
     cfg, prog, inputs = every_opcode_program()
     rep = run(Machine(cfg, prog), inputs)
     assert rep.halted and rep.saturations == 0
