@@ -196,6 +196,10 @@ class _Lowerer:
         elif k == "gather":
             if lead.id in self.elided:
                 return
+            src = lead.inputs[0]
+            if lead.indices == [(0, i) for i in range(tg.tnodes[src].length)]:
+                self.value_vreg[lead.id] = self.val(src)   # a whole block
+                return
             v = self.new_vreg(actor)
             self.emit_copies(actor, [(v + dst, self.val(lead.inputs[slot]) + off)
                                      for dst, (slot, off)
@@ -255,49 +259,53 @@ class _Lowerer:
                                       mt.cols))
             self.value_vreg[n.id] = v
 
-    def lower_conv_loop(self, actor, tiles, n_windows, mb_in, mb_out,
+    def lower_conv_loop(self, actor, reps, n_iters, mb_in, mb_out,
                         bias_sym, act_op):
         """Loop fragment for the MVM-hosting core of a windowed layer, on
         hand-placed physical registers.
 
-        tiles: the weight matrix's row tiles in window order, each pinned
-        to one of this core's MVMUs. The body pulls one full window from
-        the input mailbox straight into XbarIn, fires one (possibly
-        multi-MVMU) MVM, reduces the XbarOut partials, applies
-        bias/activation, and stores to the output mailbox, with an integer
-        counter and a conditional branch closing the loop.
+        reps: k replicas of the weight matrix, each its row tiles in
+        window order pinned to this core's MVMUs. The body pulls k full
+        windows from the input mailbox straight into XbarIn, fires one MVM
+        over all k replicas, reduces each one's XbarOut partials, applies
+        bias/activation to all k results, and stores them to the output
+        mailbox; a counter and a conditional branch close the loop.
         """
         rs = self.rs
-        cols = tiles[0].cols
-        r_bias, r_acc, r_cnt = (rs.general_base + k * cols for k in range(3))
+        cols = reps[0][0].cols
+        width = len(reps) * cols
+        r_bias, r_acc, r_cnt = (rs.general_base + k * width for k in range(3))
         r_one, r_lim = r_cnt + 1, r_cnt + 2
-        if rs.general_regs < 2 * cols + 3:
+        if rs.general_regs < 2 * width + 3:
             raise CompileError(
                 f"{container.actor_name(actor)}: the loop body needs "
-                f"{2 * cols + 3} register words, the register file has "
+                f"{2 * width + 3} register words, the register file has "
                 f"{rs.general_regs}")
 
         put = self.code.setdefault(actor, []).append
         if bias_sym is not None:
-            put(isa.load(r_bias, Mem(bias_sym), cols))
-        for reg, value in ((r_cnt, 0), (r_one, 1), (r_lim, n_windows)):
+            put(isa.load(r_bias, Mem(bias_sym), width))
+        for reg, value in ((r_cnt, 0), (r_one, 1), (r_lim, n_iters)):
             put(isa.seti(reg, value))
         body = len(self.code[actor])
+        tiles = [mt for rep in reps for mt in rep]
         off = 0
         for mt in tiles:
             put(isa.load(rs.xbar_in(mt.mvmu[2]), Mem(mb_in, off), mt.rows))
             off += mt.rows
         put(isa.mvm(sum(1 << mt.mvmu[2] for mt in tiles), 0, 0))
-        outs = [rs.xbar_out(mt.mvmu[2]) for mt in tiles]
-        if len(outs) == 1:
-            put(isa.copy(r_acc, outs[0], cols))
-        for k, reg in enumerate(outs[1:]):
-            put(isa.alu("add", r_acc, r_acc if k else outs[0], reg, cols))
+        for j, rep in enumerate(reps):
+            acc = r_acc + j * cols
+            outs = [rs.xbar_out(mt.mvmu[2]) for mt in rep]
+            if len(outs) == 1:
+                put(isa.copy(acc, outs[0], cols))
+            for k, reg in enumerate(outs[1:]):
+                put(isa.alu("add", acc, acc if k else outs[0], reg, cols))
         if bias_sym is not None:
-            put(isa.alu("add", r_acc, r_acc, r_bias, cols))
+            put(isa.alu("add", r_acc, r_acc, r_bias, width))
         if act_op is not None:
-            put(isa.alu(act_op, r_acc, r_acc, 0, cols))
-        put(isa.store(Mem(mb_out), r_acc, 1, cols))
+            put(isa.alu(act_op, r_acc, r_acc, 0, width))
+        put(isa.store(Mem(mb_out), r_acc, 1, width))
         put(isa.aluint("add", r_cnt, r_cnt, r_one))
         put(isa.brn("ne", r_cnt, r_lim, body))
 
@@ -484,15 +492,26 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
 
 def compile_model(graph, machine, opts=None):
     """Full pipeline: tile, place, insert data movement, coalesce,
-    linearize, lower, allocate registers, assign memory, emit."""
+    linearize, lower, allocate registers, assign memory, emit. Copies of
+    shared weights spread a layer over more cores' registers and memory;
+    a model that does not fit with them compiles without them."""
     opts = opts or CompileOptions()
     if graph.frac_bits != machine.frac_bits:
         raise CompileError(f"the model has {graph.frac_bits} fraction bits, "
                            f"the machine {machine.frac_bits}")
-    if opts.conv_loop:
-        return _compile_conv_loop(graph, machine, opts)
+    compile_ = _compile_conv_loop if opts.conv_loop else _compile_unrolled
+    try:
+        return compile_(graph, machine, opts, copies=True)
+    except CompileError:
+        mats = [n.inputs[0] for n in graph.nodes if n.kind == "mvm"]
+        if len(set(mats)) == len(mats):     # no shared matrix, no copies
+            raise
+        return compile_(graph, machine, opts, copies=False)
+
+
+def _compile_unrolled(graph, machine, opts, copies):
     tg = tile_tensors(graph, machine.xbar_dim)
-    place(tg, machine, naive=opts.naive_partition, seed=opts.seed)
+    place(tg, machine, opts.naive_partition, opts.seed, copies)
     insert_data_movement(tg, machine)
     groups = schedule.coalesce_mvms(tg, machine) if opts.coalesce else []
     if groups and not schedule.check_groups_independent(tg, groups):
@@ -516,14 +535,17 @@ def compile_model(graph, machine, opts=None):
 # Sliding-window loop mode
 # ---------------------------------------------------------------------------
 
-def _compile_conv_loop(graph, machine, opts):
+def _compile_conv_loop(graph, machine, opts, copies):
     """Compact control-flow compilation of a single windowed layer.
 
     The layer is restructured across three cores of one tile: a feeder
     assembling windows into a fixed mailbox, a looped MVM core, and a
-    collector draining results to the output region. Fixed mailbox
-    addresses plus the valid/count handshake replace address-varying
-    unrolled code; the loop closes with a counter and conditional branch.
+    collector draining results to the output region. The looped core
+    holds k replicas of the weights (as many as its MVMUs take, lowered
+    until k divides the window count), and mailboxes carry k windows.
+    Fixed mailbox addresses plus the valid/count handshake replace
+    address-varying unrolled code; the loop closes with a counter and
+    conditional branch.
     """
     if machine.cores_per_tile < 3:
         raise CompileError("loop mode needs at least 3 cores per tile")
@@ -573,8 +595,6 @@ def _compile_conv_loop(graph, machine, opts):
         first = layer
         chains.append((w, mvms, tg.tnodes[cur]))
 
-    # window geometry: row tiles of the shared weight matrix, pinned to
-    # the looper core's MVMUs
     tiles0 = sorted((tg.matrix_tiles[n.matrix] for n in chains[0][1]),
                     key=lambda mt: mt.row_block)
     if any(mt.col_block != 0 for mt in tiles0):
@@ -587,14 +607,19 @@ def _compile_conv_loop(graph, machine, opts):
     if lost:
         raise CompileError("loop mode cannot produce outputs outside the "
                            f"windowed layer: {', '.join(sorted(lost))}")
+    # k replicas of the window's row tiles, all on the looper's MVMUs
     cols = tiles0[0].cols
+    k = machine.mvmus_per_core // len(tiles0) if copies else 1
+    while k > 1 and (n_windows % k or machine.general_regs < 2 * k * cols + 3):
+        k -= 1
+    reps = [tiles0] + [tg.replicate(tiles0) for _ in range(k - 1)]
     feeder, looper, collector = (0, 0), (0, 1), (0, 2)
-    for k, mt_ref in enumerate(tiles0):
-        mt_ref.mvmu = (0, 1, k)
+    for u, mt_ref in enumerate(mt for rep in reps for mt in rep):
+        mt_ref.mvmu = (0, 1, u)
     window_len = sum(mt.rows for mt in tiles0)
 
-    # symbols: image blocks, which the feeder loads once, bias, mailboxes,
-    # outputs
+    # symbols: image blocks, which the feeder loads once, bias, mailboxes
+    # of k windows, outputs
     low = _Lowerer(tg, machine, opts)
     for n in tg.tnodes:
         if n.kind == "input":
@@ -604,31 +629,35 @@ def _compile_conv_loop(graph, machine, opts):
             low.emit(feeder, isa.load(v, Mem(s.id), s.size))
     bias_sym = None
     if bias_words is not None:
-        bias_sym = tg.new_symbol(0, cols, "const", count=1,
-                                 words=list(bias_words)).id
-    mb_in = tg.new_symbol(0, window_len, "value").id
-    mb_out = tg.new_symbol(0, cols, "value").id
+        bias_sym = tg.new_symbol(0, k * cols, "const", count=1,
+                                 words=list(bias_words) * k).id
+    mb_in = tg.new_symbol(0, k * window_len, "value").id
+    mb_out = tg.new_symbol(0, k * cols, "value").id
     out_syms = {}
     for w, _, out_node in chains:
         out_syms[w] = tg.new_symbol(0, out_node.length, "output",
                                     name=out_node.name)
 
-    # feeder: per window, copy runs + store
-    for w, mvms, _ in chains:
+    # feeder and collector: k windows per mailbox message
+    groups = [chains[i:i + k] for i in range(0, n_windows, k)]
+    for group in groups:
         win = low.new_vreg(feeder)
         srcs = [low.val(gb.inputs[slot]) + off
+                for _, mvms, _ in group
                 for gb in (tg.tnodes[m.inputs[0]] for m in mvms)
                 for slot, off in gb.indices]
         low.emit_copies(feeder, [(win + dst, src)
                                  for dst, src in enumerate(srcs)])
-        low.emit(feeder, isa.store(Mem(mb_in), win, 1, window_len))
+        low.emit(feeder, isa.store(Mem(mb_in), win, 1, k * window_len))
 
-    low.lower_conv_loop(looper, tiles0, n_windows, mb_in, mb_out, bias_sym,
+    low.lower_conv_loop(looper, reps, len(groups), mb_in, mb_out, bias_sym,
                         act_op)
-    for w, _, out_node in chains:
+    for group in groups:
         v = low.new_vreg(collector)
-        low.emit(collector, isa.load(v, Mem(mb_out), cols))
-        low.emit(collector, isa.store(Mem(out_syms[w].id), v, 1, cols))
+        low.emit(collector, isa.load(v, Mem(mb_out), k * cols))
+        for j, (w, _, _) in enumerate(group):
+            low.emit(collector, isa.store(Mem(out_syms[w].id), v + j * cols,
+                                          1, cols))
 
-    return _back_end(tg, machine, low, 1 if len(tiles0) > 1 else 0,
+    return _back_end(tg, machine, low, int(k * len(tiles0) > 1),
                      maxlive=0, loop_mode=1)

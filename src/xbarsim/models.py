@@ -72,9 +72,8 @@ def conv_model(side=8, channels=1, filters=4, seed=2, act="relu",
 
 def cnn_small(seed=3):
     """16-channel 3x3 conv on a 4x4 image: each window's 144 rows span
-    two crossbars, so every window MVM coalesces across two MVMUs. The
-    image stays small because all windows share one core's crossbars and
-    its 4KB instruction memory."""
+    two crossbars, so every window MVM coalesces across two MVMUs, and
+    each of the four windows runs on its own core's copy of the weights."""
     return conv_model(side=4, channels=16, filters=8, seed=seed)
 
 

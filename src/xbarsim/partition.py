@@ -3,16 +3,18 @@
 Tiling splits every tensor into crossbar-sized blocks: an n x m matrix
 becomes ceil(n/D) x ceil(m/D) matrix tiles, its MVM becomes one sub-MVM
 per tile plus partial-sum merge nodes, and every vector edge is split
-into blocks of at most D elements. Placement assigns matrix tiles to
-MVMUs greedily, preferring tiles that feed the same outputs, then tiles
-reading the same inputs, then producer-consumer pairs, filling cores
-before tiles. Data-movement insertion turns cross-core edges into
-store/load pairs through tile memory (with consumer counts) and
-cross-tile edges into send/receive pairs with per-sender FIFO ids.
+into blocks of at most D elements. Placement copies shared weight
+matrices (a convolution's) onto the MVMUs its tiles leave spare, then
+assigns matrix tiles to MVMUs greedily, preferring tiles that feed the
+same outputs, then tiles reading the same inputs, then producer-consumer
+pairs, filling cores before tiles. Data-movement insertion turns
+cross-core edges into store/load pairs through tile memory (with
+consumer counts) and cross-tile edges into send/receive pairs with
+per-sender FIFO ids.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,6 +111,13 @@ class TiledGraph:
         self.symbols.append(s)
         return s
 
+    def replicate(self, tiles):
+        """Fresh copies of the given matrix tiles, not yet on an MVMU."""
+        new = [replace(mt, id=len(self.matrix_tiles) + k, mvmu=None)
+               for k, mt in enumerate(tiles)]
+        self.matrix_tiles += new
+        return new
+
     def consumers(self):
         out = [[] for _ in self.tnodes]
         for n in self.tnodes:
@@ -157,8 +166,8 @@ def tile_tensors(graph, xbar_dim=128):
             for bj, (cl, ch) in enumerate(_block_bounds(cols, d)):
                 partials = []
                 for bi, (rl, rh) in enumerate(_block_bounds(rows, d)):
-                    # matrices stay resident: every MVM over the same
-                    # constant block reuses one physical matrix tile
+                    # one matrix tile per constant block; `place` may
+                    # copy it onto spare MVMUs
                     key = (node.inputs[0], bi, bj)
                     mt = mt_cache.get(key)
                     if mt is None:
@@ -352,14 +361,56 @@ def _mvm_feeds(tg):
     return feeds
 
 
-def place(tg, machine, naive=False, seed=0):
-    """Assign matrix tiles to MVMUs and every tnode to a (tile, core)."""
+def _replicate_shared(tg, budget):
+    """Copy shared weight matrices onto `budget` spare MVMUs.
+
+    A matrix qualifies when it has several uses (logical MVMs) and no use
+    depends on another. Each replica copies all of a matrix's tiles and
+    goes to the matrix with the most uses per replica, ties to the lowest
+    id. A matrix's uses, in graph order, split into one contiguous run per
+    replica, so neighbouring windows stay on one MVMU."""
+    tiles_of, uses, chained, below = {}, {}, set(), []
+    for mt in tg.matrix_tiles:
+        tiles_of.setdefault(mt.orig, []).append(mt)
+    for n in tg.tnodes:     # below: bit c set if an MVM over c feeds n
+        bits = 0
+        for i in n.inputs:
+            bits |= below[i]
+        if n.kind == "mvm":
+            c = tg.matrix_tiles[n.matrix].orig
+            if bits >> c & 1:
+                chained.add(c)
+            bits |= 1 << c
+            uses.setdefault(c, {}).setdefault(n.orig, []).append(n)
+        below.append(bits)
+    reps = {c: 1 for c in sorted(uses) if c not in chained and len(uses[c]) > 1}
+    while fits := [c for c in reps if reps[c] < len(uses[c])
+                   and len(tiles_of[c]) <= budget]:
+        c = max(fits, key=lambda c: (len(uses[c]) / reps[c], -c))
+        reps[c] += 1
+        budget -= len(tiles_of[c])
+    for c, r in reps.items():
+        copies = [tiles_of[c]] + [tg.replicate(tiles_of[c])
+                                  for _ in range(r - 1)]
+        pos = {mt.id: j for j, mt in enumerate(tiles_of[c])}
+        runs = list(uses[c].values())
+        for k, nodes in enumerate(runs):
+            for n in nodes:
+                n.matrix = copies[k * r // len(runs)][pos[n.matrix]].id
+
+
+def place(tg, machine, naive=False, seed=0, copies=True):
+    """Assign matrix tiles, with copies of shared ones on the filled
+    tiles' spare MVMUs, to MVMUs and every tnode to a (tile, core)."""
     m = machine
     total_mvmus = m.tiles * m.cores_per_tile * m.mvmus_per_core
     ntiles = len(tg.matrix_tiles)
     if ntiles > total_mvmus:
         raise CompileError(
             f"model needs {ntiles} MVMUs but the machine has {total_mvmus}")
+    if copies:
+        _replicate_shared(tg, -ntiles % (m.cores_per_tile * m.mvmus_per_core))
+    ntiles = len(tg.matrix_tiles)
 
     slots = [(t, c) for t in range(m.tiles) for c in range(m.cores_per_tile)]
     if naive:

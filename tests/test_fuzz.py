@@ -12,9 +12,18 @@ crossbars, 1-3 tiles, 1-4 cores per tile and 1-2 MVMUs per core, and
 `graph.evaluate` at the machine's crossbar width, since partial sums are
 rounded per block.
 
+A second family draws other models from the same seeds, sharing weights
+as a convolution does: one input, and 2-8 windows that slide over it
+with stride 1-3, each feeding an mvm on one shared 2-39 x 2-39 matrix,
+then optionally an alu_imm, a bias add and an act. The results are pixel
+outputs or one concatenated output. The geometry and options are drawn
+as above, plus `input_shuffle`, and a quarter of the seeds compile in
+loop mode. Tier-1 runs seeds 0-1499 of the first family and 0-299 of
+the second.
+
 Known failures are pinned by seed as strict xfails that name their class,
-so that a fix shows as an unexpected pass. To count outcomes over any
-seed range, outside the tier-1 corpus:
+so that a fix shows as an unexpected pass. To count both families'
+outcomes over any seed range, outside the tier-1 corpus:
 
     PYTHONPATH=src python tests/test_fuzz.py START COUNT
 """
@@ -36,17 +45,23 @@ OPS = ("add", "sub", "mul", "min", "max")
 # named refusals, each stating a limit of the machine
 LIMITS = {"MVMU count": r"model needs \d+ MVMUs but the machine has",
           "register file": r"register file too small|does not fit beside",
-          "tile memory": r"shared memory exhausted"}
+          "tile memory": r"shared memory exhausted",
+          "loop mode": r"loop mode needs|window rows exceed|loop mode "
+                       r"supports|the loop body needs"}
+
+
+def _geometry(r):
+    cfg = MachineConfig(xbar_dim=r.choice((8, 16, 32)), tiles=r.randint(1, 3),
+                        cores_per_tile=r.randint(1, 4),
+                        mvmus_per_core=r.randint(1, 2))
+    return cfg, dict(coalesce=r.random() < 0.5, naive_order=r.random() < 0.5)
 
 
 def make_case(seed):
     """(graph, inputs, machine config, compile options) of one seed."""
     r, rng = random.Random(seed), np.random.default_rng(seed)
-    cfg = MachineConfig(xbar_dim=r.choice((8, 16, 32)), tiles=r.randint(1, 3),
-                        cores_per_tile=r.randint(1, 4),
-                        mvmus_per_core=r.randint(1, 2))
-    opts = CompileOptions(coalesce=r.random() < 0.5,
-                          naive_order=r.random() < 0.5)
+    cfg, opts = _geometry(r)
+    opts = CompileOptions(**opts)
     g = gr.ModelGraph()
     ins = [g.input(f"in{k}", r.randint(2, 39)) for k in range(r.randint(1, 2))]
     vals = list(ins)
@@ -81,9 +96,45 @@ def make_case(seed):
     return g, inputs, cfg, opts
 
 
-def outcome(seed):
+def make_shared_case(seed):
+    """(graph, inputs, machine config, compile options) of one seed of the
+    shared-weights family."""
+    r, rng = random.Random(seed), np.random.default_rng(seed)
+    cfg, opts = _geometry(r)
+    loop = r.random() < 0.25
+    opts = CompileOptions(input_shuffle=r.random() < 0.5, conv_loop=loop,
+                          **opts)
+    n_win, rows, cols = r.randint(2, 8), r.randint(2, 39), r.randint(2, 39)
+    stride = r.randint(1, 3)
+    g = gr.ModelGraph()
+    x = g.input("in0", rows + stride * (n_win - 1))
+    w = g.const_matrix(rng.uniform(-0.5, 0.5, size=(rows, cols)))
+    bias = g.const_vector(rng.uniform(-0.5, 0.5, cols)) \
+        if r.random() < 0.5 else None
+    act = r.choice((None, "relu", "sigmoid", "tanh"))
+    g.new_layer()
+    ys = []
+    for seq in range(n_win):
+        win = g.gather([x], [(0, seq * stride + e) for e in range(rows)],
+                       win=(g.layer, seq))
+        y = g.mvm(w, win)
+        g.nodes[y.id].win = (g.layer, seq)
+        if not loop and r.random() < 0.3:
+            y = g.alu_imm(r.choice(OPS), y, round(r.uniform(-2, 2), 3))
+        y = g.alu("add", bias, y) if bias is not None else y
+        ys.append(g.act(act, y) if act else y)
+    if loop or r.random() < 0.5:
+        for k, y in enumerate(ys):
+            g.output(f"p{k}", y)
+    else:
+        g.output("o0", g.concat(ys))
+    g.freeze()
+    return g, {"in0": fp.quantize(rng.uniform(-1, 1, x.length))}, cfg, opts
+
+
+def outcome(seed, make=make_case):
     """'exact', a LIMITS key, 'mismatch', 'deadlock' or 'internal: ...'."""
-    g, inputs, cfg, opts = make_case(seed)
+    g, inputs, cfg, opts = make(seed)
     try:
         prog, _ = compile_model(g, cfg, opts)
     except CompileError as e:
@@ -107,6 +158,7 @@ KNOWN = {s: DEFECT_A for s in (24, 80, 350, 488, 501, 604, 1098, 1104, 1140,
                                1393, 1467)}
 KNOWN[480] = "internal error: v1 used at 0 before definition"
 CORPUS = range(1500)
+SHARED_CORPUS = range(300)
 
 
 @pytest.mark.parametrize("seed", [
@@ -116,9 +168,16 @@ def test_a_random_model_is_bit_exact_or_refused_by_a_named_limit(seed):
     assert outcome(seed) in ("exact", *LIMITS)
 
 
+@pytest.mark.parametrize("seed", SHARED_CORPUS)
+def test_a_model_sharing_weights_is_bit_exact_or_refused(seed):
+    assert outcome(seed, make_shared_case) in ("exact", *LIMITS)
+
+
 if __name__ == "__main__":
     start, count = (int(a) for a in sys.argv[1:3])
-    tally = Counter(outcome(s) for s in range(start, start + count))
-    print(f"seeds {start}..{start + count - 1}")
-    for name, n in tally.most_common():
-        print(f"{n:6d}  {name}")
+    for family, make in (("mixed ops", make_case),
+                         ("shared weights", make_shared_case)):
+        tally = Counter(outcome(s, make) for s in range(start, start + count))
+        print(f"{family}, seeds {start}..{start + count - 1}")
+        for name, n in tally.most_common():
+            print(f"{n:6d}  {name}")

@@ -82,29 +82,29 @@ def _hashes(case):
 
 GOLDEN = {
     'cnn_small': (
-        'f41109c26baf05911d95574b818b8e1a801d1fab9c25346d4dcd3157fcd7041e',
+        '3110c3686f80d296f1a92995b6bd5077e82c26c157487e76c9e9151499eeb229',
         'dc80e7c9874b55da4c5a58ed34fc00020b33f8765447939ea9b976e51f676d86',
-        'a5f1212f344801c63c6df67394bfa9dc01f7f530e1eccd09b1d71db32a28dfc9',
+        '67b8003a8010ae9d25dcd4c231b40ae458ff8829fa0c6f4b483f4e5b622c114c',
     ),
     'conv8x8': (
-        'cb3ae3b9c97b582f39198ff755a3da1a90d83bbb25fce22d81599a8e6028036a',
+        '809925af13f317d5a235376038cb99aa97d2e8e9e1bfab6b649d9f11b5ff20a4',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '768a73794f15f50decc470c1095556eac76d3972e0586bdb230c8d02f583557e',
+        '857683c5d66d0839cd07df04996f15d8c1f0388f03cd62060d3af5bf500f53ae',
     ),
     'conv_loop': (
-        '11362343c23ffcedd21eb09a8d7c76ff741cd52b9454915dd9dace74a179dd02',
+        '4700a33d57db051196ae2d83490fbb7be765c43ada2d5d615cafc7b4b2d2996d',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        'ee6074ac3d9032747e0c4e5c02ab380db8092232688d01b171df00446df3ba89',
+        '89be1dc609d02d648f2a06e56f7314dab3e5f5c676e4fff4080031425102fb67',
     ),
     'conv_loop/loop': (
-        '462f13207c9e14e6c7cb4e655ab50f802aa2c9d2db2acc8c063b695ce68f20d8',
+        'dd02b4d2424a0613e5b6f4399b67f66c4d251e8fea680dfb96edbd034926adab',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        'a11a24c5e1a8ee8f15a8426cb81f883a123a11071005f7448ff047bf89de081e',
+        '683726f61c9b6a2b5a5256d9b1a48523b4942534aefbb4b69f345996c47fa0d7',
     ),
     'lstm128': (
-        '790e08bb5b89597da309965ea1427ba8bf632cb670bbea9e1c95289ce68753b1',
+        'de4e1883318604d9756933cf4d18ddae4bba9c7650b2f402754b11772465e597',
         '6229375791dfc5780f15b0af3c21867ea0a74afc3032fb4f2a3b05ef448e8512',
-        'a3b0af8cd5d6b4b944c2c9bc8c84ae8da41ea3011f33e5663154fbda9db5ae73',
+        '3d16acc080f1a6969182b7b6665bfdd7bb523e172940a2b5a02b951853f0e50c',
     ),
     'lstm8': (
         '6ec7f7e7d4c1d992cce105f5a80f3d72eeb1837edcc6937fa895c527303646e0',
@@ -157,9 +157,9 @@ GOLDEN = {
         '7f38f7b24dd4c78e82b1b43661a20410a325a64082e91f171f5cdb5edc0d3f4b',
     ),
     'conv8x8/no_shuffle': (
-        '0025b823a54c9e32db165d3e257d20bde40270f7c0fa31553cd4af4a4630325e',
+        '52a1a3aa7e649dfa3d59388072f9f7963a801d51579eb8e3ba644a232b82a414',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '8bd386aac5a1362a53db047ec8cb31db7a519e029268496ae6fc6eff0361d146',
+        'b6749c85b65829807e38f4ed102d3077512ec549679a11649a8cf326d841c873',
     ),
     'mlp256/naive_partition': (
         '3a120aba46155f3bcfbed79c5d1c29486f5b6cb6b8bc578e98694167faad27e7',
@@ -167,9 +167,9 @@ GOLDEN = {
         '98da2d292b2e8baecf9c7f089784e09260bf85c51160210fac226304ff881e57',
     ),
     'lstm8/xbar8': (
-        '8fe2e38271209b5d57262dbd0721d3a4190ff8bcf1502a038a653fc4a3d640dd',
+        '0b589ac6cd04c92b1b6570160c4f17990c806c7414669fd65ebb0880f191c902',
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
-        'c58861f34b72ead9c2f14f6ba5c6182bedea348f518d601343e0a08f428208b1',
+        '19a0ed0abf40fe4f8649fc231b583751b24b860c7639e237410ddad21a7ba43b',
     ),
     'conv_c16/loop2': (
         '80c709bcea2cd9e432f58c38f4a0f567b223a8f75848183e3e729bce354945b4',

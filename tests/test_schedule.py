@@ -231,7 +231,8 @@ def test_window_mvms_on_same_mvmu_do_not_fuse():
     for i, p in enumerate(res.pixels):
         g.output(f"p{i}", p)
     g.freeze()
-    m = tiny_machine(xbar_dim=16)
+    # one MVMU per tile: no spare crossbar takes a copy of the weights
+    m = tiny_machine(xbar_dim=16, mvmus_per_core=1, cores_per_tile=1)
     tg = _prepared(g, m)
     groups = schedule.coalesce_mvms(tg, m)
     assert groups == []   # all four windows share the single matrix tile

@@ -3,6 +3,8 @@ kind of group that must not fuse into one MVM instruction: members joined
 by a dependence path, members on different cores, and members that share
 an MVMU."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from xbarsim import graph as gr, partition, schedule
@@ -12,11 +14,11 @@ M = MachineConfig(xbar_dim=4, mvmus_per_core=2, cores_per_tile=2, tiles=1,
                   dmem_words=1024)
 
 
-def _mvms(g):
+def _mvms(g, m=M):
     g.freeze()
-    tg = partition.tile_tensors(g, M.xbar_dim)
-    partition.place(tg, M)
-    partition.insert_data_movement(tg, M)
+    tg = partition.tile_tensors(g, m.xbar_dim)
+    partition.place(tg, m)
+    partition.insert_data_movement(tg, m)
     return tg, [n.id for n in tg.tnodes if n.kind == "mvm"]
 
 
@@ -61,6 +63,7 @@ def test_oracle_rejects_a_pair_sharing_an_mvmu():
     w = g.const_matrix(_w(rng))      # one resident matrix serves both MVMs
     g.output("y1", g.mvm(w, g.input("x1", 4)))
     g.output("y2", g.mvm(w, g.input("x2", 4)))
-    tg, (a, b) = _mvms(g)
+    # one MVMU per tile: no spare crossbar takes a copy of the weights
+    tg, (a, b) = _mvms(g, replace(M, mvmus_per_core=1, cores_per_tile=1))
     assert _where(tg, a) == _where(tg, b)
     assert not schedule.check_groups_independent(tg, [[a, b]])

@@ -11,6 +11,9 @@ from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
 
 ONE_CORE = MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=1)
+# one MVMU, so that shared weights get no copy and one MVMU fires twice
+ONE_MVMU = MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=1,
+                         mvmus_per_core=1)
 
 
 def _program(g, inputs, cfg, opts=None):
@@ -45,19 +48,19 @@ def _shared_weights():
 
 def test_an_output_read_after_its_mvmu_fires_again_keeps_its_copy_out():
     # y1 is read by the add after the second mvm has overwritten XbarOut
-    assert _program(*_shared_weights(), ONE_CORE) == [
-        "load $0, 0, 8", "mvm 0b1, filter=0, stride=0", "copy $32, $16, 8",
+    assert _program(*_shared_weights(), ONE_MVMU) == [
+        "load $0, 0, 8", "mvm 0b1, filter=0, stride=0", "copy $16, $8, 8",
         "load $0, 8, 8", "mvm 0b1, filter=0, stride=0",
-        "alu add, $40, $32, $16, 8", "store 16, $40, 1, 8"]
+        "alu add, $24, $16, $8, 8", "store 16, $24, 1, 8"]
 
 
 def test_a_value_loaded_before_its_mvmu_fires_for_another_keeps_its_copy_in():
     # breadth-first order loads x2 before the first mvm reads x1 from XbarIn
-    code = _program(*_shared_weights(), ONE_CORE,
+    code = _program(*_shared_weights(), ONE_MVMU,
                     CompileOptions(naive_order=True))
-    assert code[:3] == ["load $0, 0, 8", "load $32, 8, 8",
+    assert code[:3] == ["load $0, 0, 8", "load $16, 8, 8",
                         "mvm 0b1, filter=0, stride=0"]
-    assert code[4:6] == ["copy $0, $32, 8", "mvm 0b1, filter=0, stride=0"]
+    assert code[4:6] == ["copy $0, $16, 8", "mvm 0b1, filter=0, stride=0"]
 
 
 def test_a_loaded_value_with_a_second_reader_keeps_its_copy_in():
