@@ -51,19 +51,18 @@ for label, opts in (("reverse post-order", None),
     prog, crep = compile_model(g, cfg, opts)
     print(f"  {label:20s} max live values={crep.maxlive}")
 
-print("\n== loop mode: compact control flow for windowed layers ==")
-g, inputs = models.build_example("conv_loop")
-cfg = models.default_config_for("conv8x8")
-unrolled, _ = compile_model(g, cfg)
-looped, _ = compile_model(g, cfg, CompileOptions(conv_loop=True))
-mvm_core = next((s.tile, s.core) for s in unrolled.segments
-                if any(i.op == "mvm" for i in s.instrs))
-ub = 7 * next(len(s.instrs) for s in unrolled.segments
-              if (s.tile, s.core) == mvm_core)
-lb = 7 * next(len(s.instrs) for s in looped.segments
-              if any(i.op == "brn" for i in s.instrs))
-ru = run(Machine(cfg, unrolled), inputs, step_limit=5_000_000)
-rl = run(Machine(cfg, looped), inputs, step_limit=5_000_000)
-same = all(ru.outputs[k].tolist() == rl.outputs[k].tolist()
-           for k in ru.outputs)
-print(f"  MVM-core bytes: unrolled={ub} looped={lb}; outputs identical={same}")
+print("\n== loop mode: one looped body per idle core for a windowed layer ==")
+g, inputs = models.conv_model(side=12, filters=2, pixel_outputs=True)
+cfg = MachineConfig()
+outputs = {}
+for label, opts in (("unrolled", None),
+                    ("loop mode", CompileOptions(conv_loop=True))):
+    prog, _ = compile_model(g, cfg, opts)
+    rep = run(Machine(cfg, prog), inputs, step_limit=5_000_000)
+    outputs[label] = {k: v.tolist() for k, v in rep.outputs.items()}
+    looped = sum(any(i.op == "brn" for i in s.instrs) for s in prog.segments)
+    print(f"  {label:9s} latency={rep.latency_ns / 1000:6.2f} us "
+          f"instrs={prog.total_instructions():4d} "
+          f"largest core={max(len(s.instrs) for s in prog.segments):3d} "
+          f"looped cores={looped}")
+print(f"  outputs identical={outputs['unrolled'] == outputs['loop mode']}")

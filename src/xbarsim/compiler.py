@@ -12,7 +12,7 @@ is read from XbarOut until that MVMU fires again.
 Sliding-window MVMs reuse XbarIn contents across consecutive windows when
 input shuffling is enabled: only the fresh window elements are copied in
 and the MVM instruction carries a shuffle-pattern id that re-routes XbarIn
-slots to DAC rows. Loop mode's looped core names physical registers.
+slots to DAC rows. Loop mode's looped cores name physical registers.
 
 Memory addresses are assigned after register allocation: every symbol
 (input, constant, output, transient value, spill slot) gets its own
@@ -261,15 +261,16 @@ class _Lowerer:
 
     def lower_conv_loop(self, actor, reps, n_iters, mb_in, mb_out,
                         bias_sym, act_op):
-        """Loop fragment for the MVM-hosting core of a windowed layer, on
+        """Loop fragment for one looped core of a windowed layer, on
         hand-placed physical registers.
 
         reps: k replicas of the weight matrix, each its row tiles in
         window order pinned to this core's MVMUs. The body pulls k full
-        windows from the input mailbox straight into XbarIn, fires one MVM
-        over all k replicas, reduces each one's XbarOut partials, applies
-        bias/activation to all k results, and stores them to the output
-        mailbox; a counter and a conditional branch close the loop.
+        windows from its part of the input mailbox (`mb_in`, a `Mem`)
+        straight into XbarIn, fires one MVM over all k replicas, reduces
+        each one's XbarOut partials, applies bias/activation to all k
+        results, and stores them to its part of the output mailbox
+        (`mb_out`); a counter and a conditional branch close the loop.
         """
         rs = self.rs
         cols = reps[0][0].cols
@@ -291,7 +292,7 @@ class _Lowerer:
         tiles = [mt for rep in reps for mt in rep]
         off = 0
         for mt in tiles:
-            put(isa.load(rs.xbar_in(mt.mvmu[2]), Mem(mb_in, off), mt.rows))
+            put(isa.load(rs.xbar_in(mt.mvmu[2]), mb_in + off, mt.rows))
             off += mt.rows
         put(isa.mvm(sum(1 << mt.mvmu[2] for mt in tiles), 0, 0))
         for j, rep in enumerate(reps):
@@ -305,7 +306,7 @@ class _Lowerer:
             put(isa.alu("add", r_acc, r_acc, r_bias, width))
         if act_op is not None:
             put(isa.alu(act_op, r_acc, r_acc, 0, width))
-        put(isa.store(Mem(mb_out), r_acc, 1, width))
+        put(isa.store(mb_out, r_acc, 1, width))
         put(isa.aluint("add", r_cnt, r_cnt, r_one))
         put(isa.brn("ne", r_cnt, r_lim, body))
 
@@ -494,19 +495,21 @@ def compile_model(graph, machine, opts=None):
     """Full pipeline: tile, place, insert data movement, coalesce,
     linearize, lower, allocate registers, assign memory, emit. Copies of
     shared weights spread a layer over more cores' registers and memory;
-    a model that does not fit with them compiles without them."""
+    an unrolled model that does not fit with them compiles without them.
+    Loop mode sizes its own copies and compiles once."""
     opts = opts or CompileOptions()
     if graph.frac_bits != machine.frac_bits:
         raise CompileError(f"the model has {graph.frac_bits} fraction bits, "
                            f"the machine {machine.frac_bits}")
-    compile_ = _compile_conv_loop if opts.conv_loop else _compile_unrolled
+    if opts.conv_loop:
+        return _compile_conv_loop(graph, machine, opts)
     try:
-        return compile_(graph, machine, opts, copies=True)
+        return _compile_unrolled(graph, machine, opts, copies=True)
     except CompileError:
         mats = [n.inputs[0] for n in graph.nodes if n.kind == "mvm"]
         if len(set(mats)) == len(mats):     # no shared matrix, no copies
             raise
-        return compile_(graph, machine, opts, copies=False)
+        return _compile_unrolled(graph, machine, opts, copies=False)
 
 
 def _compile_unrolled(graph, machine, opts, copies):
@@ -535,17 +538,21 @@ def _compile_unrolled(graph, machine, opts, copies):
 # Sliding-window loop mode
 # ---------------------------------------------------------------------------
 
-def _compile_conv_loop(graph, machine, opts, copies):
+def _compile_conv_loop(graph, machine, opts):
     """Compact control-flow compilation of a single windowed layer.
 
-    The layer is restructured across three cores of one tile: a feeder
-    assembling windows into a fixed mailbox, a looped MVM core, and a
-    collector draining results to the output region. The looped core
-    holds k replicas of the weights (as many as its MVMUs take, lowered
-    until k divides the window count), and mailboxes carry k windows.
-    Fixed mailbox addresses plus the valid/count handshake replace
-    address-varying unrolled code; the loop closes with a counter and
-    conditional branch.
+    The layer is restructured across the cores of tile 0: a feeder (core
+    0) assembling windows into a fixed mailbox, L looped MVM cores (core
+    1, then 3 and up), each holding k replicas of the weights, and a
+    collector (core 2) draining results to the output region. k is as
+    many as a core's MVMUs take, lowered until it divides the window
+    count; L = min(cores per tile - 2, windows / k). A mailbox round
+    carries up to L groups of k windows, group j for looped core j, so the
+    valid/count handshake keeps them in lockstep, and on a partial last
+    round the first ones run one iteration more. A round that fits the
+    feeder's registers beside the image moves as one store and one load,
+    otherwise group by group. Fixed mailbox addresses replace
+    address-varying code; each loop closes with a counter and branch.
     """
     if machine.cores_per_tile < 3:
         raise CompileError("loop mode needs at least 3 cores per tile")
@@ -607,19 +614,23 @@ def _compile_conv_loop(graph, machine, opts, copies):
     if lost:
         raise CompileError("loop mode cannot produce outputs outside the "
                            f"windowed layer: {', '.join(sorted(lost))}")
-    # k replicas of the window's row tiles, all on the looper's MVMUs
+    # k replicas of the window's row tiles on each looped core's MVMUs
     cols = tiles0[0].cols
-    k = machine.mvmus_per_core // len(tiles0) if copies else 1
+    k = machine.mvmus_per_core // len(tiles0)
     while k > 1 and (n_windows % k or machine.general_regs < 2 * k * cols + 3):
         k -= 1
-    reps = [tiles0] + [tg.replicate(tiles0) for _ in range(k - 1)]
-    feeder, looper, collector = (0, 0), (0, 1), (0, 2)
-    for u, mt_ref in enumerate(mt for rep in reps for mt in rep):
-        mt_ref.mvmu = (0, 1, u)
+    n_loop = min(machine.cores_per_tile - 2, n_windows // k)
+    feeder, collector = (0, 0), (0, 2)
+    loopers = [(0, c) for c in (1, *range(3, n_loop + 2))]
+    reps = [tiles0] + [tg.replicate(tiles0) for _ in range(k * n_loop - 1)]
+    for i, mt in enumerate(mt for rep in reps for mt in rep):
+        j, u = divmod(i, k * len(tiles0))
+        mt.mvmu = (*loopers[j], u)
     window_len = sum(mt.rows for mt in tiles0)
+    wl, wo = k * window_len, k * cols       # mailbox words per group
 
     # symbols: image blocks, which the feeder loads once, bias, mailboxes
-    # of k windows, outputs
+    # of one round, outputs
     low = _Lowerer(tg, machine, opts)
     for n in tg.tnodes:
         if n.kind == "input":
@@ -629,34 +640,42 @@ def _compile_conv_loop(graph, machine, opts, copies):
             low.emit(feeder, isa.load(v, Mem(s.id), s.size))
     bias_sym = None
     if bias_words is not None:
-        bias_sym = tg.new_symbol(0, k * cols, "const", count=1,
+        bias_sym = tg.new_symbol(0, wo, "const", count=n_loop,
                                  words=list(bias_words) * k).id
-    mb_in = tg.new_symbol(0, k * window_len, "value").id
-    mb_out = tg.new_symbol(0, k * cols, "value").id
+    mb_in = Mem(tg.new_symbol(0, n_loop * wl, "value").id)
+    mb_out = Mem(tg.new_symbol(0, n_loop * wo, "value").id)
     out_syms = {}
     for w, _, out_node in chains:
         out_syms[w] = tg.new_symbol(0, out_node.length, "output",
                                     name=out_node.name)
 
-    # feeder and collector: k windows per mailbox message
+    # feeder and collector: messages (looped core of the first group,
+    # windows) of one round, or of one group when a round does not fit
+    # beside the image
     groups = [chains[i:i + k] for i in range(0, n_windows, k)]
-    for group in groups:
+    image = sum(s.size for s in tg.symbols if s.kind == "input")
+    step = n_loop if image + n_loop * wl <= machine.general_regs else 1
+    msgs = [(g % n_loop, sum(groups[g:g + step], []))
+            for g in range(0, len(groups), step)]
+    for j, msg in msgs:
         win = low.new_vreg(feeder)
         srcs = [low.val(gb.inputs[slot]) + off
-                for _, mvms, _ in group
+                for _, mvms, _ in msg
                 for gb in (tg.tnodes[m.inputs[0]] for m in mvms)
                 for slot, off in gb.indices]
         low.emit_copies(feeder, [(win + dst, src)
                                  for dst, src in enumerate(srcs)])
-        low.emit(feeder, isa.store(Mem(mb_in), win, 1, k * window_len))
+        low.emit(feeder, isa.store(mb_in + j * wl, win, 1, len(srcs)))
 
-    low.lower_conv_loop(looper, reps, len(groups), mb_in, mb_out, bias_sym,
-                        act_op)
-    for group in groups:
+    for j, looper in enumerate(loopers):
+        low.lower_conv_loop(looper, reps[j * k:(j + 1) * k],
+                            len(groups[j::n_loop]), mb_in + j * wl,
+                            mb_out + j * wo, bias_sym, act_op)
+    for j, msg in msgs:
         v = low.new_vreg(collector)
-        low.emit(collector, isa.load(v, Mem(mb_out), k * cols))
-        for j, (w, _, _) in enumerate(group):
-            low.emit(collector, isa.store(Mem(out_syms[w].id), v + j * cols,
+        low.emit(collector, isa.load(v, mb_out + j * wo, len(msg) * cols))
+        for i, (w, _, _) in enumerate(msg):
+            low.emit(collector, isa.store(Mem(out_syms[w].id), v + i * cols,
                                           1, cols))
 
     return _back_end(tg, machine, low, int(k * len(tiles0) > 1),

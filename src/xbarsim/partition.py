@@ -15,6 +15,7 @@ per-sender FIFO ids.
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -307,35 +308,30 @@ PROD_CONS_W = 1
 def _matrix_tile_affinity(tg):
     """Pairwise affinity between matrix tiles per the placement priorities:
     feeding the same outputs beats reading the same inputs beats
-    producer-consumer pairs."""
-    tiles = tg.matrix_tiles
+    producer-consumer pairs. Only pairs that share a sink, an input or a
+    `_mvm_feeds` edge, found through inverted indices, are scored."""
     consumers = tg.consumers()
-    mvms_of = [[] for _ in tiles]
+    index = ({}, {})        # sink, input -> {matrix tile: None}
+    first = {}              # matrix tile -> its first logical MVM
     for n in tg.tnodes:
         if n.kind == "mvm":
-            mvms_of[n.matrix].append(n)
-    info = []    # per tile: (inputs, consumers, first logical MVM)
-    for mvms in mvms_of:
-        ins = set()
-        sinks = set()
-        for n in mvms:
-            ins.update(n.inputs)
-            sinks.update(consumers[n.id])
-        info.append((ins, sinks, mvms[0].orig if mvms else None))
-    feeds = _mvm_feeds(tg)
+            first.setdefault(n.matrix, n.orig)
+            for part, keys in zip(index, (consumers[n.id], n.inputs)):
+                for x in keys:
+                    part.setdefault(x, {})[n.matrix] = None
+    tiles_of = {}
+    for t, orig in first.items():
+        tiles_of.setdefault(orig, []).append(t)
     aff = {}
-    for a in range(len(tiles)):
-        for b in range(a + 1, len(tiles)):
-            w = 0
-            if info[a][1] & info[b][1]:
-                w += SAME_OUTPUT_W
-            if info[a][0] & info[b][0]:
-                w += SAME_INPUT_W
-            oa, ob = info[a][2], info[b][2]
-            if (oa, ob) in feeds or (ob, oa) in feeds:
-                w += PROD_CONS_W
-            if w:
-                aff[(a, b)] = w
+    for w, part in zip((SAME_OUTPUT_W, SAME_INPUT_W), index):
+        for ab in {tuple(sorted(ab)) for ts in part.values()
+                   for ab in combinations(ts, 2)}:
+            aff[ab] = aff.get(ab, 0) + w
+    for p, c in _mvm_feeds(tg):     # a tile pair has one first-MVM pair
+        for a in tiles_of.get(p, ()):
+            for b in tiles_of.get(c, ()):
+                ab = (a, b) if a < b else (b, a)
+                aff[ab] = aff.get(ab, 0) + PROD_CONS_W
     return aff
 
 

@@ -43,6 +43,9 @@ class Mem:
     sym: int
     off: int = 0
 
+    def __add__(self, off):
+        return Mem(self.sym, self.off + off)
+
 
 def reads_writes(li):
     """Register ranges (operand, width) read and written by one

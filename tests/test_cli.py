@@ -212,7 +212,11 @@ def test_conv_loop_flag_compiles_branching_program(tmp_path):
                      "--conv-loop"]) == 0
     prog = container.load_file(binpath)
     hist = prog.static_histogram()
-    assert hist.get("brn", 0) == 1 and hist.get("jmp", 0) == 0
+    # 4 windows, 2 per group, on two looped cores: one brn each
+    loopers = {(s.tile, s.core) for s in prog.segments
+               for i in s.instrs if i.op == "brn"}
+    assert hist.get("brn", 0) == len(loopers) == 2
+    assert hist.get("jmp", 0) == 0
     outdir = str(tmp_path / "out")
     assert cli.main(["run", binpath, "--inputs", inputs, "--config", cfgf,
                      "--out", outdir]) == 0

@@ -1,10 +1,13 @@
-"""Loop mode compiles one windowed layer into a looped core that runs one
-body for every window, or raises a CompileError that says why it cannot."""
+"""Loop mode compiles one windowed layer into looped cores on the idle
+cores of tile 0, each running one body over its share of the windows, or
+raises a CompileError that says why it cannot."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from xbarsim import graph as gr, layers, models
+from xbarsim import compiler, container, graph as gr, layers, models
 from xbarsim.compiler import CompileError, CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
@@ -105,3 +108,73 @@ def _conv(**kw):
 def test_what_loop_mode_cannot_compile_is_named(build, cfg, message):
     with pytest.raises(CompileError, match=message):
         compile_model(build(), cfg, LOOP)
+
+
+def _run_looped(g, inputs, cfg):
+    """The looped program and its run, after checking the run bit-exact."""
+    prog, _ = compile_model(g, cfg, LOOP)
+    rep = run(Machine(cfg, prog), inputs)
+    assert rep.halted
+    want = gr.evaluate(g, inputs, xbar_dim=cfg.xbar_dim)
+    assert {k: v.tolist() for k, v in rep.outputs.items()} == \
+        {k: v.tolist() for k, v in want.items()}
+    return prog, rep
+
+
+def _ops(prog, core, op):
+    return [i for s in prog.segments if (s.tile, s.core) == (0, core)
+            for i in s.instrs if i.op == op]
+
+
+def test_conv12_splits_its_loop_over_six_cores():
+    # 100 windows in 50 groups of k = 2 over L = 8 - 2 looped cores: 8
+    # full rounds and a last round of 2 groups
+    g, inputs = models.conv_model(side=12, filters=2, pixel_outputs=True)
+    prog, rep = _run_looped(g, inputs, MachineConfig())
+    limits = {s.core: [i.b for i in s.instrs if i.op == "set"][-1]
+              for s in prog.segments if any(i.op == "brn" for i in s.instrs)}
+    assert limits == {1: 9, 3: 9, 4: 8, 5: 8, 6: 8, 7: 8}
+    assert rep.latency_ns < 25_000
+    # a round of 6 x 2 x 9 words fits beside the 144-word image: one
+    # feeder store and one collector load per round
+    assert [i.w for i in _ops(prog, 0, "store")] == [108] * 8 + [36]
+    assert [i.w for i in _ops(prog, 2, "load")] == [24] * 8 + [8]
+
+
+def test_a_round_too_large_for_the_feeder_moves_group_by_group():
+    # 144-row windows on two MVMUs, so k = 1: a round of 4 windows (576
+    # words) does not fit 512 registers beside the 256-word image
+    g, inputs = models.conv_model(side=4, channels=16, filters=8, seed=3,
+                                  pixel_outputs=True)
+    prog, _ = _run_looped(g, inputs, MachineConfig(tiles=2))
+    stores = _ops(prog, 0, "store")
+    assert [i.w for i in stores] == [144] * 4
+    assert [i.a - stores[0].a for i in stores] == [0, 144, 288, 432]
+    assert [i.w for i in _ops(prog, 2, "load")] == [8] * 4
+
+
+@pytest.mark.parametrize("kw, digest", [
+    (dict(side=4),
+     "b85301c82ea5bdfccd49b1dfd323a3011c72c94b9bede4ca3e0f0ae84e4707c6"),
+    (dict(side=12),
+     "76f6d33d168a6e690453fc3ce7c507c7d21caf20e0bf1bca22fed93aa196986c"),
+    (dict(side=6, channels=2, filters=3),
+     "c4db8105b980b2e8618c54a279d372e3b0dae27d6f9bdff9280449992cce63b6"),
+], ids=["side4", "side12", "side6_c2_f3"])
+def test_three_cores_keep_one_looped_core(kw, digest):
+    """With 3 cores per tile there is one looped core, and the container
+    is the one a single-looper layout writes."""
+    g, inputs = models.conv_model(pixel_outputs=True, **kw)
+    prog, _ = _run_looped(g, inputs, MachineConfig(cores_per_tile=3))
+    assert hashlib.sha256(container.save(prog)).hexdigest() == digest
+
+
+def test_a_refused_loop_mode_model_compiles_once(monkeypatch):
+    calls = []
+    real = compiler._compile_conv_loop
+    monkeypatch.setattr(compiler, "_compile_conv_loop",
+                        lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(CompileError,
+                       match="^loop mode needs at least 3 cores per tile$"):
+        compile_model(_conv(), MachineConfig(cores_per_tile=2), LOOP)
+    assert len(calls) == 1

@@ -97,9 +97,9 @@ GOLDEN = {
         '89be1dc609d02d648f2a06e56f7314dab3e5f5c676e4fff4080031425102fb67',
     ),
     'conv_loop/loop': (
-        'dd02b4d2424a0613e5b6f4399b67f66c4d251e8fea680dfb96edbd034926adab',
+        'dcae8961b4b9a65350921d6b1e6ecee350d2b36ee6a6be05afd514dac3b5e01e',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        '683726f61c9b6a2b5a5256d9b1a48523b4942534aefbb4b69f345996c47fa0d7',
+        '29ebfcded0b3da8f9902c5eb1eeb2553c399ec7b4d8b332eed834b724190a674',
     ),
     'lstm128': (
         'de4e1883318604d9756933cf4d18ddae4bba9c7650b2f402754b11772465e597',
@@ -172,14 +172,14 @@ GOLDEN = {
         '19a0ed0abf40fe4f8649fc231b583751b24b860c7639e237410ddad21a7ba43b',
     ),
     'conv_c16/loop2': (
-        '80c709bcea2cd9e432f58c38f4a0f567b223a8f75848183e3e729bce354945b4',
+        '8073bd088391694d67b89f3949a174dc2eb627fa84c48ca2dec75c468dca00e6',
         'c8a6c1e5c3ed5e78b7287d8007e90af6df4c5827ff8c634f6e482204e1199aa6',
-        '8c427ad8ab6958f57dfd405e8618a264d6221a6093fe8725dd6f4912b845b8fa',
+        '51fbb0840a16c1824d0be4a234613424d2f0bee9e4cd035ca503d90682a4123a',
     ),
     'conv_c2/loop3_xbar8': (
-        '0732465a768f0798cab9f38c26ee23549fbfc7438acc050c7463e25648bf20af',
+        'e8c0e068545930fcde8971f5bf2faacfed2117e13edb6d51f3bf8358fcf04f4e',
         '19e5b4c762a6f284a24a98b84cb7d4bafd9abcc471d05506bf3dd753b678634c',
-        '6c0ec06d70977608c7cfb52711f78c2599fbac42db46e03c76e2f6858fbb7017',
+        'b7d28c42456e9d4c2bc9e1ddd0062755cee09cda86e620616da42a76ffd5e8d2',
     ),
 }
 

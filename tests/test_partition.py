@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from xbarsim import fixedpoint as fp
 from xbarsim import graph as gr
-from xbarsim import layers, partition
+from xbarsim import layers, models, partition
 from xbarsim.machine import MachineConfig
+
+from test_golden import _build, _cases
 
 
 def small_machine(**kw):
@@ -241,3 +245,50 @@ def test_fifo_overflow_reports_error():
             n.place = (17, 0)
     with pytest.raises(partition.CompileError, match="more than 16"):
         partition.insert_data_movement(tg, m)
+
+
+def _all_pairs_affinity(tg):
+    """The affinity of every pair of matrix tiles, scored one by one."""
+    consumers = tg.consumers()
+    mvms_of = [[] for _ in tg.matrix_tiles]
+    for n in tg.tnodes:
+        if n.kind == "mvm":
+            mvms_of[n.matrix].append(n)
+    info = [({i for n in mvms for i in n.inputs},
+             {c for n in mvms for c in consumers[n.id]},
+             mvms[0].orig if mvms else None) for mvms in mvms_of]
+    feeds = partition._mvm_feeds(tg)
+    aff = {}
+    for a, b in combinations(range(len(info)), 2):
+        (ia, sa, oa), (ib, sb, ob) = info[a], info[b]
+        fed = (oa, ob) in feeds or (ob, oa) in feeds
+        w = (partition.SAME_OUTPUT_W * bool(sa & sb)
+             + partition.SAME_INPUT_W * bool(ia & ib)
+             + partition.PROD_CONS_W * fed)
+        if w:
+            aff[(a, b)] = w
+    return aff
+
+
+@pytest.mark.parametrize("case", list(_cases()), ids=[c[0] for c in _cases()])
+def test_affinity_scores_the_same_pairs_as_all_pairs(case, monkeypatch):
+    seen = []
+    real = partition._matrix_tile_affinity
+
+    def checked(tg):
+        aff = real(tg)
+        assert aff == _all_pairs_affinity(tg)
+        seen.append(len(aff))
+        return aff
+    monkeypatch.setattr(partition, "_matrix_tile_affinity", checked)
+    _build(case)
+    if not case[3].conv_loop and not case[3].naive_partition:
+        assert seen
+
+
+def test_affinity_on_128_matrix_tiles_matches_all_pairs():
+    g, _ = models.mlp_model(512, depth=8)
+    tg = partition.tile_tensors(g, 128)
+    assert len(tg.matrix_tiles) == 128
+    aff = partition._matrix_tile_affinity(tg)
+    assert aff and aff == _all_pairs_affinity(tg)

@@ -54,9 +54,11 @@ def test_conv_loop_fires_two_copies_per_iteration():
                      CompileOptions(conv_loop=True))
     [body] = [s.instrs for s in prog.segments if (s.tile, s.core) == (0, 1)]
     assert [i.sub for i in body if i.op == "mvm"] == [0b11]
-    # the counter runs to n_windows / 2: the third set is its limit
-    assert [i.b for i in body if i.op == "set"][2] == 4 // 2
-    assert sorted(w.mvmu for w in prog.weights) == [0, 1]
+    # 4 windows, 2 per group, over cores 1 and 3: each counter runs to 1,
+    # the third set is its limit
+    assert [i.b for i in body if i.op == "set"][2] == 4 // 2 // 2
+    assert sorted((w.core, w.mvmu) for w in prog.weights) == [
+        (1, 0), (1, 1), (3, 0), (3, 1)]
 
 
 def test_a_model_that_fills_every_mvmu_gets_no_copy():
