@@ -493,28 +493,17 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
 
 def compile_model(graph, machine, opts=None):
     """Full pipeline: tile, place, insert data movement, coalesce,
-    linearize, lower, allocate registers, assign memory, emit. Copies of
-    shared weights spread a layer over more cores' registers and memory;
-    an unrolled model that does not fit with them compiles without them.
-    Loop mode sizes its own copies and compiles once."""
+    linearize, lower, allocate registers, assign memory, emit. Each model
+    compiles once, with the copies of shared weights that placement makes;
+    a model that does not fit is refused with the limit it exceeds."""
     opts = opts or CompileOptions()
     if graph.frac_bits != machine.frac_bits:
         raise CompileError(f"the model has {graph.frac_bits} fraction bits, "
                            f"the machine {machine.frac_bits}")
     if opts.conv_loop:
         return _compile_conv_loop(graph, machine, opts)
-    try:
-        return _compile_unrolled(graph, machine, opts, copies=True)
-    except CompileError:
-        mats = [n.inputs[0] for n in graph.nodes if n.kind == "mvm"]
-        if len(set(mats)) == len(mats):     # no shared matrix, no copies
-            raise
-        return _compile_unrolled(graph, machine, opts, copies=False)
-
-
-def _compile_unrolled(graph, machine, opts, copies):
     tg = tile_tensors(graph, machine.xbar_dim)
-    place(tg, machine, opts.naive_partition, opts.seed, copies)
+    place(tg, machine, opts.naive_partition, opts.seed)
     insert_data_movement(tg, machine)
     groups = schedule.coalesce_mvms(tg, machine) if opts.coalesce else []
     if groups and not schedule.check_groups_independent(tg, groups):

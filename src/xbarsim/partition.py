@@ -395,7 +395,7 @@ def _replicate_shared(tg, budget):
                 n.matrix = copies[k * r // len(runs)][pos[n.matrix]].id
 
 
-def place(tg, machine, naive=False, seed=0, copies=True):
+def place(tg, machine, naive=False, seed=0):
     """Assign matrix tiles, with copies of shared ones on the filled
     tiles' spare MVMUs, to MVMUs and every tnode to a (tile, core)."""
     m = machine
@@ -404,8 +404,7 @@ def place(tg, machine, naive=False, seed=0, copies=True):
     if ntiles > total_mvmus:
         raise CompileError(
             f"model needs {ntiles} MVMUs but the machine has {total_mvmus}")
-    if copies:
-        _replicate_shared(tg, -ntiles % (m.cores_per_tile * m.mvmus_per_core))
+    _replicate_shared(tg, -ntiles % (m.cores_per_tile * m.mvmus_per_core))
     ntiles = len(tg.matrix_tiles)
 
     slots = [(t, c) for t in range(m.tiles) for c in range(m.cores_per_tile)]

@@ -2,9 +2,12 @@
 
 Values are virtual register ranges (a vector of w words occupies w
 consecutive registers). General-purpose registers are allocated by linear
-scan with first-fit placement; when pressure exceeds the register file the
-value with the furthest last use is spilled to a tile-memory slot, its
-definition followed by a store and each use preceded by a reload.
+scan with first-fit placement; when pressure exceeds the register file a
+value is spilled to a tile-memory slot (a store after its definition, a
+reload before each use) and the rewritten code is allocated again. Values
+the code arrived with spill before the temporaries of earlier rounds (see
+`_plan`), and code that must spill is refused at once when an instruction
+needs more words than the file holds.
 
 Instructions here are `isa.Instruction`s whose register fields may hold a
 `VReg` and whose address fields may hold a `Mem`; the compiler resolves
@@ -146,8 +149,13 @@ class _FreeSpace:
         self.free = merged
 
 
-def _plan(ranges, total):
-    """Linear scan; returns (base map, spill set)."""
+def _plan(ranges, total, vmax):
+    """Linear scan; returns (base map, spill set). When a value r does not
+    fit, the victim is a spillable active value that the code arrived with
+    (vreg below `vmax`): the one whose last use lies furthest past r's,
+    else the one used last. A spill temporary goes, in the same order, only
+    when no such value can, or a round would just spill the reloads of the
+    one before. With nothing to spill, r is refused."""
     spilled = set()
     order = sorted(ranges.values(), key=lambda r: (r.start, r.vreg))
     while True:
@@ -167,10 +175,10 @@ def _plan(ranges, total):
             active = still
             addr = space.take(r.size)
             while addr is None:
-                victims = [a for a in active
-                           if ranges[a[1]].spillable() and a[0] > r.end]
-                if not victims:
-                    victims = [a for a in active if ranges[a[1]].spillable()]
+                for pool in ([a for a in active if a[1] < vmax], active):
+                    ok = [a for a in pool if ranges[a[1]].spillable()]
+                    if victims := [a for a in ok if a[0] > r.end] or ok:
+                        break
                 if not victims:    # a spilled r's def would need the same room
                     if r.size > total:
                         raise RegAllocError(
@@ -245,22 +253,24 @@ def allocate(instrs, machine, mk_spill_symbol):
     next_vreg = itertools.count(vmax).__next__
 
     spill_count = 0
-    for _round in range(16):
+    for rnd in range(16):
         ranges = compute_liveness(instrs)
-        base, spills = _plan(ranges, total)
+        base, spills = _plan(ranges, total, vmax)
         if not spills:
             return AllocResult(instrs, {v: rs.general_base + b
                                         for v, b in base.items()},
                                spill_count)
+        if rnd == 0 and (need := _instruction_working_set(instrs)) > total:
+            raise RegAllocError(
+                f"register file too small: an instruction needs {need} words "
+                f"simultaneously but only {total} are available")
         # a spilled vreg is renamed at every definition and use, so no
         # later round spills it again
         slot_of = {v: mk_spill_symbol(ranges[v].size) for v in spills}
         spill_count += len(spills)
         instrs = _rewrite_spills(instrs, spills, slot_of, next_vreg)
-    need = _instruction_working_set(instrs)
-    raise RegAllocError(
-        f"register file too small: an instruction needs {need} words "
-        f"simultaneously but only {total} are available")
+    raise RegAllocError(f"register allocation did not converge in 16 spill "
+                        f"rounds on a {total}-word register file")
 
 
 def _instruction_working_set(instrs):

@@ -104,6 +104,29 @@ def test_value_that_cannot_fit_beside_unspillable_values_is_an_error():
         _alloc(seq, general=8)
 
 
+def test_an_original_value_spills_before_a_reload_temporary():
+    """v9 stands for a reload that an earlier round made (vregs from 9 on
+    are spill temporaries). Placing v10 finds no 8-word gap beside v1 and
+    v9, and both end at the alu, so either could spill: v1, a value the
+    code arrived with, is the one spilled. Spilling v9 would only put
+    another reload in its place."""
+    seq = [Instruction("load", 0, VReg(0), Mem(0), 0, 4),
+           Instruction("load", 0, VReg(1), Mem(1), 0, 4),
+           Instruction("store", 0, Mem(2), VReg(0), 1, 4),
+           Instruction("load", 0, VReg(9), Mem(3), 0, 4),
+           Instruction("load", 0, VReg(10), Mem(4), 0, 8),
+           Instruction("alu", isa.ALU_OPS["add"], VReg(11), VReg(1), VReg(9),
+                       2),
+           Instruction("store", 0, Mem(5), VReg(10), 1, 8),
+           Instruction("store", 0, Mem(6), VReg(11), 1, 2)]
+    ranges = regalloc.compute_liveness(seq)
+    assert ranges[1].end == ranges[9].end == 5
+    assert ranges[1].spillable() and ranges[9].spillable()
+    assert regalloc._plan(ranges, 14, vmax=9)[1] == {1}
+    # were v9 a value of the code, the tie would go to the newest vreg
+    assert 9 in regalloc._plan(ranges, 14, vmax=12)[1]
+
+
 def _assembled(second_off=2, read_between=False):
     """v0 built by two 2-word copies from v1, then read whole."""
     seq = [Instruction("load", 0, VReg(1), Mem(0), 0, 2),

@@ -104,11 +104,30 @@ def test_an_unrolled_16x16_conv_fits_each_cores_instruction_memory():
     assert max(sizes) <= cfg.core_imem_capacity
 
 
-def test_a_model_whose_copies_do_not_fit_compiles_without_them():
+def _count_places(monkeypatch):
+    calls = []
+    real = compiler.place
+    monkeypatch.setattr(compiler, "place",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_a_model_whose_copies_spill_compiles_once_with_them(monkeypatch):
     # spread over three one-MVMU cores, this fuzz model's concatenated
-    # output leaves core 2 without enough registers
+    # output leaves core 2 short of registers, so its allocation spills
+    calls = _count_places(monkeypatch)
     g, inputs, cfg, opts = make_shared_case(252)
-    with pytest.raises(CompileError, match="register file too small"):
-        compiler._compile_unrolled(g, cfg, opts, copies=True)
     prog = _compiled(g, inputs, cfg, opts)
-    assert len(prog.weights) == 1
+    assert len(calls) == 1
+    assert len(prog.weights) == 3
+
+
+def test_a_refused_shared_weights_model_compiles_once(monkeypatch):
+    calls = _count_places(monkeypatch)
+    g, _ = models.conv_model(side=4, filters=2, pixel_outputs=True)
+    cfg = MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=1,
+                        mvmus_per_core=1)
+    with pytest.raises(CompileError, match="^model needs 2 MVMUs but the "
+                       "machine has 1$"):
+        compile_model(g, cfg)
+    assert len(calls) == 1
