@@ -6,6 +6,7 @@ verbosity.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -206,19 +207,14 @@ def cmd_sweep(args):
         latency, energy, acc = sweep_point(g, pcfg, inputs, opts, eval_set,
                                            labels, output_name)
         rows.append((v, latency, energy, "" if acc is None else f"{acc:.4f}"))
-    out = sys.stdout
-    close = False
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        out = open(os.path.join(args.out, f"sweep_{args.axis}.csv"), "w",
-                   encoding="utf-8", newline="")
-        close = True
-    w = csv.writer(out)
-    w.writerow([args.axis, "latency_ns", "energy_nj", "accuracy"])
-    for row in rows:
-        w.writerow(row)
-    if close:
-        out.close()
+    with (open(os.path.join(args.out, f"sweep_{args.axis}.csv"), "w",
+               encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        w = csv.writer(out)
+        w.writerow([args.axis, "latency_ns", "energy_nj", "accuracy"])
+        w.writerows(rows)
     return EXIT_OK
 
 

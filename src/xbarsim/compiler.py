@@ -84,7 +84,6 @@ class _Lowerer:
         # permutation per member MVMU of the instruction that references it
         self.patterns = {}
         self.win_state = {}       # (core, mvmu) -> (win, [slot contents])
-        self.out_syms = {}        # output tnode id -> symbol
         self.elided = set()
 
     def new_vreg(self, actor):
@@ -175,11 +174,8 @@ class _Lowerer:
         elif k == "merge":
             # partial sums fold in ascending row-block order; each step
             # writes a fresh register so intermediates stay spillable
-            ins = lead.inputs
-            acc = self.new_vreg(actor)
-            self.emit(actor, isa.alu("add", acc, self.val(ins[0]),
-                                     self.val(ins[1]), lead.length))
-            for extra in ins[2:]:
+            acc = self.val(lead.inputs[0])
+            for extra in lead.inputs[1:]:
                 nxt = self.new_vreg(actor)
                 self.emit(actor, isa.alu("add", nxt, acc, self.val(extra),
                                          lead.length))
@@ -209,7 +205,7 @@ class _Lowerer:
             v = self.new_vreg(actor)
             self.emit(actor, isa.load(v, Mem(lead.sym), lead.length))
             self.value_vreg[lead.id] = v
-        elif k == "store":
+        elif k in ("store", "output"):
             self.emit(actor, isa.store(
                 Mem(lead.sym), self.val(lead.inputs[0]),
                 tg.symbols[lead.sym].count, lead.length))
@@ -219,10 +215,6 @@ class _Lowerer:
         elif k == "receive":
             self.emit(actor, isa.recv(Mem(lead.sym), lead.fifo,
                                       tg.symbols[lead.sym].count, lead.length))
-        elif k == "output":
-            self.emit(actor, isa.store(
-                Mem(self.out_syms[lead.id].id), self.val(lead.inputs[0]), 1,
-                lead.length))
         else:
             raise CompileError(f"cannot lower tnode kind {k!r}")
 
@@ -415,36 +407,26 @@ def _emit_container(tg, machine, code, bases, meta):
         prog.segments.append(container.Segment(actor[0], actor[1], instrs))
 
     for mt in tg.matrix_tiles:
-        if mt.mvmu is None:
-            continue
-        t, c, u = mt.mvmu
-        prog.weights.append(container.WeightBlock(t, c, u, mt.w_raw))
+        prog.weights.append(container.WeightBlock(*mt.mvmu, mt.w_raw))
 
     for s in tg.symbols:
         if s.kind == "const":
             prog.data.append(container.DataBlock(s.tile, s.addr, s.count,
                                                  [int(w) for w in s.words]))
-        elif s.kind == "input":
-            prog.io.append(container.IoBinding("in", s.name, s.tile, s.addr,
-                                               s.size, s.count))
-        elif s.kind == "output":
-            prog.io.append(container.IoBinding("out", s.name, s.tile, s.addr,
-                                               s.size, 1))
+        elif s.kind in ("input", "output"):
+            prog.io.append(container.IoBinding(
+                "in" if s.kind == "input" else "out", s.name, s.tile, s.addr,
+                s.size, s.count))
     prog.io.sort(key=lambda b: (b.kind, b.name))
 
-    regions = {}
-    for s in tg.symbols:
-        regions.setdefault(s.tile, []).append((s.addr, s.addr + s.size, s.kind))
-    for t, rows in sorted(regions.items()):
-        rows.sort()
-        merged = []
-        for lo, hi, kind in rows:
-            if merged and merged[-1][2] == kind and merged[-1][1] >= lo:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]), kind)
-            else:
-                merged.append((lo, hi, kind))
-        for lo, hi, kind in merged:
-            prog.regions.append(container.Region(t, lo, hi, kind))
+    # one region per run of adjacent symbols of one kind
+    for s in sorted(tg.symbols, key=lambda s: (s.tile, s.addr)):
+        r = prog.regions[-1] if prog.regions else None
+        if r and (r.tile, r.hi, r.kind) == (s.tile, s.addr, s.kind):
+            r.hi += s.size
+        else:
+            prog.regions.append(container.Region(s.tile, s.addr,
+                                                 s.addr + s.size, s.kind))
     prog.meta.update(meta)
     return prog
 
@@ -510,11 +492,11 @@ def compile_model(graph, machine, opts=None):
         raise CompileError("coalescing produced a dependent group")
     sched = schedule.linearize(tg, groups, naive=opts.naive_order)
 
+    for n in tg.tnodes:
+        if n.kind == "output":
+            n.sym = tg.new_symbol(n.place[0], n.length, "output", name=n.name,
+                                  count=1).id
     low = _Lowerer(tg, machine, opts)
-    for tid in (n.id for n in tg.tnodes if n.kind == "output"):
-        n = tg.tnodes[tid]
-        low.out_syms[tid] = tg.new_symbol(n.place[0], n.length, "output",
-                                          name=n.name)
     low.plan_window_elision()
     for members in sched.units:
         low.lower_unit(members)
@@ -633,10 +615,9 @@ def _compile_conv_loop(graph, machine, opts):
                                  words=list(bias_words) * k).id
     mb_in = Mem(tg.new_symbol(0, n_loop * wl, "value").id)
     mb_out = Mem(tg.new_symbol(0, n_loop * wo, "value").id)
-    out_syms = {}
-    for w, _, out_node in chains:
-        out_syms[w] = tg.new_symbol(0, out_node.length, "output",
-                                    name=out_node.name)
+    for _, _, out in chains:
+        out.sym = tg.new_symbol(0, out.length, "output", name=out.name,
+                                count=1).id
 
     # feeder and collector: messages (looped core of the first group,
     # windows) of one round, or of one group when a round does not fit
@@ -663,9 +644,8 @@ def _compile_conv_loop(graph, machine, opts):
     for j, msg in msgs:
         v = low.new_vreg(collector)
         low.emit(collector, isa.load(v, mb_out + j * wo, len(msg) * cols))
-        for i, (w, _, _) in enumerate(msg):
-            low.emit(collector, isa.store(Mem(out_syms[w].id), v + i * cols,
-                                          1, cols))
+        for i, (_, _, out) in enumerate(msg):
+            low.emit(collector, isa.store(Mem(out.sym), v + i * cols, 1, cols))
 
     return _back_end(tg, machine, low, int(k * len(tiles0) > 1),
                      maxlive=0, loop_mode=1)

@@ -14,6 +14,7 @@ bit-for-bit against it.
 
 import functools
 import json
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,22 +34,18 @@ class ShapeError(GraphError):
     pass
 
 
+@dataclass(slots=True, eq=False)
 class Node:
-    __slots__ = ("id", "kind", "op", "imm", "inputs", "length", "name",
-                 "layer", "win", "indices")
-
-    def __init__(self, nid, kind, *, op=None, imm=None, inputs=(), length=None,
-                 name=None, layer=0, win=None, indices=None):
-        self.id = nid
-        self.kind = kind
-        self.op = op
-        self.imm = imm
-        self.inputs = list(inputs)
-        self.length = length
-        self.name = name
-        self.layer = layer
-        self.win = win            # (conv id, window seq) tag on window MVMs
-        self.indices = indices    # gather: list of (input slot, element)
+    id: int
+    kind: str
+    op: str = None
+    imm: int = None
+    inputs: list = field(default_factory=list)
+    length: int = None
+    name: str = None
+    layer: int = 0
+    win: tuple = None         # (conv id, window seq) tag on window MVMs
+    indices: list = None      # gather: list of (input slot, element)
 
     def __repr__(self):
         return f"<Node {self.id} {self.kind} len={self.length}>"
@@ -299,25 +296,12 @@ def apply_node(node, args, frac_bits, luts):
 # ---------------------------------------------------------------------------
 
 def to_json(graph):
+    blank = Node(None, None)
+    defaults = [(f.name, getattr(blank, f.name)) for f in fields(Node)]
     nodes = []
     for n in graph.nodes:
-        d = {"id": n.id, "kind": n.kind}
-        if n.op is not None:
-            d["op"] = n.op
-        if n.imm is not None:
-            d["imm"] = n.imm
-        if n.inputs:
-            d["inputs"] = n.inputs
-        if n.length is not None:
-            d["length"] = n.length
-        if n.name is not None:
-            d["name"] = n.name
-        if n.layer:
-            d["layer"] = n.layer
-        if n.win is not None:
-            d["win"] = list(n.win)
-        if n.indices is not None:
-            d["indices"] = [[s, e] for s, e in n.indices]
+        d = {k: v for k, default in defaults
+             if (v := getattr(n, k)) != default}
         if n.kind == "const_matrix":
             w = graph.constants[n.id]
             d["rows"], d["cols"] = (int(v) for v in w.shape)
@@ -345,13 +329,14 @@ def from_json(text):
         raise GraphError(f"unsupported model format version {doc.get('version')}")
     g = ModelGraph(frac_bits=doc["frac_bits"])
     g.stream_steps = dict(doc.get("streams", {}))
+    names = [f.name for f in fields(Node)]
     for d in doc["nodes"]:
-        node = Node(d["id"], d["kind"], op=d.get("op"), imm=d.get("imm"),
-                    inputs=d.get("inputs", ()), length=d.get("length"),
-                    name=d.get("name"), layer=d.get("layer", 0),
-                    win=tuple(d["win"]) if "win" in d else None,
-                    indices=[tuple(p) for p in d["indices"]]
-                    if "indices" in d else None)
+        kw = {k: d[k] for k in names if k in d}
+        if "win" in kw:
+            kw["win"] = tuple(kw["win"])
+        if "indices" in kw:
+            kw["indices"] = [tuple(p) for p in kw["indices"]]
+        node = Node(**kw)
         if node.id != len(g.nodes):
             raise GraphError("node ids must be dense and ordered")
         g.nodes.append(node)

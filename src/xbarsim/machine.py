@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from .crossbar import slices_for_bits
 from .fixedpoint import DEFAULT_FRAC_BITS
-from .isa import INSTR_BYTES, IsaError, RegisterSpace
+from .isa import FIELD_MAX, INSTR_BYTES, SUBOP_MAX, WIDTH_MAX, IsaError, \
+    RegisterSpace
 
 
 class ConfigError(Exception):
@@ -62,8 +63,9 @@ class MachineConfig:
         self.validate()
 
     def validate(self):
-        if not 1 <= self.xbar_dim <= 255:
-            raise ConfigError("xbar_dim must be in [1, 255] (8-bit vec-width field)")
+        if not 1 <= self.xbar_dim <= WIDTH_MAX:
+            raise ConfigError(f"xbar_dim must be in [1, {WIDTH_MAX}] (8-bit "
+                              f"vec-width field)")
         for name in ("mvmus_per_core", "cores_per_tile", "tiles", "vfu_lanes",
                      "num_fifos", "fifo_depth", "dmem_words", "mvm_cycles"):
             if getattr(self, name) < 1:
@@ -81,15 +83,21 @@ class MachineConfig:
         for k, v in self.power_mw.items():
             if v < 0:
                 raise ConfigError(f"power.{k} must be >= 0")
-        if self.mvmus_per_core > 5:
+        if self.mvmus_per_core > SUBOP_MAX.bit_length():
             raise ConfigError("mvmu mask lives in the 5-bit subop field")
+        if self.num_fifos > SUBOP_MAX + 1:
+            raise ConfigError(f"num_fifos must be <= {SUBOP_MAX + 1}: a fifo "
+                              f"id lives in the 5-bit subop field")
+        if self.tiles > FIELD_MAX + 1:
+            raise ConfigError(f"tiles must be <= {FIELD_MAX + 1}: a send's "
+                              f"target tile lives in a 12-bit field")
         try:
             slices_for_bits(self.bits_per_device)
         except ValueError as e:
             raise ConfigError(f"bits_per_device: {e}") from e
         if not 0 <= self.frac_bits <= 15:
             raise ConfigError("frac_bits must be in [0, 15]")
-        if self.dmem_words > 4096:
+        if self.dmem_words > FIELD_MAX + 1:
             raise ConfigError("dmem_words beyond 12-bit address operands")
         try:
             self.regspace()

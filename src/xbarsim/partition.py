@@ -30,33 +30,26 @@ class CompileError(Exception):
     pass
 
 
+@dataclass(slots=True, eq=False)
 class TNode:
     """One block-level operation of the tiled/augmented graph."""
-
-    __slots__ = ("id", "kind", "op", "imm", "inputs", "length", "block",
-                 "orig", "name", "win", "indices", "matrix", "words",
-                 "place", "sym", "fifo", "target")
-
-    def __init__(self, nid, kind, *, op=None, imm=None, inputs=(), length=None,
-                 block=0, orig=None, name=None, win=None, indices=None,
-                 matrix=None, words=None):
-        self.id = nid
-        self.kind = kind
-        self.op = op
-        self.imm = imm
-        self.inputs = list(inputs)
-        self.length = length
-        self.block = block
-        self.orig = orig
-        self.name = name
-        self.win = win
-        self.indices = indices
-        self.matrix = matrix
-        self.words = words
-        self.place = None      # (tile, core); core == TILE_UNIT on tile unit
-        self.sym = None        # memory symbol id (load/store/send/receive/const/input)
-        self.fifo = None
-        self.target = None     # destination tile for send
+    id: int
+    kind: str
+    op: str = None
+    imm: int = None
+    inputs: list = field(default_factory=list)
+    length: int = None
+    block: int = 0
+    orig: int = None
+    name: str = None
+    win: tuple = None
+    indices: list = None
+    matrix: int = None
+    words: list = None
+    place: tuple = None    # (tile, core); core == TILE_UNIT on tile unit
+    sym: int = None        # memory symbol id of a memory op or value
+    fifo: int = None
+    target: int = None     # destination tile for send
 
     def __repr__(self):
         return f"<T{self.id} {self.kind} b{self.block}>"

@@ -8,6 +8,9 @@ target. A blocked actor parks on the failing condition and is woken by
 the completing instruction that satisfies it; there is no polling. State
 changes commit when an instruction issues (claims are atomic); the
 issuing actor and any woken waiters continue at its completion time.
+Words that a store or receive writes are therefore readable from that
+write's completion: a load or send that finds them valid earlier waits
+until then, as blocked time, just as a reader parked on them does.
 Handlers give semantics and timing only. The loop counts each pc's
 executions (`hits`) and cycles (`busy`); `tally` then works out every count
 and energy as hits x `instr_cost`, the static cost of one execution.
@@ -34,7 +37,7 @@ import heapq
 import logging
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,32 +100,15 @@ class RunReport:
         return 100.0 * self.spill_accesses / self.reg_accesses
 
     def to_dict(self):
-        d = {
-            "outputs": {k: vec.tolist() for k, vec in self.outputs.items()},
-            "cycles": self.cycles,
-            "latency_ns": self.latency_ns,
-            "energy_nj": {k: round(v, 6) for k, v in self.energy_nj.items()},
-            "energy_total_nj": round(self.energy_total_nj, 6),
-            "instr_static": self.instr_static,
-            "instr_dynamic": self.instr_dynamic,
-            "instr_cycles": self.instr_cycles,
-            "blocked_ns": {f"tile{t}_"
-                           + ("unit" if c == TILE_UNIT else f"core{c}"): v
-                           for (t, c), v in self.blocked_ns.items()},
-            "steps": self.steps,
-            "mode_switches": self.mode_switches,
-            "saturations": self.saturations,
-            "reg_accesses": self.reg_accesses,
-            "spill_accesses": self.spill_accesses,
-            "spill_access_pct": round(self.spill_access_pct, 4),
-            "coalesce_groups": self.coalesce_groups,
-            "maxlive": self.maxlive,
-            "spill_count": self.spill_count,
-            "halted": self.halted,
-            "deadlock": self.deadlock,
-            "step_limit_hit": self.step_limit_hit,
-            "diagnosis": self.diagnosis,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(
+            outputs={k: vec.tolist() for k, vec in self.outputs.items()},
+            energy_nj={k: round(v, 6) for k, v in self.energy_nj.items()},
+            energy_total_nj=round(self.energy_total_nj, 6),
+            blocked_ns={f"tile{t}_" + ("unit" if c == TILE_UNIT
+                                       else f"core{c}"): v
+                        for (t, c), v in self.blocked_ns.items()},
+            spill_access_pct=round(self.spill_access_pct, 4))
         return d
 
     def to_text(self):
@@ -150,11 +136,13 @@ class RunReport:
 class _Tile:
     """One run's tile memory and receive FIFOs: data words, (words,) or
     (words, B) with a lane axis; a reader count per word (valid while above
-    0); each FIFO's queued payloads and its sends not yet arrived."""
+    0); the completion time of each word's last fill; each FIFO's queued
+    payloads and its sends not yet arrived."""
 
     def __init__(self, data, num_fifos):
         self.data = data
         self.count = np.zeros(len(data), dtype=np.int64)
+        self.ready = np.zeros(len(data))
         self.fifos = [deque() for _ in range(num_fifos)]
         self.in_flight = [0] * num_fifos
 
@@ -459,17 +447,25 @@ class _Sim:
 
     def wait_words(self, actor, addr, w, op, valid):
         """Park unless words [addr, addr + w) all hold data (valid=True:
-        load, send) or are all drained (valid=False: store, receive)."""
+        load, send) or are all drained (valid=False: store, receive). Valid
+        words whose fill completes later hold the actor until it does."""
         tile_id = actor[0]
-        stuck = np.nonzero(
-            (self.m.tiles[tile_id].count[addr:addr + w] > 0) != valid)[0]
+        tile = self.m.tiles[tile_id]
+        stuck = np.nonzero((tile.count[addr:addr + w] > 0) != valid)[0]
         if len(stuck):
             word = addr + int(stuck[0])
             cond, what = ("mem_valid", "word") if valid else \
                 ("mem_free", "occupied word")
             self.park(actor, (cond, tile_id, word),
                       f"{op} waiting on {what} {word}")
-        return len(stuck) > 0
+            return True
+        if valid:
+            ready = float(tile.ready[addr:addr + w].max())
+            if ready > self.now:
+                self.blocked[actor] = (self.now, f"{op} waiting on a fill")
+                self.release([actor], ready)
+                return True
+        return False
 
     def consume(self, tile_id, addr, w, end):
         """Read w words and count one reader off each; a word whose count
@@ -482,8 +478,10 @@ class _Sim:
         return vals
 
     def fill(self, tile_id, addr, w, vals, count, end):
-        """Write w words for `count` readers, which wake at `end`."""
-        self.m.tiles[tile_id].write(addr, vals, count)
+        """Write w words for `count` readers, which read them from `end`."""
+        tile = self.m.tiles[tile_id]
+        tile.write(addr, vals, count)
+        tile.ready[addr:addr + w] = end
         if count > 0:
             self.wake_words("mem_valid", tile_id, addr, w, end)
 

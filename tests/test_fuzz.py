@@ -22,6 +22,11 @@ loop mode. Tier-1 runs seeds 0-1499 of the first family and 0-599 of
 the second. Every register allocation on the way is audited: no two
 overlapping live ranges may share a register.
 
+On every fifth seed of both tier-1 ranges that runs bit-exact, the cost
+model's metamorphic relations are checked too: a slower MVM, hop or mode
+switch never shortens the run, a doubled clock halves its latency, and
+doubled power doubles its energy outside the MVMUs.
+
 Known failures are pinned by seed as strict xfails that name their class,
 so that a fix shows as an unexpected pass; a known failure outside the
 tier-1 range is pinned beside it. To count both families' outcomes over
@@ -29,8 +34,16 @@ any seed range, with the first 20 seeds of each class other than
 `exact`:
 
     PYTHONPATH=src python tests/test_fuzz.py START COUNT
+
+With `--hashes` it prints one line per seed instead: the family, the seed,
+the class, then the sha256 of the container bytes and of the run report
+(`RunReport.to_dict` with sorted keys), `-` where there is none, so that
+two checkouts compare with one `diff`.
 """
 
+import functools
+import hashlib
+import json
 import random
 import re
 import sys
@@ -39,7 +52,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xbarsim import fixedpoint as fp, graph as gr, regalloc
+from xbarsim import container, fixedpoint as fp, graph as gr, regalloc
 from xbarsim.compiler import CompileError, CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
@@ -144,8 +157,12 @@ def _audited_allocate(instrs, machine, mk_spill_symbol):
     return res
 
 
-def outcome(seed, make=make_case):
-    """'exact', a LIMITS key, 'mismatch', 'deadlock' or 'internal: ...'."""
+@functools.lru_cache(maxsize=None)
+def run_case(seed, make=make_case):
+    """(class, program, run report) of one seed; the class is 'exact', a
+    LIMITS key, 'mismatch', 'deadlock' or 'internal: ...', and a refused
+    seed has no program or report. Kept per seed, so that a later test
+    reuses the compile."""
     g, inputs, cfg, opts = make(seed)
     try:
         with mock.patch.object(regalloc, "allocate", _audited_allocate):
@@ -153,14 +170,18 @@ def outcome(seed, make=make_case):
     except CompileError as e:
         for name, pattern in LIMITS.items():
             if re.search(pattern, str(e)):
-                return name
-        return f"internal: {e}"
+                return name, None, None
+        return f"internal: {e}", None, None
     rep = run(Machine(cfg, prog), inputs, step_limit=200_000)
     if not rep.halted:
-        return "deadlock"
+        return "deadlock", prog, rep
     want = gr.evaluate(g, inputs, xbar_dim=cfg.xbar_dim)
     same = all(np.array_equal(rep.outputs[k], v) for k, v in want.items())
-    return "exact" if same else "mismatch"
+    return "exact" if same else "mismatch", prog, rep
+
+
+def outcome(seed, make=make_case):
+    return run_case(seed, make)[0]
 
 
 # seed -> class of a known failure in the corpus, each a mismatch or an
@@ -191,10 +212,79 @@ def test_a_model_sharing_weights_is_bit_exact_or_refused(seed):
     assert outcome(seed, make_shared_case) in ("exact", *LIMITS)
 
 
+def _runs(seed, make=make_case):
+    """(config, rerun) of a compiled seed: rerun(order_seed, **overrides)
+    runs its program on its config with the overrides."""
+    _, inputs, cfg, _ = make(seed)
+    prog = run_case(seed, make)[1]
+
+    def rerun(order_seed=None, **overrides):
+        return run(Machine(cfg.with_overrides(**overrides), prog), inputs,
+                   step_limit=200_000, order_seed=order_seed)
+    return cfg, rerun
+
+
+@pytest.mark.parametrize("make, seed", [
+    *((make_case, s) for s in CORPUS if s % 5 == 0),
+    *((make_shared_case, s) for s in SHARED_CORPUS if s % 5 == 0)])
+def test_the_cost_model_keeps_its_metamorphic_relations(make, seed):
+    """On a bit-exact seed: a slower MVM, hop or mode switch never shortens
+    the run (checked where the run executes an mvm, a send or a ROM-mode
+    alu, the only instructions that read those times); a doubled clock
+    keeps the cycles and halves the latency; doubled power on every rail
+    keeps the cycles and doubles the energy outside the MVMUs, whose energy
+    per MVM is a fixed figure."""
+    got, _, base = run_case(seed, make)
+    if got != "exact":
+        pytest.skip(f"seed class {got}")
+    cfg, rerun = _runs(seed, make)
+    ran = base.instr_dynamic
+    for slower, used in ((dict(mvm_cycles=cfg.mvm_cycles + 100), "mvm" in ran),
+                         (dict(hop_cycles=cfg.hop_cycles * 4), "send" in ran),
+                         (dict(mode_switch_cycles=cfg.mode_switch_cycles * 8),
+                          base.mode_switches)):
+        if used:
+            assert rerun(**slower).cycles >= base.cycles, slower
+    fast = rerun(clock_ghz=2)
+    assert (fast.cycles, fast.latency_ns) == (base.cycles, base.latency_ns / 2)
+    hot = rerun(power_mw={k: 2 * v for k, v in cfg.power_mw.items()})
+    assert hot.cycles == base.cycles
+    assert hot.energy_total_nj - hot.energy_nj["mvmu"] == pytest.approx(
+        2 * (base.energy_total_nj - base.energy_nj["mvmu"]))
+
+
+def test_a_longer_hop_never_shortens_a_run():
+    """Mixed seed 1148 ran 4766, 4757 and 4765 cycles at 4, 8 and 16 hop
+    cycles while a load could read words whose fill was still in flight."""
+    rerun = _runs(1148)[1]
+    cycles = [rerun(hop_cycles=h).cycles for h in (4, 8, 16)]
+    assert cycles == sorted(cycles)
+
+
+def test_the_order_of_same_cycle_events_does_not_change_a_report():
+    """Mixed seed 138 ran 7238 or 7229 cycles by the order seed while a load
+    could read words whose fill was still in flight."""
+    rerun = _runs(138)[1]
+    reports = [rerun(order_seed=o).to_dict() for o in (None, 1, 2, 3)]
+    assert all(r == reports[0] for r in reports[1:])
+
+
+def _sha(doc):
+    return "-" if doc is None else hashlib.sha256(doc).hexdigest()
+
+
 if __name__ == "__main__":
     start, count = (int(a) for a in sys.argv[1:3])
     for family, make in (("mixed ops", make_case),
                          ("shared weights", make_shared_case)):
+        if "--hashes" in sys.argv[3:]:
+            for s in range(start, start + count):
+                got, prog, rep = run_case(s, make)
+                print(f"{family.split()[0]} {s}: {got}",
+                      _sha(prog and container.save(prog)),
+                      _sha(rep and json.dumps(rep.to_dict(),
+                                              sort_keys=True).encode()))
+            continue
         seeds = {}
         for s in range(start, start + count):
             seeds.setdefault(outcome(s, make), []).append(s)

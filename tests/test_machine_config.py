@@ -68,3 +68,19 @@ def test_parse_config_names_an_unknown_rail_and_a_value_not_a_number(text,
                                                                      message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    _case(r"^num_fifos must be <= 32: a fifo id lives in the 5-bit subop",
+          num_fifos=33),
+    _case(r"^tiles must be <= 4096: a send's target tile lives in a 12-bit",
+          tiles=4097),
+])
+def test_more_fifos_or_tiles_than_the_isa_can_name_are_refused(overrides,
+                                                               message):
+    with pytest.raises(ConfigError, match=message):
+        MachineConfig(**overrides)
+
+
+def test_the_isa_names_32_fifos_and_4096_tiles():
+    MachineConfig(num_fifos=32, tiles=4096)

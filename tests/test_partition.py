@@ -82,6 +82,30 @@ def test_same_output_tiles_share_a_core():
     assert a[2] != b[2]
 
 
+def test_a_producer_shares_a_core_with_its_consumer():
+    """A = mvm(x), B = mvm(x2), C = mvm(relu(A)) on two 2-MVMU cores: no
+    pair shares an output or an input, so only the producer-consumer term
+    keeps A beside C, and B goes to the other core."""
+    rng = np.random.default_rng(0)
+    g = gr.ModelGraph()
+    x, x2 = g.input("x", 8), g.input("x2", 8)
+
+    def mvm(v):
+        return g.mvm(g.const_matrix(rng.uniform(-0.5, 0.5, (8, 8))), v)
+
+    a, b = mvm(x), mvm(x2)
+    g.output("b", b)
+    g.output("c", mvm(g.act("relu", a)))
+    g.freeze()
+    tg = partition.tile_tensors(g, 8)
+    partition.place(tg, MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=2,
+                                      mvmus_per_core=2))
+    core = {mt.orig: mt.mvmu[:2] for mt in tg.matrix_tiles}
+    a_w, b_w = (g.nodes[v.id].inputs[0] for v in (a, b))
+    (c_w,) = set(core) - {a_w, b_w}
+    assert core[a_w] == core[c_w] != core[b_w]
+
+
 def test_single_tile_goes_to_origin():
     _, tg = _one_layer(4, 4, d=4)
     partition.place(tg, small_machine())

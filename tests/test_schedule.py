@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from xbarsim import fixedpoint as fp
 from xbarsim import graph as gr
 from xbarsim import layers, partition, schedule
 from xbarsim.compiler import CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
+from xbarsim.simulator import Machine, run
 
 
 def tiny_machine(**kw):
@@ -236,6 +238,26 @@ def test_window_mvms_on_same_mvmu_do_not_fuse():
     tg = _prepared(g, m)
     groups = schedule.coalesce_mvms(tg, m)
     assert groups == []   # all four windows share the single matrix tile
+
+
+def test_tiles_of_one_logical_mvm_fuse_before_other_mvms():
+    """y = W[16x8] (a ++ X[8x8] b) on one 3-MVMU core: pass 1 fuses W's
+    two row tiles, so X fires alone and then both of W's tiles at once.
+    Pass 2 alone would fuse X with W's first tile and leave the second."""
+    rng = np.random.default_rng(0)
+    g = gr.ModelGraph()
+    a, b = g.input("a", 8), g.input("b", 8)
+    w = g.const_matrix(rng.uniform(-0.5, 0.5, (16, 8)))
+    xb = g.mvm(g.const_matrix(rng.uniform(-0.5, 0.5, (8, 8))), b)
+    g.output("y", g.mvm(w, g.concat([a, xb])))
+    g.freeze()
+    m = MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=1, mvmus_per_core=3)
+    prog, _ = compile_model(g, m)
+    (seg,) = prog.segments
+    assert [i.sub for i in seg.instrs if i.op == "mvm"] == [0b1, 0b110]
+    inputs = {k: fp.quantize(rng.uniform(-1, 1, 8)) for k in ("a", "b")}
+    got = run(Machine(m, prog), inputs).outputs
+    assert got["y"].tolist() == gr.evaluate(g, inputs, 8)["y"].tolist()
 
 
 # ---------------------------------------------------------------------------
