@@ -254,7 +254,7 @@ def make_parser():
     r.add_argument("--config")
     r.add_argument("--seed", type=int)
     r.add_argument("--order-seed", type=int, default=None,
-                   help="perturb same-cycle event ordering (deterministic)")
+                   help="check whether reports depend on same-cycle order")
     r.add_argument("--step-limit", type=int, default=1_000_000)
     r.add_argument("--out")
     r.set_defaults(fn=cmd_run)

@@ -8,12 +8,15 @@ target. A blocked actor parks on the failing condition and is woken by
 the completing instruction that satisfies it; there is no polling. State
 changes commit when an instruction issues (claims are atomic); the
 issuing actor and any woken waiters continue at its completion time.
-Words that a store or receive writes are therefore readable from that
-write's completion: a load or send that finds them valid earlier waits
-until then, as blocked time, just as a reader parked on them does.
-Handlers give semantics and timing only. The loop counts each pc's
-executions (`hits`) and cycles (`busy`); `tally` then works out every count
-and energy as hits x `instr_cost`, the static cost of one execution.
+What an instruction hands over changes hands when it completes: the words
+a store or receive fills, the words a load or send drains, a sent message
+(at its arrival, after the bus and the hop) and the FIFO slot a receive
+frees. An actor that finds one claimed but not yet handed over waits for
+the handover as blocked time, just as one parked on it does, so the order
+of same-cycle events decides no wait. Handlers give semantics and timing
+only. The loop counts each pc's executions (`hits`) and cycles (`busy`);
+`tally` then works out every count and energy as hits x `instr_cost`, the
+static cost of one execution.
 
 Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
@@ -125,9 +128,7 @@ class RunReport:
                      f"  mode switches: {self.mode_switches}"
                      f"  saturations: {self.saturations}")
         for who, v in sorted(self.blocked_ns.items()):
-            t, c = who
-            name = "unit" if c == TILE_UNIT else f"core{c}"
-            lines.append(f"blocked tile{t} {name}: {v:.1f} ns")
+            lines.append(f"blocked {actor_name(who)}: {v:.1f} ns")
         for d in self.diagnosis:
             lines.append("diag: " + d)
         return "\n".join(lines) + "\n"
@@ -136,15 +137,15 @@ class RunReport:
 class _Tile:
     """One run's tile memory and receive FIFOs: data words, (words,) or
     (words, B) with a lane axis; a reader count per word (valid while above
-    0); the completion time of each word's last fill; each FIFO's queued
-    payloads and its sends not yet arrived."""
+    0); the completion time of each word's last fill or drain; each FIFO's
+    queued (arrival, payload) pairs and its last receive's completion."""
 
     def __init__(self, data, num_fifos):
         self.data = data
         self.count = np.zeros(len(data), dtype=np.int64)
         self.ready = np.zeros(len(data))
         self.fifos = [deque() for _ in range(num_fifos)]
-        self.in_flight = [0] * num_fifos
+        self.freed = [0.0] * num_fifos
 
     def write(self, addr, values, count):
         n = len(values)
@@ -413,10 +414,9 @@ class _Sim:
 
     # -- plumbing -----------------------------------------------------------
 
-    def push(self, t, actor, pri=None):
+    def push(self, t, actor):
         self.serial += 1
-        if pri is None:
-            pri = self.rng.random() if self.rng else 0.0
+        pri = self.rng.random() if self.rng else 0.0
         heapq.heappush(self.ready, (t, pri, self.serial, actor))
 
     def park(self, actor, cond, reason):
@@ -445,10 +445,18 @@ class _Sim:
             self.report.blocked_ns[actor] += dt * self.cfg.cycle_ns
             self.push(t, actor)
 
+    def hold(self, actor, t, reason):
+        """If t is later than now, hold the actor until t as blocked."""
+        if t <= self.now:
+            return False
+        self.blocked[actor] = (self.now, reason)
+        self.release([actor], t)
+        return True
+
     def wait_words(self, actor, addr, w, op, valid):
         """Park unless words [addr, addr + w) all hold data (valid=True:
-        load, send) or are all drained (valid=False: store, receive). Valid
-        words whose fill completes later hold the actor until it does."""
+        load, send) or are all drained (valid=False: store, receive); hold
+        until the last fill or drain of them completes."""
         tile_id = actor[0]
         tile = self.m.tiles[tile_id]
         stuck = np.nonzero((tile.count[addr:addr + w] > 0) != valid)[0]
@@ -459,21 +467,17 @@ class _Sim:
             self.park(actor, (cond, tile_id, word),
                       f"{op} waiting on {what} {word}")
             return True
-        if valid:
-            ready = float(tile.ready[addr:addr + w].max())
-            if ready > self.now:
-                self.blocked[actor] = (self.now, f"{op} waiting on a fill")
-                self.release([actor], ready)
-                return True
-        return False
+        return self.hold(actor, float(tile.ready[addr:addr + w].max()),
+                         f"{op} waiting on a " + ("fill" if valid else "read"))
 
     def consume(self, tile_id, addr, w, end):
         """Read w words and count one reader off each; a word whose count
-        reaches 0 invalidates and wakes its writers at `end`."""
+        reaches 0 invalidates, and its writers may fill it from `end`."""
         tile = self.m.tiles[tile_id]
         vals = tile.data[addr:addr + w].copy()
         tile.count[addr:addr + w] -= 1
         drained = tile.count[addr:addr + w] <= 0
+        tile.ready[addr:addr + w][drained] = end
         self.wake_words("mem_free", tile_id, addr, w, end, drained)
         return vals
 
@@ -599,36 +603,38 @@ class _Sim:
         if self.wait_words(actor, addr, w, i.op, True):
             return None
         dest = self.m.tiles[target]
-        if len(dest.fifos[fid]) + dest.in_flight[fid] >= cfg.fifo_depth:
-            self.park(actor, ("fifo_space", target, fid),
-                      f"send waiting on fifo {fid} space at tile {target}")
+        fifo = dest.fifos[fid]
+        why = f"send waiting on fifo {fid} space at tile {target}"
+        if len(fifo) >= cfg.fifo_depth:
+            self.park(actor, ("fifo_space", target, fid), why)
             return None
-        flits = _flits(cfg, w)
-        bus_start = max(self.now, self.bus_free)
-        self.bus_free = end = bus_start + flits
-        vals = self.consume(actor[0], addr, w, end)
-        dest.in_flight[fid] += 1
-        self.push(end + cfg.hop_cycles, ("_arrival", target, fid, vals),
-                  pri=-1.0)
+        if len(fifo) + 1 == cfg.fifo_depth and \
+                self.hold(actor, dest.freed[fid], why):
+            return None
+        self.bus_free = end = max(self.now, self.bus_free) + _flits(cfg, w)
+        arrival = end + cfg.hop_cycles
+        fifo.append((arrival, self.consume(actor[0], addr, w, end)))
+        self.wake_words("fifo_data", target, fid, 1, arrival)
         return int(end - self.now)
 
     def exec_receive(self, actor, unit, i):
         addr, fid, count, w = i.a, i.sub, i.b, max(1, i.w)
-        fifo = self.m.tiles[actor[0]].fifos[fid]
+        tile = self.m.tiles[actor[0]]
+        fifo, why = tile.fifos[fid], f"receive waiting on fifo {fid}"
         if not fifo:
-            self.park(actor, ("fifo_data", actor[0], fid),
-                      f"receive waiting on fifo {fid}")
+            self.park(actor, ("fifo_data", actor[0], fid), why)
             return None
-        if self.wait_words(actor, addr, w, i.op, False):
+        if self.hold(actor, fifo[0][0], why) or \
+                self.wait_words(actor, addr, w, i.op, False):
             return None
-        vals = fifo.popleft()
+        vals = fifo.popleft()[1]
         if len(vals) != w:
             raise SimError(
                 f"receive of {w} words got a {len(vals)}-word message")
-        cycles = 1 + w
-        self.wake_words("fifo_space", actor[0], fid, 1, self.now + cycles)
-        self.fill(actor[0], addr, w, vals, count, self.now + cycles)
-        return cycles
+        tile.freed[fid] = end = self.now + 1 + w
+        self.wake_words("fifo_space", actor[0], fid, 1, end)
+        self.fill(actor[0], addr, w, vals, count, end)
+        return 1 + w
 
     # -- main loop ------------------------------------------------------------
 
@@ -650,13 +656,6 @@ class _Sim:
         while self.ready:
             t, _pri, _ser, actor = heapq.heappop(self.ready)
             self.now = max(self.now, t)
-            if isinstance(actor, tuple) and actor and actor[0] == "_arrival":
-                _, target, fid, vals = actor
-                tile = self.m.tiles[target]
-                tile.in_flight[fid] -= 1
-                tile.fifos[fid].append(vals)
-                self.wake_words("fifo_data", target, fid, 1, t)
-                continue
             self.attempt(actor)
             if self.report.steps > step_limit:
                 self.report.step_limit_hit = True

@@ -25,7 +25,9 @@ overlapping live ranges may share a register.
 On every fifth seed of both tier-1 ranges that runs bit-exact, the cost
 model's metamorphic relations are checked too: a slower MVM, hop or mode
 switch never shortens the run, a doubled clock halves its latency, and
-doubled power doubles its energy outside the MVMUs.
+doubled power doubles its energy outside the MVMUs. So is the run
+report's independence from the order of same-cycle events, under three
+order seeds.
 
 Known failures are pinned by seed as strict xfails that name their class,
 so that a fix shows as an unexpected pass; a known failure outside the
@@ -39,6 +41,9 @@ With `--hashes` it prints one line per seed instead: the family, the seed,
 the class, then the sha256 of the container bytes and of the run report
 (`RunReport.to_dict` with sorted keys), `-` where there is none, so that
 two checkouts compare with one `diff`.
+
+With `--orders` it prints, per family, the seeds whose run report differs
+under order seeds None, 1, 2 and 3, marked `*` where `cycles` differs too.
 """
 
 import functools
@@ -224,9 +229,12 @@ def _runs(seed, make=make_case):
     return cfg, rerun
 
 
-@pytest.mark.parametrize("make, seed", [
-    *((make_case, s) for s in CORPUS if s % 5 == 0),
-    *((make_shared_case, s) for s in SHARED_CORPUS if s % 5 == 0)])
+# every fifth seed of both tier-1 ranges
+SAMPLED = [*((make_case, s) for s in CORPUS if s % 5 == 0),
+           *((make_shared_case, s) for s in SHARED_CORPUS if s % 5 == 0)]
+
+
+@pytest.mark.parametrize("make, seed", SAMPLED)
 def test_the_cost_model_keeps_its_metamorphic_relations(make, seed):
     """On a bit-exact seed: a slower MVM, hop or mode switch never shortens
     the run (checked where the run executes an mvm, a send or a ROM-mode
@@ -261,12 +269,31 @@ def test_a_longer_hop_never_shortens_a_run():
     assert cycles == sorted(cycles)
 
 
-def test_the_order_of_same_cycle_events_does_not_change_a_report():
-    """Mixed seed 138 ran 7238 or 7229 cycles by the order seed while a load
-    could read words whose fill was still in flight."""
-    rerun = _runs(138)[1]
-    reports = [rerun(order_seed=o).to_dict() for o in (None, 1, 2, 3)]
-    assert all(r == reports[0] for r in reports[1:])
+def order_reports(seed, make=make_case):
+    """seed's run report as a dict under order seeds None (run_case's
+    report), 1, 2 and 3."""
+    rerun = _runs(seed, make)[1]
+    return [run_case(seed, make)[2].to_dict(),
+            *(rerun(order_seed=o).to_dict() for o in (1, 2, 3))]
+
+
+BUS_TIE = ("two sends that reach the shared bus in one cycle take it in the "
+           "order the event loop pops them")
+
+
+@pytest.mark.parametrize("make, seed", [
+    (make_case, 138), *SAMPLED, pytest.param(
+        make_case, 1362, marks=pytest.mark.xfail(strict=True, reason=BUS_TIE))])
+def test_the_order_of_same_cycle_events_does_not_change_a_report(make, seed):
+    """On a bit-exact seed. Mixed seed 138 ran 7238 or 7229 cycles by the
+    order seed while a load could read words whose fill was still in
+    flight; shared seeds 305 and 420 changed their reports while a send
+    could take a FIFO slot whose receive was still in flight."""
+    got = outcome(seed, make)
+    if got != "exact":
+        pytest.skip(f"seed class {got}")
+    first, *others = order_reports(seed, make)
+    assert all(r == first for r in others)
 
 
 def _sha(doc):
@@ -277,6 +304,18 @@ if __name__ == "__main__":
     start, count = (int(a) for a in sys.argv[1:3])
     for family, make in (("mixed ops", make_case),
                          ("shared weights", make_shared_case)):
+        if "--orders" in sys.argv[3:]:
+            moved = []
+            for s in range(start, start + count):
+                if run_case(s, make)[2] is not None:
+                    reps = order_reports(s, make)
+                    if any(r != reps[0] for r in reps[1:]):
+                        moved.append(f"{s}*" if len(
+                            {r["cycles"] for r in reps}) > 1 else str(s))
+            print(f"{family}, seeds {start}..{start + count - 1}: "
+                  f"{len(moved)} reports depend on the order, * cycles too")
+            print("        " + " ".join(moved))
+            continue
         if "--hashes" in sys.argv[3:]:
             for s in range(start, start + count):
                 got, prog, rep = run_case(s, make)

@@ -156,6 +156,29 @@ def test_producer_restore_blocks_until_consumed():
     assert rep.blocked_ns[(0, 0)] > 0       # the re-store stalled
 
 
+def test_a_drained_word_is_writable_when_its_read_completes():
+    """The first load issues in the cycle that the re-store tries word 60,
+    and drains it at its completion, 2 cycles on. The re-store waits until
+    then whichever of the two the event loop takes first."""
+    cfg = cfg_small()
+    rs = cfg.regspace()
+    g0, g5 = rs.general(0), rs.general(5)
+    core0 = [isa.seti(g0, 1), isa.store(60, g0, 1, 1),
+             isa.seti(g0, 2), isa.store(60, g0, 1, 1)]
+    core1 = [isa.seti(g5, 0)] * 4 + [isa.load(rs.general(1), 60, 1),
+                                     isa.seti(g5, 0), isa.seti(g5, 0),
+                                     isa.load(rs.general(2), 60, 1)]
+    reports = []
+    for order_seed in (None, *range(10)):
+        m = _sync_machine(cfg, core0, core1)
+        rep = run(m, {}, order_seed=order_seed)
+        assert rep.blocked_ns[(0, 0)] == 2 * cfg.cycle_ns
+        regs = m.cores[(0, 1)].regs
+        assert (regs[rs.general(1)], regs[rs.general(2)]) == (1, 2)
+        reports.append(rep.to_dict())
+    assert all(r == reports[0] for r in reports[1:])
+
+
 def test_preloaded_data_counts():
     cfg = cfg_small()
     rs = cfg.regspace()
@@ -235,6 +258,27 @@ def test_fifo_backpressure_blocks_sender():
     assert rep.blocked_ns[(0, container.TILE_UNIT)] > 0
     got = [int(m.tiles[1].data[10 + k]) for k in range(4)]
     assert got == [0, 1, 2, 3]
+
+
+def test_a_fifo_slot_is_free_when_its_receive_completes():
+    """The third send finds the depth-2 FIFO full in the cycle that the
+    first receive issues, and takes the slot it frees at its completion, 2
+    cycles on, whichever of the two the event loop takes first."""
+    cfg = cfg_small()
+    prog = empty_program(cfg, [
+        container.Segment(0, container.TILE_UNIT, [
+            isa.send(0, 0, 1, 1), isa.send(1, 0, 1, 8), isa.send(9, 0, 1, 1)]),
+        container.Segment(1, container.TILE_UNIT, [
+            isa.recv(10, 0, 1, 1), isa.recv(11, 0, 1, 8), isa.recv(19, 0, 1, 1)])])
+    prog.data.append(container.DataBlock(0, 0, 1, range(10)))
+    reports = []
+    for order_seed in (None, *range(10)):
+        m = Machine(cfg, prog)
+        rep = run(m, {}, order_seed=order_seed)
+        assert rep.blocked_ns[(0, container.TILE_UNIT)] == 2 * cfg.cycle_ns
+        assert m.tiles[1].data[10:20].tolist() == list(range(10))
+        reports.append(rep.to_dict())
+    assert all(r == reports[0] for r in reports[1:])
 
 
 def test_receive_on_empty_fifo_deadlocks_with_diagnosis():
