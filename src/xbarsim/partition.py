@@ -4,13 +4,13 @@ Tiling splits every tensor into crossbar-sized blocks: an n x m matrix
 becomes ceil(n/D) x ceil(m/D) matrix tiles, its MVM becomes one sub-MVM
 per tile plus partial-sum merge nodes, and every vector edge is split
 into blocks of at most D elements. Placement copies shared weight
-matrices (a convolution's) onto the MVMUs its tiles leave spare, then
-assigns matrix tiles to MVMUs greedily, preferring tiles that feed the
-same outputs, then tiles reading the same inputs, then producer-consumer
-pairs, filling cores before tiles. Data-movement insertion turns
-cross-core edges into store/load pairs through tile memory (with
-consumer counts) and cross-tile edges into send/receive pairs with
-per-sender FIFO ids.
+matrices (a convolution's) onto the machine's spare MVMUs wherever a copy
+cuts an MVM round, then assigns matrix tiles to MVMUs greedily,
+preferring tiles that feed the same outputs, then tiles reading the same
+inputs, then producer-consumer pairs, filling cores before tiles.
+Data-movement insertion turns cross-core edges into store/load pairs
+through tile memory (with consumer counts) and cross-tile edges into
+send/receive pairs with per-sender FIFO ids.
 """
 
 from collections import Counter
@@ -351,13 +351,16 @@ def _mvm_feeds(tg):
 
 
 def _replicate_shared(tg, budget):
-    """Copy shared weight matrices onto `budget` spare MVMUs.
+    """Copy shared weight matrices onto at most `budget` spare MVMUs.
 
     A matrix qualifies when it has several uses (logical MVMs) and no use
-    depends on another. Each replica copies all of a matrix's tiles and
-    goes to the matrix with the most uses per replica, ties to the lowest
-    id. A matrix's uses, in graph order, split into one contiguous run per
-    replica, so neighbouring windows stay on one MVMU."""
+    depends on another. Each copy holds all of a matrix's tiles. A copy is
+    made only where it shortens a matrix's longest run of uses per copy,
+    ceil(uses / copies), which is what its MVM rounds take: the matrix
+    with the longest run, ties to the lowest id, gets the fewest copies
+    that shorten it, while their tiles fit the budget. A matrix's uses, in
+    graph order, split into one contiguous run per copy, so neighbouring
+    windows stay on one MVMU."""
     tiles_of, uses, chained, below = {}, {}, set(), []
     for mt in tg.matrix_tiles:
         tiles_of.setdefault(mt.orig, []).append(mt)
@@ -373,11 +376,19 @@ def _replicate_shared(tg, budget):
             uses.setdefault(c, {}).setdefault(n.orig, []).append(n)
         below.append(bits)
     reps = {c: 1 for c in sorted(uses) if c not in chained and len(uses[c]) > 1}
-    while fits := [c for c in reps if reps[c] < len(uses[c])
-                   and len(tiles_of[c]) <= budget]:
-        c = max(fits, key=lambda c: (len(uses[c]) / reps[c], -c))
-        reps[c] += 1
-        budget -= len(tiles_of[c])
+
+    def longest(c):
+        return -(-len(uses[c]) // reps[c])
+
+    def more(c):    # the fewest further copies that shorten c's longest run
+        return -(-len(uses[c]) // (longest(c) - 1)) - reps[c]
+
+    while fits := [c for c in reps if longest(c) > 1
+                   and more(c) * len(tiles_of[c]) <= budget]:
+        c = max(fits, key=lambda c: (longest(c), -c))
+        k = more(c)
+        budget -= k * len(tiles_of[c])
+        reps[c] += k
     for c, r in reps.items():
         copies = [tiles_of[c]] + [tg.replicate(tiles_of[c])
                                   for _ in range(r - 1)]
@@ -389,15 +400,16 @@ def _replicate_shared(tg, budget):
 
 
 def place(tg, machine, naive=False, seed=0):
-    """Assign matrix tiles, with copies of shared ones on the filled
-    tiles' spare MVMUs, to MVMUs and every tnode to a (tile, core)."""
+    """Assign matrix tiles, with copies of shared ones on any of the
+    machine's spare MVMUs, to MVMUs, filling cores before tiles, and every
+    tnode to a (tile, core)."""
     m = machine
     total_mvmus = m.tiles * m.cores_per_tile * m.mvmus_per_core
     ntiles = len(tg.matrix_tiles)
     if ntiles > total_mvmus:
         raise CompileError(
             f"model needs {ntiles} MVMUs but the machine has {total_mvmus}")
-    _replicate_shared(tg, -ntiles % (m.cores_per_tile * m.mvmus_per_core))
+    _replicate_shared(tg, total_mvmus - ntiles)
     ntiles = len(tg.matrix_tiles)
 
     slots = [(t, c) for t in range(m.tiles) for c in range(m.cores_per_tile)]

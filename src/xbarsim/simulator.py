@@ -13,10 +13,12 @@ a store or receive fills, the words a load or send drains, a sent message
 (at its arrival, after the bus and the hop) and the FIFO slot a receive
 frees. An actor that finds one claimed but not yet handed over waits for
 the handover as blocked time, just as one parked on it does, so the order
-of same-cycle events decides no wait. Handlers give semantics and timing
-only. The loop counts each pc's executions (`hits`) and cycles (`busy`);
-`tally` then works out every count and energy as hits x `instr_cost`, the
-static cost of one execution.
+of same-cycle events decides no wait. Nor does it decide the shared bus:
+sends that are ready in one cycle take it at the end of that cycle, in
+(tile, core) order. Handlers give semantics and timing only. The loop
+counts each pc's executions (`hits`) and cycles (`busy`); `tally` then
+works out every count and energy as hits x `instr_cost`, the static cost
+of one execution.
 
 Determinism is a contract: the same program, inputs, and seed produce an
 identical report. An optional interleaving seed perturbs the order of
@@ -407,6 +409,8 @@ class _Sim:
         self.waiters = {}       # (kind, tile) -> {word or fifo -> [actor]}
         self.blocked = {}       # parked actor -> (since, reason)
         self.bus_free = 0.0
+        self.bus = []           # senders that asked for the bus this cycle
+        self.granting = False   # True while the bus is granted to them
         self.serial = 0
         self.now = 0.0
         self.rng = random.Random(order_seed) if order_seed is not None else None
@@ -492,12 +496,14 @@ class _Sim:
     # -- instruction semantics ------------------------------------------------
     #
     # A handler executes one instruction of `unit` (a core's or a tile's
-    # _Sequencer) and returns the cycles spent, or None if the actor parked.
-    # A branch sets next_pc. `attempt` then moves the pc on and counts the
-    # execution; what it costs is worked out after the run (`tally`).
+    # _Sequencer) and returns the cycles spent, or None if the actor parked
+    # or, as a send, waits for the bus. A branch sets next_pc. `attempt`
+    # then moves the pc on and counts the execution; what it costs is
+    # worked out after the run (`tally`).
 
     def attempt(self, actor):
-        """Try the actor's next instruction; returns False if it parked."""
+        """Try the actor's next instruction; returns False if it parked or
+        waits for the bus."""
         unit = self.m.units[actor]
         if unit.halted():
             return True
@@ -611,6 +617,9 @@ class _Sim:
         if len(fifo) + 1 == cfg.fifo_depth and \
                 self.hold(actor, dest.freed[fid], why):
             return None
+        if not self.granting:       # the bus is granted at the cycle's end
+            self.bus.append(actor)
+            return None
         self.bus_free = end = max(self.now, self.bus_free) + _flits(cfg, w)
         arrival = end + cfg.hop_cycles
         fifo.append((arrival, self.consume(actor[0], addr, w, end)))
@@ -653,7 +662,13 @@ class _Sim:
         for actor, unit in self.m.units.items():
             if not unit.halted():
                 self.push(PIPELINE_FILL_CYCLES, actor)
-        while self.ready:
+        while self.ready or self.bus:
+            if self.bus and (not self.ready or self.ready[0][0] > self.now):
+                self.granting = True    # the cycle ends: sends take the bus
+                for actor in sorted(self.bus):
+                    self.attempt(actor)
+                self.bus, self.granting = [], False
+                continue
             t, _pri, _ser, actor = heapq.heappop(self.ready)
             self.now = max(self.now, t)
             self.attempt(actor)

@@ -87,9 +87,9 @@ GOLDEN = {
         '67b8003a8010ae9d25dcd4c231b40ae458ff8829fa0c6f4b483f4e5b622c114c',
     ),
     'conv8x8': (
-        '809925af13f317d5a235376038cb99aa97d2e8e9e1bfab6b649d9f11b5ff20a4',
+        'ed9a4f25e0b01b9da1629e7afe7cd296db10670abb77631e4dbfb0714a6b152d',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '857683c5d66d0839cd07df04996f15d8c1f0388f03cd62060d3af5bf500f53ae',
+        '84902ac400db0b0e43c02e767a5b87b248cdeed8b9a95524c8db7ea10f5fd42c',
     ),
     'conv_loop': (
         '4700a33d57db051196ae2d83490fbb7be765c43ada2d5d615cafc7b4b2d2996d',
@@ -157,9 +157,9 @@ GOLDEN = {
         '7f38f7b24dd4c78e82b1b43661a20410a325a64082e91f171f5cdb5edc0d3f4b',
     ),
     'conv8x8/no_shuffle': (
-        '52a1a3aa7e649dfa3d59388072f9f7963a801d51579eb8e3ba644a232b82a414',
+        '6c008865a1841cb00ab1b9530f1f3c37daa560f17710f7b58ebe6079d7e73781',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        'b6749c85b65829807e38f4ed102d3077512ec549679a11649a8cf326d841c873',
+        '2d7fce5ea4677ea50d037a410e8b1d6b1868ffb23f7da2fc7c740572de5c3e00',
     ),
     'mlp256/naive_partition': (
         '3a120aba46155f3bcfbed79c5d1c29486f5b6cb6b8bc578e98694167faad27e7',

@@ -1,13 +1,16 @@
 """Shared weights spread over idle crossbars: `partition.place` copies a
-matrix whose uses are independent onto the MVMUs that the model's tiles
-leave spare, and loop mode fires k copies per iteration. Every compiled
-case runs bit-exact against `graph.evaluate`."""
+matrix whose uses are independent onto the machine's spare MVMUs where a
+copy cuts an MVM round, and loop mode fires k copies per iteration. Every
+compiled case runs bit-exact against `graph.evaluate`."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from xbarsim import compiler, graph as gr, models, partition
 from xbarsim.compiler import CompileError, CompileOptions, compile_model
+from xbarsim.isa import fired_mvmus
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
 
@@ -29,11 +32,24 @@ def _ops(prog):
     return {i.op for s in prog.segments for i in s.instrs}
 
 
-def test_conv8x8_spreads_its_weights_over_tile_0_without_traffic():
+def test_conv8x8_spreads_its_weights_over_both_tiles_in_two_rounds():
+    # 36 windows: 16 copies on tile 0 would take 3 rounds, 18 take 2
     g, inputs = models.build_example("conv8x8")
-    prog = _compiled(g, inputs, models.default_config_for("conv8x8"))
-    assert sorted((w.tile, w.core, w.mvmu) for w in prog.weights) == [
-        (0, c, u) for c in range(8) for u in range(2)]
+    cfg = models.default_config_for("conv8x8")
+    prog = _compiled(g, inputs, cfg)
+    assert len(prog.weights) == 18
+    assert {w.tile for w in prog.weights} == {0, 1}
+    rounds = Counter((s.tile, s.core, u) for s in prog.segments
+                     for i in s.instrs if i.op == "mvm"
+                     for u in fired_mvmus(i, cfg.mvmus_per_core))
+    assert max(rounds.values()) == 2
+
+
+def test_a_4_window_conv_on_2_tiles_opens_no_tile():
+    g, inputs = models.conv_model(side=4, filters=2, pixel_outputs=True)
+    prog = _compiled(g, inputs, MachineConfig(tiles=2))
+    assert len(prog.weights) == 4
+    assert {w.tile for w in prog.weights} == {0}
     assert not _ops(prog) & {"send", "receive"}
 
 
@@ -43,7 +59,7 @@ def test_a_chain_through_one_matrix_keeps_one_copy():
     w = g.const_matrix(rng.uniform(-0.4, 0.4, (8, 8)))
     g.output("y", g.mvm(w, g.mvm(w, g.input("x", 8))))
     g.freeze()
-    cfg = MachineConfig(xbar_dim=8, tiles=1, cores_per_tile=2)
+    cfg = MachineConfig(xbar_dim=8, tiles=2, cores_per_tile=2)
     prog = _compiled(g, {"x": rng.integers(-4096, 4096, 8)}, cfg)
     assert len(prog.weights) == 1
 
@@ -71,37 +87,52 @@ def test_a_model_that_fills_every_mvmu_gets_no_copy():
             if i.op == "mvm"] == [0b11] * 4
 
 
-def test_copies_go_to_the_most_uses_per_copy_ties_to_the_lowest_id():
+def _copies(uses, cfg):
+    """Place one 4x4 matrix per entry of uses, used that many times, on
+    cfg: the matrix tile of each use, by matrix."""
     rng = np.random.default_rng(8)
     g = gr.ModelGraph()
-    a, b = (g.const_matrix(rng.uniform(-0.4, 0.4, (4, 4))) for _ in "ab")
     x = g.input("x", 4)
-    for k in range(4):
-        g.output(f"a{k}", g.mvm(a, g.alu_imm("mul", x, k)))
-    for k in range(2):
-        g.output(f"b{k}", g.mvm(b, g.alu_imm("add", x, k)))
+    ws = [g.const_matrix(rng.uniform(-0.4, 0.4, (4, 4))) for _ in uses]
+    for m, (w, n) in enumerate(zip(ws, uses)):
+        for k in range(n):
+            g.output(f"m{m}_{k}", g.mvm(w, g.alu_imm("add", x, k)))
     g.freeze()
     tg = partition.tile_tensors(g, 4)
-    # 2 matrices on a 4-MVMU tile leave 2 spare: a (4 uses) takes the
-    # first, then a at 4/2 ties b at 2/1, and a has the lower id
-    partition.place(tg, MachineConfig(xbar_dim=4, tiles=1, cores_per_tile=2))
+    partition.place(tg, cfg)
     tile_of = {n.orig: n.matrix for n in tg.tnodes if n.kind == "mvm"}
-    mvms = [n for n in g.nodes if n.kind == "mvm"]
-    # a's 4 uses run in graph order over its 3 copies: 2, 1, 1
-    a_tiles = [tile_of[n.id] for n in mvms if n.inputs[0] == a.id]
-    assert a_tiles[0] == a_tiles[1] and len(set(a_tiles)) == 3
-    assert len({tile_of[n.id] for n in mvms if n.inputs[0] == b.id}) == 1
-    assert len(tg.matrix_tiles) == 4
+    return [[tile_of[n.id] for n in g.nodes
+             if n.kind == "mvm" and n.inputs[0] == w.id] for w in ws]
 
 
-def test_an_unrolled_16x16_conv_fits_each_cores_instruction_memory():
-    # with one crossbar for all 196 windows, core 0 needs 1375 instructions
-    g, inputs = models.conv_model(side=16, filters=4, pixel_outputs=True)
-    cfg = MachineConfig(tiles=2)
+def test_a_copy_is_made_only_where_it_cuts_a_round():
+    # 5 uses over 4 MVMUs: 3 copies take 2 rounds, and so would 4, so the
+    # fourth MVMU stays idle; the uses run in graph order: 2, 2, 1
+    [a] = _copies([5], MachineConfig(xbar_dim=4, tiles=2, cores_per_tile=1,
+                                     mvmus_per_core=2))
+    assert [a.count(t) for t in dict.fromkeys(a)] == [2, 2, 1]
+
+
+def test_copies_go_to_the_longest_run_that_fits_ties_to_the_lowest_id():
+    # a (4 uses) gets a copy first, then runs 2 long, as b (2 uses) does:
+    # on 5 MVMUs a's 2 further copies fit and a has the lower id; on 4
+    # only b's one fits
+    for mvmus, want in ((5, [4, 1]), (4, [2, 2])):
+        got = _copies([4, 2], MachineConfig(xbar_dim=4, tiles=1,
+                                            cores_per_tile=mvmus,
+                                            mvmus_per_core=1))
+        assert [len(set(uses)) for uses in got] == want, mvmus
+
+
+def test_a_24x24_conv_on_4_tiles_runs_in_under_25_us():
+    # 484 windows over 16 copies on tile 0 alone took 73 us, with up to
+    # 428 instructions on one core
+    g, inputs = models.conv_model(side=24, filters=4, pixel_outputs=True)
+    cfg = MachineConfig(tiles=4)
     prog = _compiled(g, inputs, cfg)
-    sizes = [len(s.instrs) for s in prog.segments]
-    assert (sum(sizes), max(sizes)) == (1382, 177)
-    assert max(sizes) <= cfg.core_imem_capacity
+    assert run(Machine(cfg, prog), inputs).latency_ns < 25_000
+    assert {w.tile for w in prog.weights} == {0, 1, 2, 3}
+    assert max(len(s.instrs) for s in prog.segments) <= cfg.core_imem_capacity
 
 
 def _count_places(monkeypatch):
