@@ -382,7 +382,7 @@ def _assign_memory(tg, machine):
     return used
 
 
-def _emit_container(tg, machine, code, bases, meta):
+def _emit_container(tg, machine, code, bases):
     prog = container.Program(machine.xbar_dim, machine.mvmus_per_core,
                              machine.cores_per_tile, machine.tiles,
                              machine.frac_bits)
@@ -419,19 +419,18 @@ def _emit_container(tg, machine, code, bases, meta):
                 s.size, s.count))
     prog.io.sort(key=lambda b: (b.kind, b.name))
 
-    # one region per run of adjacent symbols of one kind
-    for s in sorted(tg.symbols, key=lambda s: (s.tile, s.addr)):
+    # one region per run of adjacent spill slots
+    for tile, addr, size in sorted((s.tile, s.addr, s.size)
+                                   for s in tg.symbols if s.kind == "spill"):
         r = prog.regions[-1] if prog.regions else None
-        if r and (r.tile, r.hi, r.kind) == (s.tile, s.addr, s.kind):
-            r.hi += s.size
+        if r and (r.tile, r.hi) == (tile, addr):
+            r.hi += size
         else:
-            prog.regions.append(container.Region(s.tile, s.addr,
-                                                 s.addr + s.size, s.kind))
-    prog.meta.update(meta)
+            prog.regions.append(container.Region(tile, addr, addr + size))
     return prog
 
 
-def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
+def _back_end(tg, machine, low, coalesce_groups, maxlive):
     """Shared tail of both compile modes: allocate registers per core of
     the lowerer's code, assign tile memory, emit the container and fill the
     report. Code that already names physical registers has no virtual
@@ -458,14 +457,12 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive, loop_mode):
     report.spill_slots = sum(1 for s in tg.symbols if s.kind == "spill")
     report.dmem_words_used = _assign_memory(tg, machine)
 
-    meta = {"coalesce_groups": coalesce_groups, "maxlive": maxlive,
-            "spill_count": report.spill_count, "loop_mode": loop_mode}
-    prog = _emit_container(tg, machine, code, bases, meta)
+    prog = _emit_container(tg, machine, code, bases)
     for (tile, core), table in sorted(low.patterns.items()):
         for bundle, pid in table.items():       # ids ascend in table order
             for mvmu, perm in bundle:
                 prog.patterns.append(container.ShufflePattern(
-                    tile, core, mvmu, pid, 0, list(perm)))
+                    tile, core, mvmu, pid, list(perm)))
     report.static_histogram = prog.static_histogram()
     report.per_actor_instrs = {(s.tile, s.core): len(s.instrs)
                                for s in prog.segments}
@@ -501,8 +498,7 @@ def compile_model(graph, machine, opts=None):
     for members in sched.units:
         low.lower_unit(members)
 
-    return _back_end(tg, machine, low, sched.coalesce_groups, sched.maxlive,
-                     loop_mode=0)
+    return _back_end(tg, machine, low, sched.coalesce_groups, sched.maxlive)
 
 
 # ---------------------------------------------------------------------------
@@ -647,5 +643,4 @@ def _compile_conv_loop(graph, machine, opts):
         for i, (_, _, out) in enumerate(msg):
             low.emit(collector, isa.store(Mem(out.sym), v + i * cols, 1, cols))
 
-    return _back_end(tg, machine, low, int(k * len(tiles0) > 1),
-                     maxlive=0, loop_mode=1)
+    return _back_end(tg, machine, low, int(k * len(tiles0) > 1), maxlive=0)

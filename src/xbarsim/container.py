@@ -4,11 +4,12 @@ Layout (all little-endian): magic "PUMA", version byte, geometry stamp,
 then per-core and per-tile instruction segments each prefixed by
 (tile id, core id or TILE marker, instruction count) followed by raw
 7-byte records. Configuration sections follow: crossbar weights, shuffle
-patterns, preloaded data-memory words, input/output bindings, memory
-region tags, and integer metadata from the compiler. A weight block is a
-2-D int16 ndarray in memory and row-major little-endian int16 words here.
+patterns, preloaded data-memory words, input/output bindings and the
+spill ranges of tile memory. A weight block is a 2-D int16 ndarray in
+memory and row-major little-endian int16 words here.
 """
 
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from . import isa
 
 MAGIC = b"PUMA"
-VERSION = 2
+VERSION = 3
 TILE_UNIT = 0xFFFF  # core-id marker for a tile's send/receive sequence
 
 
@@ -29,7 +30,6 @@ def actor_name(actor):
 
 
 IO_KINDS = ("in", "out")
-REGION_KINDS = ("input", "output", "const", "value", "spill")
 
 
 class ContainerError(Exception):
@@ -57,7 +57,6 @@ class ShufflePattern:
     core: int
     mvmu: int
     filt: int
-    stride: int
     perm: list = field(repr=False)  # DAC row r reads XbarIn slot perm[r]
 
 
@@ -81,10 +80,10 @@ class IoBinding:
 
 @dataclass
 class Region:
+    """A run of adjacent spill slots in tile memory."""
     tile: int
     lo: int
     hi: int            # exclusive
-    kind: str
 
 
 @dataclass
@@ -100,7 +99,6 @@ class Program:
     data: list = field(default_factory=list, repr=False)
     io: list = field(default_factory=list, repr=False)
     regions: list = field(default_factory=list, repr=False)
-    meta: dict = field(default_factory=dict, repr=False)
 
     def static_histogram(self):
         hist = Counter()
@@ -117,11 +115,6 @@ class Program:
 
     def outputs(self):
         return [b for b in self.io if b.kind == "out"]
-
-
-def _pack_str(s):
-    raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
 
 
 def _pack_segment(s):
@@ -141,8 +134,8 @@ def _pack_weights(wb):
 
 
 def _pack_pattern(p):
-    return struct.pack(f"<HHBHHH{len(p.perm)}H", p.tile, p.core, p.mvmu,
-                       p.filt, p.stride, len(p.perm), *p.perm)
+    return struct.pack(f"<HHBHH{len(p.perm)}H", p.tile, p.core, p.mvmu,
+                       p.filt, len(p.perm), *p.perm)
 
 
 def _pack_data(d):
@@ -151,16 +144,13 @@ def _pack_data(d):
 
 
 def _pack_io(b):
-    return (struct.pack("<B", IO_KINDS.index(b.kind)) + _pack_str(b.name)
-            + struct.pack("<HHHH", b.tile, b.addr, b.length, b.count))
+    name = b.name.encode("utf-8")
+    return struct.pack(f"<BH{len(name)}sHHHH", IO_KINDS.index(b.kind),
+                       len(name), name, b.tile, b.addr, b.length, b.count)
 
 
 def _pack_region(r):
-    return struct.pack("<HHHB", r.tile, r.lo, r.hi, REGION_KINDS.index(r.kind))
-
-
-def _pack_meta(item):
-    return _pack_str(item[0]) + struct.pack("<q", int(item[1]))
+    return struct.pack("<HHH", r.tile, r.lo, r.hi)
 
 
 class _Reader:
@@ -178,40 +168,32 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def kind(self, kinds, what):
-        (k,) = self.unpack("<B")
-        if k >= len(kinds):
-            raise ContainerError(f"{what} kind byte {k} is not one of {kinds}")
-        return kinds[k]
 
-    def string(self):
-        (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
-
-
-def save(prog):
-    """Program -> container bytes. A value that does not fit its field
-    raises ContainerError naming its record; the Program names the header
-    and the record counts."""
+def _records(prog):
+    """Program -> the container's bytes, one packed record at a time. A
+    value that does not fit its field raises ContainerError naming its
+    record; the Program names the header and the record counts."""
     sections = ((prog.segments, _pack_segment), (prog.weights, _pack_weights),
                 (prog.patterns, _pack_pattern), (prog.data, _pack_data),
-                (prog.io, _pack_io), (prog.regions, _pack_region),
-                (sorted(prog.meta.items()), _pack_meta))
-    out = [MAGIC]
+                (prog.io, _pack_io), (prog.regions, _pack_region))
     rec = prog
     try:
-        out.append(struct.pack("<BHBBHB", VERSION, prog.xbar_dim,
-                               prog.mvmus_per_core, prog.cores_per_tile,
-                               prog.tiles, prog.frac_bits))
+        yield MAGIC + struct.pack("<BHBBHB", VERSION, prog.xbar_dim,
+                                  prog.mvmus_per_core, prog.cores_per_tile,
+                                  prog.tiles, prog.frac_bits)
         for records, pack in sections:
             rec = prog
-            out.append(struct.pack("<H", len(records)))
+            yield struct.pack("<H", len(records))
             for rec in records:
-                out.append(pack(rec))
+                yield pack(rec)
     except (struct.error, ValueError) as e:   # a field or kind out of range
         raise ContainerError(f"{rec!r}: a value does not fit its field "
                              f"({e})") from None
-    return b"".join(out)
+
+
+def save(prog):
+    """Program -> container bytes."""
+    return b"".join(_records(prog))
 
 
 def loads(blob):
@@ -236,34 +218,41 @@ def loads(blob):
                                         w.astype(np.int16, copy=False)))
     (np_,) = r.unpack("<H")
     for _ in range(np_):
-        tile, core, mvmu, filt, stride, n = r.unpack("<HHBHHH")
+        tile, core, mvmu, filt, n = r.unpack("<HHBHH")
         perm = list(r.unpack(f"<{n}H"))
-        prog.patterns.append(ShufflePattern(tile, core, mvmu, filt, stride, perm))
+        prog.patterns.append(ShufflePattern(tile, core, mvmu, filt, perm))
     (nd,) = r.unpack("<H")
     for _ in range(nd):
         tile, addr, count, n = r.unpack("<HHHH")
         prog.data.append(DataBlock(tile, addr, count, list(r.unpack(f"<{n}h"))))
     (nio,) = r.unpack("<H")
     for _ in range(nio):
-        kind = r.kind(IO_KINDS, "io binding")
-        prog.io.append(IoBinding(kind, r.string(), *r.unpack("<HHHH")))
+        k, n = r.unpack("<BH")
+        if k >= len(IO_KINDS):
+            raise ContainerError(f"io binding kind byte {k} is not one of "
+                                 f"{IO_KINDS}")
+        name = r.take(n).decode("utf-8")
+        prog.io.append(IoBinding(IO_KINDS[k], name, *r.unpack("<HHHH")))
     (nr,) = r.unpack("<H")
     for _ in range(nr):
-        tile, lo, hi = r.unpack("<HHH")
-        prog.regions.append(Region(tile, lo, hi, r.kind(REGION_KINDS, "region")))
-    (nm,) = r.unpack("<H")
-    for _ in range(nm):
-        k = r.string()
-        (v,) = r.unpack("<q")
-        prog.meta[k] = v
+        prog.regions.append(Region(*r.unpack("<HHH")))
     if r.pos != len(blob):
         raise ContainerError("trailing bytes after container")
     return prog
 
 
 def save_file(prog, path):
-    with open(path, "wb") as fh:
-        fh.write(save(prog))
+    """Write prog's container to path as its records are packed, through
+    a temporary file beside path that replaces it only when whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(_records(prog))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_file(path):

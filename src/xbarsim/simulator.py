@@ -90,9 +90,6 @@ class RunReport:
     saturations: int = 0
     spill_accesses: int = 0
     reg_accesses: int = 0
-    coalesce_groups: int = 0
-    maxlive: int = 0
-    spill_count: int = 0
     halted: bool = False
     deadlock: bool = False
     step_limit_hit: bool = False
@@ -110,9 +107,7 @@ class RunReport:
             outputs={k: vec.tolist() for k, vec in self.outputs.items()},
             energy_nj={k: round(v, 6) for k, v in self.energy_nj.items()},
             energy_total_nj=round(self.energy_total_nj, 6),
-            blocked_ns={f"tile{t}_" + ("unit" if c == TILE_UNIT
-                                       else f"core{c}"): v
-                        for (t, c), v in self.blocked_ns.items()},
+            blocked_ns={actor_name(a): v for a, v in self.blocked_ns.items()},
             spill_access_pct=round(self.spill_access_pct, 4))
         return d
 
@@ -291,8 +286,7 @@ class Chip:
                 pat.mvmu] = np.asarray(pat.perm, dtype=np.int64)
         self.spills = {}     # tile -> its spill regions' (lo, hi)
         for r in prog.regions:
-            if r.kind == "spill":
-                self.spills.setdefault(r.tile, []).append((r.lo, r.hi))
+            self.spills.setdefault(r.tile, []).append((r.lo, r.hi))
         self.static = prog.static_histogram()
         self.costs = {}      # tally cost key -> instr_cost, filled by runs
         self._planes = {}    # bits_per_device -> SlicedMatrix per weight block
@@ -816,9 +810,6 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     log.info("run done: halted=%s cycles=%d steps=%d",
              sim.all_halted(), report.cycles, report.steps)
     report.instr_static = dict(chip.static)
-    report.coalesce_groups = chip.prog.meta.get("coalesce_groups", 0)
-    report.maxlive = chip.prog.meta.get("maxlive", 0)
-    report.spill_count = chip.prog.meta.get("spill_count", 0)
     if report.halted:
         report.outputs = machine.collect_outputs()
     return report

@@ -76,13 +76,13 @@ def test_criterion_3_coalescing_latency_ratio():
     small-CNN full latency ratio < 1.0."""
     g, inputs = models.pure_mvm_kernel()
     cfg = models.default_config_for("mvm_pair")
-    on, _ = compile_model(g, cfg)
-    off, _ = compile_model(g, cfg, CompileOptions(coalesce=False))
+    on, crep_on = compile_model(g, cfg)
+    off, crep_off = compile_model(g, cfg, CompileOptions(coalesce=False))
     rep_on = run(Machine(cfg, on), inputs)
     rep_off = run(Machine(cfg, off), inputs)
     ratio = rep_on.instr_cycles["mvm"] / rep_off.instr_cycles["mvm"]
     assert abs(ratio - 0.50) <= 0.02, ratio
-    assert rep_on.coalesce_groups == 1 and rep_off.coalesce_groups == 0
+    assert crep_on.coalesce_groups == 1 and crep_off.coalesce_groups == 0
 
     g2, ins2 = models.cnn_small()
     cfg2 = models.default_config_for("cnn_small")

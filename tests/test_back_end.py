@@ -43,14 +43,12 @@ def test_a_model_in_another_fixed_point_format_is_a_compile_error(opts):
 @pytest.mark.parametrize("name, opts", [("conv_loop", LOOP),
                                         ("conv_loop", CompileOptions()),
                                         ("lstm8", CompileOptions())])
-def test_report_coalesce_groups_match_container_meta(name, opts):
+def test_report_counts_coalesce_groups(name, opts):
     # 8-wide crossbars split the 9-row conv window over two MVMUs
     g, _ = models.build_example(name)
-    prog, report = compile_model(g, MachineConfig(xbar_dim=8, tiles=2), opts)
+    _, report = compile_model(g, MachineConfig(xbar_dim=8, tiles=2), opts)
     assert report.coalesce_groups > 0
-    assert report.coalesce_groups == prog.meta["coalesce_groups"]
-    assert report.maxlive == prog.meta["maxlive"]
-    assert report.spill_count == prog.meta["spill_count"]
+    assert f"coalesce groups: {report.coalesce_groups}\n" in report.to_text()
 
 
 def test_tile_instruction_overflow_is_a_compile_error_naming_the_unit():

@@ -10,6 +10,8 @@ from xbarsim.compiler import CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
 from xbarsim.simulator import Machine, run
 
+from test_isa import V2_BLOB
+
 
 def _emit_example(tmp_path, name):
     assert cli.main(["example", name, "-o", str(tmp_path)]) == 0
@@ -60,13 +62,24 @@ def test_compiled_core_program_disassembles_and_reassembles(tmp_path):
         assert isa.encode_program(back) == isa.encode_program(seg.instrs)
 
 
-def test_no_coalesce_flag_zeroes_group_count(tmp_path):
+def test_no_coalesce_flag_zeroes_group_count(tmp_path, capsys):
     model, inputs, cfgf = _emit_example(tmp_path, "mvm_pair")
     binpath = str(tmp_path / "prog.bin")
+    capsys.readouterr()
     assert cli.main(["compile", model, "-o", binpath, "--config", cfgf,
                      "--no-coalesce"]) == 0
-    prog = container.load_file(binpath)
-    assert prog.meta["coalesce_groups"] == 0
+    assert "  coalesce groups: 0\n" in capsys.readouterr().out
+
+
+def test_run_refuses_a_previous_version_container(tmp_path, capsys):
+    _, inputs, cfgf = _emit_example(tmp_path, "mlp4")
+    binpath = tmp_path / "old.bin"
+    binpath.write_bytes(V2_BLOB)
+    capsys.readouterr()
+    assert cli.main(["run", str(binpath), "--inputs", inputs,
+                     "--config", cfgf]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == ("error: unsupported container "
+                                       "version 2\n")
 
 
 def test_naive_partition_increases_data_movement():

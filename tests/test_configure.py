@@ -46,7 +46,7 @@ def test_a_program_inside_the_machine_configures():
      "WeightBlock of tile 0 core 5 mvmu 0 lies outside the machine"),
     (_program(weights=[(0, 0, 2)]),
      "WeightBlock of tile 0 core 0 mvmu 2 lies outside the machine"),
-    (_program(patterns=[container.ShufflePattern(3, 0, 0, 1, 0,
+    (_program(patterns=[container.ShufflePattern(3, 0, 0, 1,
                                                  [0, 1, 2, 3])]),
      "ShufflePattern of tile 3 core 0 mvmu 0 lies outside the machine"),
     (_program(data=[container.DataBlock(2, 0, 1, [1, 2])]),

@@ -155,11 +155,11 @@ def test_a_round_too_large_for_the_feeder_moves_group_by_group():
 
 @pytest.mark.parametrize("kw, digest", [
     (dict(side=4),
-     "b85301c82ea5bdfccd49b1dfd323a3011c72c94b9bede4ca3e0f0ae84e4707c6"),
+     "56a5ad117487b0bfd51aef5dcb998a9509987aff17aa6afcbf6331e5caa2c10e"),
     (dict(side=12),
-     "76f6d33d168a6e690453fc3ce7c507c7d21caf20e0bf1bca22fed93aa196986c"),
+     "efe32c27238b7ddbe54ef1e343ce8ce28db21326829c0df16f78683077eb5bbe"),
     (dict(side=6, channels=2, filters=3),
-     "c4db8105b980b2e8618c54a279d372e3b0dae27d6f9bdff9280449992cce63b6"),
+     "51cde641301ec6641b98616792a1eb5d0be2a41b4acc4147b9c64041c28b7675"),
 ], ids=["side4", "side12", "side6_c2_f3"])
 def test_three_cores_keep_one_looped_core(kw, digest):
     """With 3 cores per tile there is one looped core, and the container

@@ -82,104 +82,104 @@ def _hashes(case):
 
 GOLDEN = {
     'cnn_small': (
-        '3110c3686f80d296f1a92995b6bd5077e82c26c157487e76c9e9151499eeb229',
+        '607dab56e84027b8f4f71082d9dd09d95219092379d75cf7a2334987e303ad90',
         'dc80e7c9874b55da4c5a58ed34fc00020b33f8765447939ea9b976e51f676d86',
-        '67b8003a8010ae9d25dcd4c231b40ae458ff8829fa0c6f4b483f4e5b622c114c',
+        'abdff717da23c8bc90092b2b56be3a3b4d0358646f24c636790c75b6702647e8',
     ),
     'conv8x8': (
-        'ed9a4f25e0b01b9da1629e7afe7cd296db10670abb77631e4dbfb0714a6b152d',
+        '7a2c8f4a933c77900f8ad3aca478d77f38006d375d0740d9a95d8be2e3c65f35',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '84902ac400db0b0e43c02e767a5b87b248cdeed8b9a95524c8db7ea10f5fd42c',
+        'c871b92758e8770aa4039fdef7542bc153a96bfffca889b2f423ebb1f91c12d0',
     ),
     'conv_loop': (
-        '4700a33d57db051196ae2d83490fbb7be765c43ada2d5d615cafc7b4b2d2996d',
+        'd4076a0ed8617407bc6183e5654cc9691bc61ce9246756aa137d2632f643fc48',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        '89be1dc609d02d648f2a06e56f7314dab3e5f5c676e4fff4080031425102fb67',
+        '8d176571961cb560a9188cff27e67d6206067543e9a2e9fccf8534361fd809e2',
     ),
     'conv_loop/loop': (
-        'dcae8961b4b9a65350921d6b1e6ecee350d2b36ee6a6be05afd514dac3b5e01e',
+        '1399dfa61c5e072a2a20f4c501b543f1af296968592cdf691d8eb4c5e3c87522',
         '834bd68e701639c572eb55e98904b38f623aa63394b49bac9739fa6d6931d66b',
-        '29ebfcded0b3da8f9902c5eb1eeb2553c399ec7b4d8b332eed834b724190a674',
+        'a06f2294f5b98e4b0bc959ff1f6417c097a464ba5c42e3695bb9ebc02569168c',
     ),
     'lstm128': (
-        'de4e1883318604d9756933cf4d18ddae4bba9c7650b2f402754b11772465e597',
+        '09c481a7aa94e4e7e97d625f31fe9ba770b7813aefe21e16aba3329200ecbddf',
         '6229375791dfc5780f15b0af3c21867ea0a74afc3032fb4f2a3b05ef448e8512',
-        '3d16acc080f1a6969182b7b6665bfdd7bb523e172940a2b5a02b951853f0e50c',
+        '75a8d82e856767069e51cd6afac3cb761b8fecacb644140e617a51cdeeca2927',
     ),
     'lstm8': (
-        '6ec7f7e7d4c1d992cce105f5a80f3d72eeb1837edcc6937fa895c527303646e0',
+        'b0f64a2d51825cd8958061d3a23a1cd667f2be342332141cae40467345864016',
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
-        '843d51138435337c910200d976a7a2de167e711b25a66b0dc709e7c83ab41b25',
+        'b6731990aa7200fe84500f88494ad8897ae1621ae5c90dbfac03224f65a5d5da',
     ),
     'mlp128': (
-        'd6e60c6a1ba64a9c0ad3d84cee89b028b37822ed599bfc4b3744d5104b0c4f27',
+        '1ba1a7ae6e02803e4993c4df9109ccfb30799ad54c053fc91190fc569996b4da',
         '5d213750cab0793a7b3b260d475b1958eba7ef81b645b051151c7faacd38663a',
-        'd09c153c70de958da6e40f7ef3091f69d221d4e61a6579452f3888ab8612a41f',
+        'cca88fd2e7b418ed4126f868c424f1d270fdd99fefaa95d61859f4a0e98857d5',
     ),
     'mlp256': (
-        '64ed5649e14d5fb1f76c43729c08a81bb235d5a94b701eaa19b486e58499ab08',
+        'b4c0a50155ee1a040d2866f0f972fb3e9211f1d1c48c650bc7018a6d8990e1d0',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        'b6d3cf3e73d258b1a8ca23fc4031ac7cf4d18dc521a0af361d28c747774ea2b1',
+        '11ac77643ba9f9910850a135b5cb817ff4c7932f2117e5c533a2fa1c7a7f9a99',
     ),
     'mlp4': (
-        'b4fdba8544157c80f8dea1a989d6d60d1dd2f69341dcc85ae5e49a7f202e3cf5',
+        'df3518606f7e641b7441630ef03b99571b9775b362a0ff14ce714cbb71a6bddf',
         'e3a14bd5683be4bf604e071f11fbc25089520ee70daea90ce68b0f15d5ff227c',
-        '31dd432ae2fd711b81647ab5412498b3adc9fd626b211dca3f4601dc8870c6c8',
+        'e0ef7c61aff5ba62df20045610d32e4231912ea32378d4f6d4b4780e5b87b8b3',
     ),
     'mlp_l4': (
-        'b4ae86b086ebc1ca748f156b96a2b254960a69ed16e92d6b66af1224dc1f6894',
+        '93bc9193946f03cb7a7e453081300dd650a40d5aa5f5076afce518ae4e55a314',
         '46d5c6db94e2bc1ff0280cfa8d6cfb6685961b960afe02ae2ccc8e4ffd0fe51c',
-        '2637b13cd4617b376fefdfa1cc7b90bcab11699450106f78850545c1771b0b69',
+        '6822da8d23df9ce5a2c7d1eddeaba36fc0fa029a12a8e0f8dd4d352909db0f6d',
     ),
     'mvm_pair': (
-        '709b3d4274ec19c0588e33557b00808848a85f47f628be7a83999e0ed2c4b90e',
+        '41583803701748a18046181c4cfed2ada2db99f86a14964e14cd226a4f23444a',
         'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
-        '253b2d34f2d61b550b51f115f299776a5e02a121dda4f4d5d1fa2ecdf9290798',
+        '0655f6fa3a9dbc724ced9cfb9579b36505f77064b16897c240d9e1405b18270c',
     ),
     'vector': (
-        'f539b27b2103df44c1053b05641a7467bd6a1be03f6b533fc2593f3348ae7072',
+        'e12729edc20bd9a0ee6d8c52b7b64a44adf588bb30fe20318e00e0ae0587d97e',
         'bf6e138c2e7b15140ca9d292abd43feca625862bde66719c0eab25d534a98aa1',
-        '5c684a3d1d5c7614efd4a785686e83031114e303d517f8e01e69b87307a70f51',
+        'c96a38e36ea855218831b0ef69448fc98f917471fca6b9fe966edbadfbe02783',
     ),
     'mlp512/4tiles': (
-        '67ca8662894120912c6d4576a409f1aca8bad068d44efa639e4df84a05618e04',
+        '8858f58b9415dcbd4abb51bf34f2c185f2150c2b6d2f2821d2af337cccd74b98',
         '6c5cf0b379b7380d91dbebe4bffe5e0b57b70ce4bdb9b1f543185cfe7bd1cfee',
-        'b773aceeaf3af6770d2f73bd5ae56e4dc551566fef68ab4531473c6487fc82f2',
+        '0d75d141c2e856ae2c1fdf0d25a0256deef3a929e8e0d9b06384faa195e6d230',
     ),
     'mlp256/naive_order': (
-        'ccdf970ed4c40f2e4d70ea729da0b6c575d3142eb581110273f2a0cdffa426d4',
+        '06aeac49f9f084f9798d062ecc318c0e942d3fcaa12940a8d33b3bccbc4afa17',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        '3c43d2f45ab503b6acf847c201282556948ea8007063976c489e2fbf65f014b1',
+        'afcfb509ba62ea95c0a049dcf8c575b339dbae89600ac8807b013882dc831ec5',
     ),
     'mvm_pair/no_coalesce': (
-        'fd55d60a91b6f618580a903e2b0f4dfe6abffe23dc54799bf40d360831bfb6c4',
+        '2658513b0f650fa16a542ad747f0bd8b59a8e14be3c6c4a00bce7b1dcce81c4e',
         'cbdd12be5c5243ae26cd0c2cb42e6fc0cf00c7b42e554c2144a191c4b5098b1f',
-        '7f38f7b24dd4c78e82b1b43661a20410a325a64082e91f171f5cdb5edc0d3f4b',
+        '883c0f326f8b1b5ee24c914ebd756d26c7494db29e79ece5c8e2b69785feba68',
     ),
     'conv8x8/no_shuffle': (
-        '6c008865a1841cb00ab1b9530f1f3c37daa560f17710f7b58ebe6079d7e73781',
+        '1d36cfb8161c221607c2acd895e1d6fa9da639c2e9d2931379dace73f5adf27e',
         'd8efdcd044ed3f8fd355a31a585b237483f27bbef13a4b1882071febf48ef04b',
-        '2d7fce5ea4677ea50d037a410e8b1d6b1868ffb23f7da2fc7c740572de5c3e00',
+        '13d63070ad7f55d9f20f5af7abe8ab0f459712fa8264b1e1cf856cc8398f4368',
     ),
     'mlp256/naive_partition': (
-        '3a120aba46155f3bcfbed79c5d1c29486f5b6cb6b8bc578e98694167faad27e7',
+        'b6ff8be6c131de7f86e44d05cf4af0014d1ab0f09de290c99505008e81942e79',
         '006ab0b52ce7510f1e01f2c25029c555ed97a809e1c1f1ee29a302e58ba19fbf',
-        '98da2d292b2e8baecf9c7f089784e09260bf85c51160210fac226304ff881e57',
+        'c42ca3ac1a8c6dacac65cfbd965416c0ccb69dcb8e7d0df5cabed44c9cbe4bda',
     ),
     'lstm8/xbar8': (
-        '0b589ac6cd04c92b1b6570160c4f17990c806c7414669fd65ebb0880f191c902',
+        '65032bbbc63ae4dbad620015c1d052562c49362aeacb4b39b32c4811790573ce',
         'b5f51a791ee877caf63e0e65f8d71f95426f8136d396278e19a6ed58363f50cd',
-        '19a0ed0abf40fe4f8649fc231b583751b24b860c7639e237410ddad21a7ba43b',
+        '3c1cc10348bd4d03995454ddd7088c7f472b137179ecb3938efe848396c5cb9e',
     ),
     'conv_c16/loop2': (
-        '8073bd088391694d67b89f3949a174dc2eb627fa84c48ca2dec75c468dca00e6',
+        '00e4d06e0cdfce8896d8f5426427a95a3a9ca54ed770af6489021a87205fb504',
         'c8a6c1e5c3ed5e78b7287d8007e90af6df4c5827ff8c634f6e482204e1199aa6',
-        '51fbb0840a16c1824d0be4a234613424d2f0bee9e4cd035ca503d90682a4123a',
+        'ac3cc82da0d45b37a3705345f2b1cca515215e2e5156d773bace5898c760a827',
     ),
     'conv_c2/loop3_xbar8': (
-        'e8c0e068545930fcde8971f5bf2faacfed2117e13edb6d51f3bf8358fcf04f4e',
+        'ec180e3670ee1179a0de2cd233aa5e5a783e8803ddccb80a391bc88fae01feaa',
         '19e5b4c762a6f284a24a98b84cb7d4bafd9abcc471d05506bf3dd753b678634c',
-        'b7d28c42456e9d4c2bc9e1ddd0062755cee09cda86e620616da42a76ffd5e8d2',
+        '8804477c59e200b75386663a85da6ea8da2919d76290026f74d58b89e2bb8593',
     ),
 }
 
@@ -230,13 +230,13 @@ def _mvm_hash(case):
 
 NOISY_GOLDEN = {
     (2, 0.017, 5, 0):
-        '035e93661999c33a0667428832bdd1da92e98b361d941a4671d26541d759a2ec',
+        '7b84267de757a399a18541972deb53e6c69efceb93894301d6a4a709992b6056',
     (4, 0.057, 8, 0):
-        '7f05e8e7ff160c280c693a5d847be760b46a14bace86019b7bdb073a6abdae11',
+        '68694a59a1983c883f8cb101e478daadc9d4c001922c0ad9535d8ccfbf0ce964',
     (1, 0.038, 3, 12):
-        '82c8bf7a362ec39f298f190a9775c9b8c05e9b6e5f7e951e67423c318c3f9b97',
+        'f5167d09b2417a0bc3f64cc53338cad4667fd021954313eba3c5d1f4abdbbb95',
     (2, 0.0, 0, 9):
-        '2759c38e46372f7b2c828fb23420c6b4db3b76ece74cf3570b36e04b8036cc02',
+        '1048943c0e80849b784c10941657293b4259834c46d9ae6f7a6c14f80781a1c0',
     'bits1/sigma0.0/adc9/single':
         '2a2710db1769f125f55e56587a4beff55afb5fd5aefeeea4a05a0b3adc5c2528',
     'bits1/sigma0.0/adc9/batched':

@@ -203,12 +203,11 @@ def _tiny_program():
     prog.segments.append(container.Segment(0, container.TILE_UNIT,
                                            [isa.send(10, 0, 1, 4)]))
     prog.weights.append(container.WeightBlock(0, 0, 0, [[1, -2], [3, 4]]))
-    prog.patterns.append(container.ShufflePattern(0, 0, 0, 1, 0, [1, 0, 2, 3]))
+    prog.patterns.append(container.ShufflePattern(0, 0, 0, 1, [1, 0, 2, 3]))
     prog.data.append(container.DataBlock(0, 100, 2, [7, -8, 9]))
     prog.io.append(container.IoBinding("in", "x", 0, 0, 4, 1))
     prog.io.append(container.IoBinding("out", "y", 1, 50, 4, 1))
-    prog.regions.append(container.Region(0, 100, 103, "const"))
-    prog.meta["coalesce_groups"] = 3
+    prog.regions.append(container.Region(0, 100, 103))
     return prog
 
 
@@ -226,8 +225,7 @@ def test_container_round_trip():
     assert back.patterns[0].perm == [1, 0, 2, 3]
     assert back.data[0].words == [7, -8, 9]
     assert [b.name for b in back.io] == ["x", "y"]
-    assert back.regions[0].kind == "const"
-    assert back.meta == {"coalesce_groups": 3}
+    assert back.regions == [container.Region(0, 100, 103)]
 
 
 def test_container_rejects_bad_magic_and_truncation():
@@ -246,6 +244,35 @@ def test_container_rejects_another_version_and_trailing_bytes():
     with pytest.raises(container.ContainerError,
                        match="^trailing bytes after container$"):
         container.loads(blob + b"\0")
+
+
+# what the previous format (version 2) wrote for an empty 4-wide program:
+# the header, then a zero count for each of its seven sections
+V2_BLOB = b"PUMA" + struct.pack("<BHBBHB", 2, 4, 1, 1, 1, 12) + bytes(14)
+
+
+def test_container_refuses_the_previous_version():
+    with pytest.raises(container.ContainerError,
+                       match="^unsupported container version 2$"):
+        container.loads(V2_BLOB)
+
+
+def test_save_file_writes_the_bytes_save_returns(tmp_path):
+    prog = _tiny_program()
+    path = tmp_path / "prog.bin"
+    container.save_file(prog, str(path))
+    assert path.read_bytes() == container.save(prog)
+    assert [p.name for p in tmp_path.iterdir()] == ["prog.bin"]
+
+
+def test_save_file_leaves_no_file_when_a_record_does_not_fit(tmp_path):
+    prog = _tiny_program()
+    prog.data.append(container.DataBlock(0, 0, 1, [40000]))
+    with pytest.raises(container.ContainerError,
+                       match=r"DataBlock\(tile=0, addr=0, count=1\).*"
+                             r"does not fit its field"):
+        container.save_file(prog, str(tmp_path / "prog.bin"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_container_rejects_weight_outside_int16_naming_the_mvmu():
@@ -275,20 +302,18 @@ def test_container_rejects_non_integer_weight_naming_the_mvmu():
                  r"DataBlock\(tile=0, addr=70000, ", id="data-addr"),
     pytest.param("data", container.DataBlock(0, 0, 1 << 16, [1]),
                  r"count=65536\)", id="data-count"),
-    pytest.param("patterns", container.ShufflePattern(0, 0, 0, 1, 0,
+    pytest.param("patterns", container.ShufflePattern(0, 0, 0, 1,
                                                       [0, 1 << 16]),
-                 r"ShufflePattern\(tile=0, core=0, mvmu=0, filt=1, "
-                 r"stride=0\)", id="perm-entry"),
+                 r"ShufflePattern\(tile=0, core=0, mvmu=0, filt=1\)",
+                 id="perm-entry"),
     pytest.param("io", container.IoBinding("in", "x" * (1 << 16), 0, 0, 4, 1),
                  r"IoBinding\(kind='in', name='xxx", id="io-name"),
     pytest.param("io", container.IoBinding("out", "y", 0, -1, 4, 1),
                  r"name='y', tile=0, addr=-1", id="io-addr"),
     pytest.param("io", container.IoBinding("inout", "y", 0, 0, 4, 1),
                  r"IoBinding\(kind='inout', ", id="io-kind"),
-    pytest.param("regions", container.Region(0, 0, 1 << 16, "spill"),
-                 r"Region\(tile=0, lo=0, hi=65536", id="region-end"),
-    pytest.param("regions", container.Region(0, 0, 1, "bogus"),
-                 r"Region\(tile=0, lo=0, hi=1, kind='bogus'\)", id="region-kind"),
+    pytest.param("regions", container.Region(0, 0, 1 << 16),
+                 r"Region\(tile=0, lo=0, hi=65536\)", id="region-end"),
     pytest.param("segments", container.Segment(1 << 16, 0, []),
                  r"Segment\(tile=65536, core=0\)", id="segment-tile"),
 ])
@@ -301,15 +326,11 @@ def test_container_names_the_record_whose_value_does_not_fit(section, record,
         container.save(prog)
 
 
-def test_container_names_the_header_and_meta_entry_that_do_not_fit():
+def test_container_names_the_header_that_does_not_fit():
     prog = _tiny_program()
     prog.mvmus_per_core = 256
     with pytest.raises(container.ContainerError,
                        match=r"Program\(xbar_dim=128, mvmus_per_core=256, "):
-        container.save(prog)
-    prog = _tiny_program()
-    prog.meta["huge"] = 1 << 63
-    with pytest.raises(container.ContainerError, match=r"\('huge', "):
         container.save(prog)
 
 
@@ -322,8 +343,7 @@ def test_container_static_histogram_sums_to_length():
 
 @pytest.mark.parametrize("record, at, byte", [
     (b"\x01\x01\x00y", 0, 5),                    # io binding "y": kind "out"
-    (struct.pack("<HHHB", 0, 100, 103, 2), 6, 9),  # region: kind "const"
-], ids=["io", "region"])
+], ids=["io"])
 def test_container_rejects_an_unknown_kind_byte_naming_it(record, at, byte):
     blob = container.save(_tiny_program())
     at += blob.index(record)

@@ -6,7 +6,9 @@ import pytest
 from xbarsim import fixedpoint as fp
 from xbarsim import graph as gr
 from xbarsim import layers, models, partition
+from xbarsim.compiler import CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
+from xbarsim.simulator import Machine, run
 
 from test_golden import _build, _cases
 
@@ -316,3 +318,46 @@ def test_affinity_on_128_matrix_tiles_matches_all_pairs():
     assert len(tg.matrix_tiles) == 128
     aff = partition._matrix_tile_affinity(tg)
     assert aff and aff == _all_pairs_affinity(tg)
+
+
+# Defect A (ROADMAP item 1): an output computed from model inputs alone is
+# placed at core (0, 0) before its producer moves to its first consumer's
+# core, so no store/load pair carries the value and the output's store
+# reads another core's register.
+DEFECT_A = "Defect A (ROADMAP item 1): output left behind by its producer"
+
+
+def _defect_a_case_1():
+    rng = np.random.default_rng(0)
+    g = gr.ModelGraph()
+    g.input("in0", 21)                  # unused
+    y = g.alu_imm("mul", g.input("in1", 24), 0.5)
+    g.output("o0", g.mvm(g.const_matrix(rng.uniform(-0.5, 0.5, (24, 29))), y))
+    g.output("o1", y)
+    return g, rng, dict(cores_per_tile=3), CompileOptions(coalesce=False)
+
+
+def _defect_a_case_2():
+    rng = np.random.default_rng(0)
+    g = gr.ModelGraph()
+    c = g.concat([g.input("in0", 36)] * 2)
+    g.output("o1", g.mvm(g.const_matrix(rng.uniform(-0.5, 0.5, (72, 11))), c))
+    g.output("o0", c)
+    return g, rng, dict(cores_per_tile=4), CompileOptions(coalesce=True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=DEFECT_A)
+@pytest.mark.parametrize("make", [_defect_a_case_1, _defect_a_case_2],
+                         ids=["case1", "case2"])
+def test_an_output_of_model_inputs_alone_runs_bit_exact(make):
+    g, rng, geometry, opts = make()
+    g.freeze()
+    inputs = {n.name: fp.quantize(rng.uniform(-1, 1, n.length))
+              for n in g.nodes if n.kind == "input"}
+    cfg = MachineConfig(xbar_dim=8, tiles=3, mvmus_per_core=2, **geometry)
+    prog, _ = compile_model(g, cfg, opts)
+    rep = run(Machine(cfg, prog), inputs)
+    want = gr.evaluate(g, inputs, xbar_dim=8)
+    assert rep.halted
+    assert {k: v.tolist() for k, v in rep.outputs.items()} == \
+        {k: v.tolist() for k, v in want.items()}

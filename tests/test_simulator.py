@@ -227,6 +227,14 @@ def test_send_receive_preserves_per_source_order():
     assert vals == [10, 11, 12]
 
 
+def test_report_dict_keys_blocked_time_by_actor_name():
+    rep, _ = _two_tile_transfer(cfg_small())
+    assert rep.to_dict()["blocked_ns"] == {
+        "tile 0 unit": rep.blocked_ns[(0, container.TILE_UNIT)],
+        "tile 1 unit": rep.blocked_ns[(1, container.TILE_UNIT)],
+        "tile 1 core 0": rep.blocked_ns[(1, 0)]}
+
+
 def test_fifo_order_under_randomized_interleavings():
     cfg = cfg_small()
     for seed in range(50):
@@ -429,7 +437,7 @@ def test_identity_shuffle_equals_unshuffled():
     rs = cfg.regspace()
     w = fp.quantize(np.arange(16).reshape(4, 4) / 32.0)
     fills = [isa.seti(rs.xbar_in(0, k), fp.quantize(0.1) + k) for k in range(4)]
-    ident = container.ShufflePattern(0, 0, 0, 1, 0, [0, 1, 2, 3])
+    ident = container.ShufflePattern(0, 0, 0, 1, [0, 1, 2, 3])
     m1 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01, filter=1)], [ident])
     m2 = _mvm_machine(cfg, [w], fills + [isa.mvm(0b01)])
     r1, r2 = run(m1, {}), run(m2, {})
@@ -447,7 +455,7 @@ def test_rotation_shuffle_equals_physical_rotation():
     w = rng.integers(-2000, 2000, size=(4, 4))
     x = [fp.quantize(v) for v in (0.1, -0.2, 0.3, -0.4)]
     perm = [1, 2, 3, 0]    # DAC row r reads slot (r+1) mod 4
-    pat = container.ShufflePattern(0, 0, 0, 1, 0, perm)
+    pat = container.ShufflePattern(0, 0, 0, 1, perm)
     fills = [isa.seti(rs.xbar_in(0, k), xv & 0xFFF) for k, xv in enumerate(x)]
     # 12-bit set immediates cannot carry negatives; use small positives
     x = [100, 200, 300, 400]
