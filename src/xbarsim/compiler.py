@@ -51,7 +51,6 @@ class CompileReport:
     coalesce_groups: int = 0
     maxlive: int = 0
     spill_count: int = 0
-    spill_slots: int = 0
     dmem_words_used: dict = field(default_factory=dict)
     fifo_pairs: int = 0
     plan: str = ""
@@ -60,8 +59,7 @@ class CompileReport:
         lines = ["compile report",
                  f"  coalesce groups: {self.coalesce_groups}",
                  f"  schedule max live values: {self.maxlive}",
-                 f"  spilled values: {self.spill_count}"
-                 f" ({self.spill_slots} slots)",
+                 f"  spilled values: {self.spill_count}",
                  f"  fifo pairs: {self.fifo_pairs}"]
         lines.append("  static instructions: " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.static_histogram.items())))
@@ -383,9 +381,8 @@ def _assign_memory(tg, machine):
 
 
 def _emit_container(tg, machine, code, bases):
-    prog = container.Program(machine.xbar_dim, machine.mvmus_per_core,
-                             machine.cores_per_tile, machine.tiles,
-                             machine.frac_bits)
+    prog = container.Program(**{name: getattr(machine, name)
+                                for name in container.GEOMETRY})
 
     for actor in sorted(code):
         base = bases.get(actor)
@@ -454,7 +451,6 @@ def _back_end(tg, machine, low, coalesce_groups, maxlive):
         code[actor] = res.instrs
         bases[actor] = res.base
         report.spill_count += res.spill_count
-    report.spill_slots = sum(1 for s in tg.symbols if s.kind == "spill")
     report.dmem_words_used = _assign_memory(tg, machine)
 
     prog = _emit_container(tg, machine, code, bases)

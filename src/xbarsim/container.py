@@ -31,6 +31,13 @@ def actor_name(actor):
 
 IO_KINDS = ("in", "out")
 
+# The geometry stamp: each header field, in header order, with its struct
+# code. Each is the MachineConfig field of that name that a program is
+# compiled for and must match to run.
+GEOMETRY = {"xbar_dim": "H", "mvmus_per_core": "B", "cores_per_tile": "B",
+            "tiles": "H", "frac_bits": "B"}
+_STAMP = "<" + "".join(GEOMETRY.values())
+
 
 class ContainerError(Exception):
     pass
@@ -153,22 +160,6 @@ def _pack_region(r):
     return struct.pack("<HHH", r.tile, r.lo, r.hi)
 
 
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise ContainerError("truncated container")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def _records(prog):
     """Program -> the container's bytes, one packed record at a time. A
     value that does not fit its field raises ContainerError naming its
@@ -178,9 +169,8 @@ def _records(prog):
                 (prog.io, _pack_io), (prog.regions, _pack_region))
     rec = prog
     try:
-        yield MAGIC + struct.pack("<BHBBHB", VERSION, prog.xbar_dim,
-                                  prog.mvmus_per_core, prog.cores_per_tile,
-                                  prog.tiles, prog.frac_bits)
+        yield MAGIC + bytes([VERSION]) + struct.pack(
+            _STAMP, *(getattr(prog, name) for name in GEOMETRY))
         for records, pack in sections:
             rec = prog
             yield struct.pack("<H", len(records))
@@ -197,46 +187,62 @@ def save(prog):
 
 
 def loads(blob):
-    """Container bytes -> Program."""
-    r = _Reader(blob)
-    if r.take(4) != MAGIC:
+    """Container bytes -> Program. Each weight block is a read-only view of
+    the bytes, not a copy; a mutable buffer is copied first, so the Program
+    never aliases it."""
+    view = memoryview(blob)
+    if not view.readonly:
+        view = memoryview(bytes(view))
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(view):
+            raise ContainerError("truncated container")
+        pos += n
+        return view[pos - n:pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != MAGIC:
         raise ContainerError("bad magic (not a program container)")
-    (version,) = r.unpack("<B")
+    (version,) = unpack("<B")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    prog = Program(*r.unpack("<HBBHB"))
-    (nseg,) = r.unpack("<H")
+    prog = Program(**dict(zip(GEOMETRY, unpack(_STAMP))))
+    (nseg,) = unpack("<H")
     for _ in range(nseg):
-        tile, core, n = r.unpack("<HHI")
-        instrs = isa.decode_program(r.take(n * isa.INSTR_BYTES))
+        tile, core, n = unpack("<HHI")
+        instrs = isa.decode_program(take(n * isa.INSTR_BYTES))
         prog.segments.append(Segment(tile, core, instrs))
-    (nw,) = r.unpack("<H")
+    (nw,) = unpack("<H")
     for _ in range(nw):
-        tile, core, mvmu, rows, cols = r.unpack("<HHBHH")
-        w = np.frombuffer(r.take(2 * rows * cols), "<i2").reshape(rows, cols)
+        tile, core, mvmu, rows, cols = unpack("<HHBHH")
+        w = np.frombuffer(take(2 * rows * cols), "<i2").reshape(rows, cols)
         prog.weights.append(WeightBlock(tile, core, mvmu,
                                         w.astype(np.int16, copy=False)))
-    (np_,) = r.unpack("<H")
+    (np_,) = unpack("<H")
     for _ in range(np_):
-        tile, core, mvmu, filt, n = r.unpack("<HHBHH")
-        perm = list(r.unpack(f"<{n}H"))
+        tile, core, mvmu, filt, n = unpack("<HHBHH")
+        perm = list(unpack(f"<{n}H"))
         prog.patterns.append(ShufflePattern(tile, core, mvmu, filt, perm))
-    (nd,) = r.unpack("<H")
+    (nd,) = unpack("<H")
     for _ in range(nd):
-        tile, addr, count, n = r.unpack("<HHHH")
-        prog.data.append(DataBlock(tile, addr, count, list(r.unpack(f"<{n}h"))))
-    (nio,) = r.unpack("<H")
+        tile, addr, count, n = unpack("<HHHH")
+        prog.data.append(DataBlock(tile, addr, count, list(unpack(f"<{n}h"))))
+    (nio,) = unpack("<H")
     for _ in range(nio):
-        k, n = r.unpack("<BH")
+        k, n = unpack("<BH")
         if k >= len(IO_KINDS):
             raise ContainerError(f"io binding kind byte {k} is not one of "
                                  f"{IO_KINDS}")
-        name = r.take(n).decode("utf-8")
-        prog.io.append(IoBinding(IO_KINDS[k], name, *r.unpack("<HHHH")))
-    (nr,) = r.unpack("<H")
+        name = str(take(n), "utf-8")
+        prog.io.append(IoBinding(IO_KINDS[k], name, *unpack("<HHHH")))
+    (nr,) = unpack("<H")
     for _ in range(nr):
-        prog.regions.append(Region(*r.unpack("<HHH")))
-    if r.pos != len(blob):
+        prog.regions.append(Region(*unpack("<HHH")))
+    if pos != len(view):
         raise ContainerError("trailing bytes after container")
     return prog
 

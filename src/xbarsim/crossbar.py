@@ -15,7 +15,7 @@ from .fixedpoint import (
     DEFAULT_FRAC_BITS,
     RAW_MAX,
     RAW_MIN,
-    rshift_round_even,
+    div_round_even,
     saturate,
 )
 
@@ -127,8 +127,8 @@ def ideal_mvm(w_raw, x_raw, frac_bits=DEFAULT_FRAC_BITS):
     """Exact integer MAC over raw weights, rounded half-even, saturated.
     x_raw is one input vector or a (batch, rows) stack of them; the
     product accumulates in int64 whatever the weights' dtype."""
-    return saturate(rshift_round_even(np.asarray(x_raw, np.int64) @ w_raw,
-                                      frac_bits))
+    return saturate(div_round_even(np.asarray(x_raw, np.int64) @ w_raw,
+                                   1 << frac_bits))
 
 
 def crossbar_mvm(m, x_raw, adc_bits=None, frac_bits=DEFAULT_FRAC_BITS, xbar_dim=128):

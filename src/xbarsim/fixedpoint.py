@@ -56,23 +56,9 @@ def to_float(raw, frac_bits=DEFAULT_FRAC_BITS):
     return out
 
 
-def rshift_round_even(v, n):
-    """Arithmetic right shift by n with round-half-even on the dropped bits.
-
-    Works elementwise on int64 arrays; exact for any |v| < 2^62.
-    """
-    if n == 0:
-        return np.asarray(v, dtype=np.int64).copy()
-    v = np.asarray(v, dtype=np.int64)
-    base = v >> n                       # floor division by 2^n
-    rem = v & ((1 << n) - 1)
-    half = 1 << (n - 1)
-    round_up = (rem > half) | ((rem == half) & ((base & 1) == 1))
-    return base + round_up.astype(np.int64)
-
-
-def _div_round_even(num, den):
-    """round-half-even of num/den for int64 arrays, den > 0 elementwise."""
+def div_round_even(num, den):
+    """round-half-even of num/den for int64 arrays, den > 0 elementwise.
+    The one rounding rule: a right shift by n is den = 1 << n."""
     q = num // den                      # floor
     rem = num - q * den
     twice = 2 * rem
@@ -106,7 +92,7 @@ def _div_unclipped(a, b, frac_bits):
     on the side of a's sign (0/0 is 0), so it saturates."""
     safe = np.where(b == 0, 1, b)
     sign = np.where(safe < 0, -1, 1)
-    q = _div_round_even((a << frac_bits) * sign, safe * sign)
+    q = div_round_even((a << frac_bits) * sign, safe * sign)
     return np.where(b == 0, np.where(a > 0, RAW_MAX + 1,
                                      np.where(a < 0, RAW_MIN - 1, 0)), q)
 
@@ -118,7 +104,7 @@ def _div_unclipped(a, b, frac_bits):
 VECTOR_OPS = {
     "add": lambda a, b, f: _clipped(a + b),
     "sub": lambda a, b, f: _clipped(a - b),
-    "mul": lambda a, b, f: _clipped(rshift_round_even(a * b, f)),
+    "mul": lambda a, b, f: _clipped(div_round_even(a * b, 1 << f)),
     "div": lambda a, b, f: _clipped(_div_unclipped(a, b, f)),
     "shl": lambda a, b, f: _clipped(a << np.minimum(to_bits(b), 16)),
     "shr": lambda a, b, f: (a >> np.minimum(to_bits(b), 15), 0),

@@ -121,45 +121,19 @@ def compute_liveness(instrs):
     return ranges
 
 
-class _FreeSpace:
-    """First-fit interval allocator over [0, total)."""
-
-    def __init__(self, total):
-        self.free = [(0, total)]
-
-    def take(self, size):
-        for i, (start, ln) in enumerate(self.free):
-            if ln >= size:
-                if ln == size:
-                    self.free.pop(i)
-                else:
-                    self.free[i] = (start + size, ln - size)
-                return start
-        return None
-
-    def release(self, start, size):
-        self.free.append((start, size))
-        self.free.sort()
-        merged = []
-        for s, ln in self.free:
-            if merged and merged[-1][0] + merged[-1][1] == s:
-                merged[-1] = (merged[-1][0], merged[-1][1] + ln)
-            else:
-                merged.append((s, ln))
-        self.free = merged
-
-
 def _plan(ranges, total, vmax):
     """Linear scan; returns (base map, spill set). When a value r does not
     fit, the victim is a spillable active value that the code arrived with
     (vreg below `vmax`): the one whose last use lies furthest past r's,
     else the one used last. A spill temporary goes, in the same order, only
     when no such value can, or a round would just spill the reloads of the
-    one before. With nothing to spill, r is refused."""
+    one before. With nothing to spill, r is refused. Registers are taken
+    first fit: the lowest run of r.size free bytes in `used`, one byte per
+    general register (nonzero while taken)."""
     spilled = set()
     order = sorted(ranges.values(), key=lambda r: (r.start, r.vreg))
     while True:
-        space = _FreeSpace(total)
+        used = bytearray(total)
         active = []        # (end, vreg, base, size)
         base = {}
         restart = False
@@ -171,10 +145,10 @@ def _plan(ranges, total, vmax):
                 if a[0] >= r.start:
                     still.append(a)
                 else:
-                    space.release(a[2], a[3])
+                    used[a[2]:a[2] + a[3]] = bytes(a[3])
             active = still
-            addr = space.take(r.size)
-            while addr is None:
+            addr = used.find(bytes(r.size))
+            while addr < 0:
                 for pool in ([a for a in active if a[1] < vmax], active):
                     ok = [a for a in pool if ranges[a[1]].spillable()]
                     if victims := [a for a in ok if a[0] > r.end] or ok:
@@ -187,12 +161,13 @@ def _plan(ranges, total, vmax):
                                         "fit beside values that cannot spill")
                 v = max(victims, key=lambda a: (a[0], a[1]))
                 active.remove(v)
-                space.release(v[2], v[3])
+                used[v[2]:v[2] + v[3]] = bytes(v[3])
                 spilled.add(v[1])
                 restart = True
-                addr = space.take(r.size)
+                addr = used.find(bytes(r.size))
             if restart:
                 break
+            used[addr:addr + r.size] = b"\1" * r.size
             base[r.vreg] = addr
             active.append((r.end, r.vreg, addr, r.size))
         if not restart:

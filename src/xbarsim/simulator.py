@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import fixedpoint as fp
-from .container import TILE_UNIT, actor_name
+from .container import GEOMETRY, TILE_UNIT, actor_name
 from .crossbar import apply_write_noise, crossbar_mvm, slice_weights
 from .isa import ALU_OP_NAMES, ALU_TRANSCENDENTAL, ALU_UNARY, ISA, \
     IsaError, alui_immediate, disassemble_one, fired_mvmus, registers, \
@@ -214,16 +214,10 @@ class Chip:
     registers of each core with code that the program reaches."""
 
     def __init__(self, cfg, prog):
-        if (prog.xbar_dim, prog.mvmus_per_core, prog.cores_per_tile,
-                prog.tiles) != (cfg.xbar_dim, cfg.mvmus_per_core,
-                                cfg.cores_per_tile, cfg.tiles):
-            raise GeometryError(
-                f"container geometry {prog.xbar_dim}x{prog.mvmus_per_core}"
-                f"x{prog.cores_per_tile}x{prog.tiles} does not match machine "
-                f"{cfg.xbar_dim}x{cfg.mvmus_per_core}x{cfg.cores_per_tile}"
-                f"x{cfg.tiles}")
-        if prog.frac_bits != cfg.frac_bits:
-            raise GeometryError("fixed-point format mismatch")
+        for name in GEOMETRY:
+            if (got := getattr(prog, name)) != (want := getattr(cfg, name)):
+                raise GeometryError(f"the program's {name} is {got} but the "
+                                    f"machine's is {want}")
         self.cfg, self.prog = cfg, prog
         self.rs = cfg.regspace()
         self.luts = fp.build_default_luts(cfg.frac_bits, cfg.lut_bits)

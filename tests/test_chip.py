@@ -125,6 +125,18 @@ def test_a_config_outside_the_run_only_fields_is_refused_by_name():
         Machine(BASE.with_overrides(vfu_lanes=4), chip)
 
 
+@pytest.mark.parametrize("name", container.GEOMETRY)
+def test_a_program_for_another_geometry_is_refused_by_field(name):
+    want = getattr(BASE, name)
+    prog = container.Program(**{n: getattr(BASE, n)
+                                for n in container.GEOMETRY})
+    setattr(prog, name, want + 1)
+    with pytest.raises(GeometryError, match=f"^the program's {name} is "
+                                            f"{want + 1} but the machine's "
+                                            f"is {want}$"):
+        Chip(BASE, prog)
+
+
 def test_only_actors_with_code_get_run_state():
     g, pts, _ = _classifier()
     prog = compile_model(g, BASE)[0]

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_compile_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     assert cli.main(["compile", model, "-o", p1, "--config", cfgf]) == 0
     assert cli.main(["compile", model, "-o", p2, "--config", cfgf]) == 0
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
 
 def test_compiled_core_program_disassembles_and_reassembles(tmp_path):

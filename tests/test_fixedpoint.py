@@ -41,12 +41,12 @@ def _round_even_oracle(num, den):
     return int(round(Fraction(num, den)))
 
 
-def test_rshift_round_even_matches_fraction_oracle():
+def test_div_round_even_matches_fraction_oracle():
     rng = np.random.default_rng(7)
     vals = rng.integers(-(1 << 40), 1 << 40, size=2000)
-    for n in (1, 4, 12, 15):
-        got = fp.rshift_round_even(vals, n)
-        want = [_round_even_oracle(int(v), 1 << n) for v in vals]
+    for den in (*(1 << n for n in (1, 4, 12, 15)), 3, 7, 1000, 4097):
+        got = fp.div_round_even(vals, den)
+        want = [_round_even_oracle(int(v), den) for v in vals]
         assert got.tolist() == want
 
 

@@ -68,7 +68,8 @@ def test_interpreter_mvm_blockwise_definition():
 
     def block_mac(wb, xb):
         acc = xb.astype(object) @ wb.astype(object)
-        return fp.saturate(fp.rshift_round_even(np.asarray(acc, np.int64), 12))
+        return fp.saturate(fp.div_round_even(np.asarray(acc, np.int64),
+                                             1 << 12))
 
     for cj in (0, 2):
         p0 = block_mac(w[0:2, cj:cj + 2], x[0:2])

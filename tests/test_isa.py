@@ -228,6 +228,23 @@ def test_container_round_trip():
     assert back.regions == [container.Region(0, 100, 103)]
 
 
+def test_loaded_weights_are_read_only_views_of_the_blob():
+    prog = _tiny_program()
+    prog.weights.append(container.WeightBlock(1, 2, 1, np.arange(
+        -6, 6, dtype=np.int16).reshape(3, 4)))
+    blob = container.save(prog)
+    back = container.loads(blob)
+    for wb in back.weights:
+        assert np.shares_memory(wb.w_raw, np.frombuffer(blob, np.uint8))
+        assert not wb.w_raw.flags.writeable
+    assert container.save(back) == blob
+    mutable = bytearray(blob)
+    copied = container.loads(mutable)
+    for wb in copied.weights:
+        assert not np.shares_memory(wb.w_raw, np.frombuffer(mutable, np.uint8))
+    assert container.save(copied) == blob
+
+
 def test_container_rejects_bad_magic_and_truncation():
     blob = container.save(_tiny_program())
     with pytest.raises(container.ContainerError, match="magic"):

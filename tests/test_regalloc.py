@@ -104,6 +104,16 @@ def test_value_that_cannot_fit_beside_unspillable_values_is_an_error():
         _alloc(seq, general=8)
 
 
+def test_a_value_takes_the_lowest_freed_hole_that_fits():
+    # v0 (1 word) and v2 (2 words) die before v4 starts: v4 skips the
+    # 1-word hole at 0 and takes v2's, not the free top of the file
+    ranges = {v: regalloc.LiveRange(v, 0, end, size) for v, end, size in
+              ((0, 1, 1), (1, 5, 2), (2, 1, 2), (3, 5, 2))}
+    ranges[4] = regalloc.LiveRange(4, 2, 5, 2)
+    base, spilled = regalloc._plan(ranges, 10, 5)
+    assert base == {0: 0, 1: 1, 2: 3, 3: 5, 4: 3} and not spilled
+
+
 def test_an_original_value_spills_before_a_reload_temporary():
     """v9 stands for a reload that an earlier round made (vregs from 9 on
     are spill temporaries). Placing v10 finds no 8-word gap beside v1 and
@@ -204,6 +214,15 @@ def test_compiled_program_with_spills_stays_equivalent():
         if rep.spill_count:
             assert res.spill_access_pct > 0
     assert spilled_any
+
+
+def test_report_text_counts_spilled_values():
+    g, _ = _crossing_model()
+    cfg = MachineConfig(xbar_dim=8, mvmus_per_core=2, cores_per_tile=1,
+                        tiles=1, register_size=32, dmem_words=2048)
+    _, rep = compile_model(g, cfg)
+    assert rep.spill_count > 0
+    assert f"  spilled values: {rep.spill_count}\n" in rep.to_text()
 
 
 def test_compiled_spill_count_monotone_in_register_size():
