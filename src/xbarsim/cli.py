@@ -1,8 +1,8 @@
 """Command-line front end: compile, run, sweep, and example emission.
 
 Exit codes: 0 success, 1 errors, 2 run completed with saturation
-warnings, 3 deadlock or step-limit hit. PUMA_LOG=1|2 raises trace
-verbosity.
+warnings, 3 deadlock or step-limit hit (a run or a sweep point), with the
+blocked-actor diagnosis. PUMA_LOG=1|2 raises trace verbosity.
 """
 
 import argparse
@@ -30,6 +30,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_SATURATION = 2
 EXIT_STALLED = 3
+
+
+class StalledError(Exception):
+    """A sweep point that deadlocked or hit its step limit; the message
+    holds the blocked-actor diagnosis."""
 
 
 def _setup_logging():
@@ -178,8 +183,9 @@ def sweep_point(graph, cfg, inputs, opts, eval_set=None, labels=None,
                   if all(name in p for p in lanes)}
     report = sim_run(Machine(cfg, chip), inputs, step_limit=step_limit)
     if not report.halted:
-        raise RuntimeError("sweep point did not terminate: "
-                           + "; ".join(report.diagnosis))
+        why = "hit its step limit" if report.step_limit_hit else "deadlocked"
+        raise StalledError(f"sweep point {why}" + "".join(
+            f"\ndiag: {d}" for d in report.diagnosis))
     accuracy = None
     if eval_set is not None:
         accuracy = models.classifier_accuracy(
@@ -284,6 +290,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except StalledError as e:
+        sys.stderr.write(f"{e}\n")
+        return EXIT_STALLED
     except Exception as e:  # surfaced with provenance, nonzero exit
         if os.environ.get("PUMA_LOG") == "2":
             raise

@@ -6,43 +6,45 @@ conditions when attempted: loads need valid words, stores need drained
 words, receives need a queued message, sends need FIFO space at the
 target. A blocked actor parks on the failing condition and is woken by
 the completing instruction that satisfies it; there is no polling. State
-changes commit when an instruction issues (claims are atomic); the
-issuing actor and any woken waiters continue at its completion time.
-What an instruction hands over changes hands when it completes: the words
-a store or receive fills, the words a load or send drains, a sent message
-(at its arrival, after the bus and the hop) and the FIFO slot a receive
-frees. An actor that finds one claimed but not yet handed over waits for
-the handover as blocked time, just as one parked on it does, so the order
-of same-cycle events decides no wait. Nor does it decide the shared bus:
-sends that are ready in one cycle take it at the end of that cycle, in
-(tile, core) order. Handlers give semantics and timing only. The loop
-counts each pc's executions (`hits`) and cycles (`busy`); `tally` then
-works out every count and energy as hits x `instr_cost`, the static cost
-of one execution.
+changes commit when an instruction issues; the issuing actor and any
+woken waiters continue at its completion, when what it hands over changes
+hands: the words a store or receive fills, the words a load or send
+drains, a sent message (at its arrival, after the bus and the hop) and
+the FIFO slot a receive frees. An actor that finds one not yet handed
+over waits for it as blocked time, as a parked one does, so the order of
+same-cycle events decides no wait. Nor does it decide the shared bus:
+sends ready in one cycle take it at the cycle's end, in (tile, core)
+order. The loop counts each pc's executions (`hits`) and cycles (`busy`);
+`tally` works out every count and energy as hits x `instr_cost`, the
+static cost of one execution.
 
-Determinism is a contract: the same program, inputs, and seed produce an
-identical report. An optional interleaving seed perturbs the order of
-same-cycle events without breaking determinism.
+Each handler has a timing half, which waits, claims and returns cycles,
+and a value half, which moves the data. Timing reads no data, so the
+first run that halts without an order seed times its Chip: the chip
+keeps the order of issue, the timing fields and tally's totals. Every
+write issues before the reads that wait on it, so a later run replays
+only the value halves in that order, with energy from the totals at its
+own cfg. An order seed, a step limit below the recorded steps or the
+DEBUG trace takes the event loop, as does, from fresh state, data that
+branches elsewhere. The same program, inputs and seed give one report.
 
 A Chip checks a program once and holds what it and the geometry fix; a
 Machine programs a chip's MVMUs with the run-only config fields. Every run
 builds fresh run state (pcs, hits and registers for the actors with code;
 tile memory with the data blocks written in and FIFOs for every tile), so
 one Machine runs any number of times, batched or not. Registers and tile
-memory are sized to the program's footprint, the words it can reach.
-
-One run can carry a batch of B independent inferences: the value state
-(registers, tile memory words, FIFO payloads) then has a trailing lane
-axis of length B, while program counters, reader counts and all timing
-and energy state stay shared. Every lane follows the same schedule, which
-the lane-uniform rule for aluint/brn operands guarantees.
+memory are sized to the program's footprint, the words it can reach. A
+batch of B inferences gives the value state (registers, tile words, FIFO
+payloads) a trailing lane axis of length B; pcs, reader counts, timing
+and energy stay shared, since the lane-uniform rule for aluint/brn
+operands keeps every lane on one schedule.
 """
 
 import heapq
 import logging
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,9 +99,8 @@ class RunReport:
 
     @property
     def spill_access_pct(self):
-        if self.reg_accesses == 0:
-            return 0.0
-        return 100.0 * self.spill_accesses / self.reg_accesses
+        return 100.0 * self.spill_accesses / self.reg_accesses \
+            if self.reg_accesses else 0.0
 
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -115,8 +116,7 @@ class RunReport:
         lines = [f"halted={self.halted} cycles={self.cycles} "
                  f"latency_ns={self.latency_ns:.1f}",
                  f"energy_nj total={self.energy_total_nj:.4f}"]
-        for k in sorted(self.energy_nj):
-            lines.append(f"  {k}: {self.energy_nj[k]:.4f}")
+        lines += [f"  {k}: {v:.4f}" for k, v in sorted(self.energy_nj.items())]
         lines.append("dynamic instructions: " + ", ".join(
             f"{k}={v}" for k, v in sorted(self.instr_dynamic.items())))
         lines.append("instruction cycles: " + ", ".join(
@@ -124,10 +124,9 @@ class RunReport:
         lines.append(f"spill accesses: {self.spill_access_pct:.2f}%"
                      f"  mode switches: {self.mode_switches}"
                      f"  saturations: {self.saturations}")
-        for who, v in sorted(self.blocked_ns.items()):
-            lines.append(f"blocked {actor_name(who)}: {v:.1f} ns")
-        for d in self.diagnosis:
-            lines.append("diag: " + d)
+        lines += [f"blocked {actor_name(who)}: {v:.1f} ns"
+                  for who, v in sorted(self.blocked_ns.items())]
+        lines += ["diag: " + d for d in self.diagnosis]
         return "\n".join(lines) + "\n"
 
 
@@ -135,13 +134,14 @@ class _Tile:
     """One run's tile memory and receive FIFOs: data words, (words,) or
     (words, B) with a lane axis; a reader count per word (valid while above
     0); the completion time of each word's last fill or drain; each FIFO's
-    queued (arrival, payload) pairs and its last receive's completion."""
+    queued arrivals, their payloads and its last receive's completion."""
 
     def __init__(self, data, num_fifos):
         self.data = data
         self.count = np.zeros(len(data), dtype=np.int64)
         self.ready = np.zeros(len(data))
         self.fifos = [deque() for _ in range(num_fifos)]
+        self.payloads = [deque() for _ in range(num_fifos)]
         self.freed = [0.0] * num_fifos
 
     def write(self, addr, values, count):
@@ -284,6 +284,7 @@ class Chip:
         self.static = prog.static_histogram()
         self.costs = {}      # tally cost key -> instr_cost, filled by runs
         self._planes = {}    # bits_per_device -> SlicedMatrix per weight block
+        self.timed = None    # (report, totals, order) once timed: `run`
 
     def planes(self, bits):
         """Each weight block's SlicedMatrix at bits per device, in
@@ -390,8 +391,7 @@ def _lane_uniform(core, addr, op):
 
 class _Sim:
     def __init__(self, machine, order_seed=None):
-        self.m = machine
-        self.cfg = machine.cfg
+        self.m, self.cfg = machine, machine.cfg
         self.report = RunReport()
         self.ready = []         # (time, priority, serial, actor)
         self.waiters = {}       # (kind, tile) -> {word or fifo -> [actor]}
@@ -399,10 +399,9 @@ class _Sim:
         self.bus_free = 0.0
         self.bus = []           # senders that asked for the bus this cycle
         self.granting = False   # True while the bus is granted to them
-        self.serial = 0
-        self.now = 0.0
+        self.serial, self.now = 0, 0.0
         self.rng = random.Random(order_seed) if order_seed is not None else None
-        self.next_pc = 0        # pc after the executing instruction
+        self.order = []         # (value half, actor, pc, instr, jump) issued
 
     # -- plumbing -----------------------------------------------------------
 
@@ -449,8 +448,7 @@ class _Sim:
         """Park unless words [addr, addr + w) all hold data (valid=True:
         load, send) or are all drained (valid=False: store, receive); hold
         until the last fill or drain of them completes."""
-        tile_id = actor[0]
-        tile = self.m.tiles[tile_id]
+        tile_id, tile = actor[0], self.m.tiles[actor[0]]
         stuck = np.nonzero((tile.count[addr:addr + w] > 0) != valid)[0]
         if len(stuck):
             word = addr + int(stuck[0])
@@ -463,31 +461,30 @@ class _Sim:
                          f"{op} waiting on a " + ("fill" if valid else "read"))
 
     def consume(self, tile_id, addr, w, end):
-        """Read w words and count one reader off each; a word whose count
-        reaches 0 invalidates, and its writers may fill it from `end`."""
+        """Count one reader off each of w words; a word whose count reaches
+        0 invalidates, and its writers may fill it from `end`."""
         tile = self.m.tiles[tile_id]
-        vals = tile.data[addr:addr + w].copy()
         tile.count[addr:addr + w] -= 1
         drained = tile.count[addr:addr + w] <= 0
         tile.ready[addr:addr + w][drained] = end
         self.wake_words("mem_free", tile_id, addr, w, end, drained)
-        return vals
 
-    def fill(self, tile_id, addr, w, vals, count, end):
-        """Write w words for `count` readers, which read them from `end`."""
+    def fill(self, tile_id, addr, w, count, end):
+        """Give w words `count` readers, which read them from `end`."""
         tile = self.m.tiles[tile_id]
-        tile.write(addr, vals, count)
+        tile.count[addr:addr + w] = count
         tile.ready[addr:addr + w] = end
         if count > 0:
             self.wake_words("mem_valid", tile_id, addr, w, end)
 
     # -- instruction semantics ------------------------------------------------
     #
-    # A handler executes one instruction of `unit` (a core's or a tile's
-    # _Sequencer) and returns the cycles spent, or None if the actor parked
-    # or, as a send, waits for the bus. A branch sets next_pc. `attempt`
-    # then moves the pc on and counts the execution; what it costs is
-    # worked out after the run (`tally`).
+    # An opcode's timing half moves reader counts, ready times, FIFO slots
+    # and the bus of `unit` (a core's or a tile's _Sequencer) and returns
+    # the cycles spent, or None if the actor parked or, as a send, waits for
+    # the bus. Its value half moves the data (registers, tile words, FIFO
+    # payloads, saturations) and returns a taken branch's target, else None.
+    # `attempt` runs both and counts the execution (costed by `tally`).
 
     def attempt(self, actor):
         """Try the actor's next instruction; returns False if it parked or
@@ -497,103 +494,101 @@ class _Sim:
             return True
         pc = unit.pc
         i = unit.program[pc]
-        self.next_pc = pc + 1
+        timing, value = EXECUTE[i.op]
         try:
-            cycles = EXECUTE[i.op](self, actor, unit, i)
+            cycles = timing(self, actor, unit, i)
+            if cycles is None:
+                return False
+            jump = value(self, actor, unit, i)
         except SimError as e:
             raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
-        if cycles is None:
-            return False
-        unit.pc = self.next_pc
+        unit.pc = pc + 1 if jump is None else jump
         unit.hits[pc] += 1
         unit.busy[pc] += cycles
         self.report.steps += 1
+        self.order.append((value, actor, pc, i, jump))
         self.push(self.now + cycles, actor)
         if log.isEnabledFor(logging.DEBUG):
             log.debug("t=%d %s pc executed: %s", self.now, actor,
                       disassemble_one(i))
         return True
 
-    def exec_load(self, actor, core, i):
-        w = max(1, i.w)
-        if self.wait_words(actor, i.b, w, i.op, True):
+    def time_fixed(self, actor, core, i):
+        """The cycles of an instruction that neither waits nor claims."""
+        cfg, w = self.cfg, max(1, i.w)
+        if i.op == "mvm":
+            return cfg.mvm_cycles
+        if i.op in ("alu", "alui"):
+            rom = ALU_OP_NAMES[i.sub] in ALU_TRANSCENDENTAL    # ROM mode
+            return 1 + (w + cfg.vfu_lanes - 1) // cfg.vfu_lanes + (
+                cfg.mode_switch_cycles if rom else 0)
+        return 1 + w if i.op == "copy" else 1
+
+    def time_access(self, actor, core, i):
+        """load drains words from b on, store fills those from a on."""
+        w, load = max(1, i.w), i.op == "load"
+        if self.wait_words(actor, i.b if load else i.a, w, i.op, load):
             return None
-        core.regs[i.a:i.a + w] = self.consume(actor[0], i.b, w,
-                                              self.now + 1 + w)
+        if load:
+            self.consume(actor[0], i.b, w, self.now + 1 + w)
+        else:
+            self.fill(actor[0], i.a, w, i.c, self.now + 1 + w)
         return 1 + w
 
-    def exec_store(self, actor, core, i):
-        w = max(1, i.w)
-        if self.wait_words(actor, i.a, w, i.op, False):
-            return None
-        self.fill(actor[0], i.a, w, core.regs[i.b:i.b + w], i.c,
-                  self.now + 1 + w)
-        return 1 + w
+    def value_move(self, actor, core, i):
+        """load, store and copy: w words from b on to a on."""
+        w, data = max(1, i.w), self.m.tiles[actor[0]].data
+        src = data if i.op == "load" else core.regs
+        dst = data if i.op == "store" else core.regs
+        dst[i.a:i.a + w] = src[i.b:i.b + w]
 
-    def exec_mvm(self, actor, core, i):
+    def value_mvm(self, actor, core, i):
         cfg, rs = self.cfg, self.m.chip.rs
         for u in fired_mvmus(i, cfg.mvmus_per_core):
             sliced = self.m.mvmus[actor][u]
             perm = self.m.chip.patterns.get((actor, i.a), {}).get(u)
             base_in = rs.xbar_in(u)
-            if perm is None:
-                x = core.regs[base_in:base_in + sliced.rows]
-            else:
-                x = core.regs[base_in + perm]
-            adc = cfg.adc_bits if cfg.adc_bits else None
+            x = core.regs[base_in:base_in + sliced.rows] if perm is None \
+                else core.regs[base_in + perm]
             # lanes become the batch axis: one product for all lanes
-            out = crossbar_mvm(sliced, x.T, adc, cfg.frac_bits, cfg.xbar_dim)
+            out = crossbar_mvm(sliced, x.T, cfg.adc_bits or None,
+                               cfg.frac_bits, cfg.xbar_dim)
             base_out = rs.xbar_out(u)
             core.regs[base_out:base_out + sliced.cols] = out.T
-        return cfg.mvm_cycles
 
-    def exec_alu(self, actor, core, i):
+    def value_alu(self, actor, core, i):
         """alu and alui on the vector ALU: dest = name(src, b), where b is
         a register range (alu) or the immediate (alui)."""
-        cfg, name, w = self.cfg, ALU_OP_NAMES[i.sub], max(1, i.w)
+        name, w = ALU_OP_NAMES[i.sub], max(1, i.w)
         a = core.regs[i.b:i.b + w]
-        cycles = 1 + (w + cfg.vfu_lanes - 1) // cfg.vfu_lanes
         if name in ALU_TRANSCENDENTAL:
             # ROM mode: RAM (the registers) is buffered and restored around
             # the table read, so it is preserved by construction
             out = self.m.chip.luts[name].lookup(a)
-            cycles += cfg.mode_switch_cycles
         else:
             b = alui_immediate(name, i.c) if i.op == "alui" else \
                 0 if name in ALU_UNARY else core.regs[i.c:i.c + w]
-            out, saturated = fp.vector_op(name, a, b, cfg.frac_bits)
+            out, saturated = fp.vector_op(name, a, b, self.cfg.frac_bits)
             self.report.saturations += saturated
         core.regs[i.a:i.a + w] = out
-        return cycles
 
-    def exec_copy(self, actor, core, i):
-        w = max(1, i.w)
-        core.regs[i.a:i.a + w] = core.regs[i.b:i.b + w]
-        return 1 + w
-
-    def exec_set(self, actor, core, i):
+    def value_set(self, actor, core, i):
         core.regs[i.a] = i.b
-        return 1
 
-    def exec_aluint(self, actor, core, i):
+    def value_aluint(self, actor, core, i):
         v = fp.SCALAR_OPS[ISA["aluint"].subop_names[i.sub]](
-            _lane_uniform(core, i.b, i.op),
-            _lane_uniform(core, i.c, i.op))
+            _lane_uniform(core, i.b, i.op), _lane_uniform(core, i.c, i.op))
         core.regs[i.a] = clamped = min(max(v, fp.RAW_MIN), fp.RAW_MAX)
         self.report.saturations += clamped != v
-        return 1
 
-    def exec_branch(self, actor, core, i):
+    def value_branch(self, actor, core, i):
         """jmp to c, or brn to c if its condition holds on a and b."""
         if i.op == "jmp" or fp.BRANCH_CONDS[ISA["brn"].subop_names[i.sub]](
-                _lane_uniform(core, i.a, i.op),
-                _lane_uniform(core, i.b, i.op)):
-            self.next_pc = i.c
-        return 1
+                _lane_uniform(core, i.a, i.op), _lane_uniform(core, i.b, i.op)):
+            return i.c
 
-    def exec_send(self, actor, unit, i):
-        cfg = self.cfg
-        addr, fid, target, w = i.a, i.sub, i.b, max(1, i.w)
+    def time_send(self, actor, unit, i):
+        cfg, addr, fid, target, w = self.cfg, i.a, i.sub, i.b, max(1, i.w)
         if self.wait_words(actor, addr, w, i.op, True):
             return None
         dest = self.m.tiles[target]
@@ -610,33 +605,41 @@ class _Sim:
             return None
         self.bus_free = end = max(self.now, self.bus_free) + _flits(cfg, w)
         arrival = end + cfg.hop_cycles
-        fifo.append((arrival, self.consume(actor[0], addr, w, end)))
+        self.consume(actor[0], addr, w, end)
+        fifo.append(arrival)
         self.wake_words("fifo_data", target, fid, 1, arrival)
         return int(end - self.now)
 
-    def exec_receive(self, actor, unit, i):
+    def value_send(self, actor, unit, i):
+        words = self.m.tiles[actor[0]].data[i.a:i.a + max(1, i.w)]
+        self.m.tiles[i.b].payloads[i.sub].append(words.copy())
+
+    def time_receive(self, actor, unit, i):
         addr, fid, count, w = i.a, i.sub, i.b, max(1, i.w)
         tile = self.m.tiles[actor[0]]
         fifo, why = tile.fifos[fid], f"receive waiting on fifo {fid}"
         if not fifo:
             self.park(actor, ("fifo_data", actor[0], fid), why)
             return None
-        if self.hold(actor, fifo[0][0], why) or \
+        if self.hold(actor, fifo[0], why) or \
                 self.wait_words(actor, addr, w, i.op, False):
             return None
-        vals = fifo.popleft()[1]
-        if len(vals) != w:
-            raise SimError(
-                f"receive of {w} words got a {len(vals)}-word message")
+        fifo.popleft()
         tile.freed[fid] = end = self.now + 1 + w
         self.wake_words("fifo_space", actor[0], fid, 1, end)
-        self.fill(actor[0], addr, w, vals, count, end)
+        self.fill(actor[0], addr, w, count, end)
         return 1 + w
 
-    # -- main loop ------------------------------------------------------------
+    def value_receive(self, actor, unit, i):
+        w = max(1, i.w)
+        tile = self.m.tiles[actor[0]]
+        vals = tile.payloads[i.sub].popleft()
+        if len(vals) != w:
+            raise SimError(f"receive of {w} words got a {len(vals)}-word "
+                           f"message")
+        tile.data[i.a:i.a + w] = vals
 
-    def all_halted(self):
-        return all(u.halted() for u in self.m.units.values())
+    # -- main loop ------------------------------------------------------------
 
     def diagnose(self):
         out = []
@@ -666,25 +669,42 @@ class _Sim:
         for actor, (since, _reason) in self.blocked.items():  # still parked
             self.report.blocked_ns[actor] = self.report.blocked_ns.get(
                 actor, 0.0) + (self.now - since) * self.cfg.cycle_ns
-        self.report.halted = self.all_halted()
-        if not self.report.halted and not self.report.step_limit_hit:
-            self.report.deadlock = True
+        self.report.halted = all(u.halted() for u in self.m.units.values())
         if not self.report.halted:
+            self.report.deadlock = not self.report.step_limit_hit
             self.report.diagnosis = self.diagnose()
         self.report.cycles = int(self.now)
         self.report.latency_ns = self.now * self.cfg.cycle_ns
-        tally(self.m, self.report)
+        totals = tally(self.m, self.report)
+        if self.report.halted and self.rng is None and not self.m.chip.timed:
+            self.m.chip.timed = (_timing(self.report), totals, self.order)
+        return self.report
+
+    def replay(self, timed):
+        """A run on a timed chip: the value halves in the recorded order,
+        and energy from the recorded totals. None if a branch leaves it."""
+        report, totals, order = timed
+        self.report, units = _timing(report), self.m.units
+        try:
+            for value, actor, pc, i, jump in order:
+                if value(self, actor, units[actor], i) != jump:
+                    return None
+        except SimError as e:
+            raise type(e)(f"{actor_name(actor)} pc {pc}: {e}") from None
+        _energy(self.cfg, totals, self.report)
         return self.report
 
 
-# opcode -> handler(sim, actor, unit, instr) -> cycles, or None if parked
-EXECUTE = {
-    "mvm": _Sim.exec_mvm, "alu": _Sim.exec_alu, "alui": _Sim.exec_alu,
-    "aluint": _Sim.exec_aluint, "set": _Sim.exec_set, "copy": _Sim.exec_copy,
-    "load": _Sim.exec_load, "store": _Sim.exec_store, "send": _Sim.exec_send,
-    "receive": _Sim.exec_receive, "jmp": _Sim.exec_branch,
-    "brn": _Sim.exec_branch,
-}
+# opcode -> (timing half, value half), each (sim, actor, unit, instr)
+EXECUTE = {op: (_Sim.time_fixed, value) for op, value in (
+    ("mvm", _Sim.value_mvm), ("alu", _Sim.value_alu), ("alui", _Sim.value_alu),
+    ("aluint", _Sim.value_aluint), ("set", _Sim.value_set),
+    ("copy", _Sim.value_move), ("jmp", _Sim.value_branch),
+    ("brn", _Sim.value_branch))}
+EXECUTE.update(load=(_Sim.time_access, _Sim.value_move),
+               store=(_Sim.time_access, _Sim.value_move),
+               send=(_Sim.time_send, _Sim.value_send),
+               receive=(_Sim.time_receive, _Sim.value_receive))
 
 
 # ---------------------------------------------------------------------------
@@ -743,9 +763,9 @@ def instr_cost(cfg, i, mvmus=(), spills=()):
 def tally(machine, report):
     """Fill report's instr_dynamic, instr_cycles, reg_accesses,
     spill_accesses, mode_switches and energies as sums of hits x instr_cost
-    over the machine's sequencers. The chip keeps each cost, worked out once
-    per (op, sub, w), and per place for MVMs and, on a tile with spills,
-    loads/stores."""
+    over the machine's sequencers, and return the summed costs. The chip
+    keeps each cost, worked out once per (op, sub, w), and per place for
+    MVMs and, on a tile with spills, loads/stores."""
     cfg, spills, costs = machine.cfg, machine.chip.spills, machine.chip.costs
     rows = {}    # cost key -> [executions, busy cycles, actor, instruction]
     for actor, unit in machine.units.items():
@@ -771,7 +791,13 @@ def tally(machine, report):
     report.reg_accesses = totals.get("reg_words", 0)
     report.spill_accesses = totals.get("spill_words", 0)
     report.mode_switches = totals.get("mode_switches", 0)
-    # integer busy cycles x power, once per rail; an idle component is 0.0
+    _energy(cfg, totals, report)
+    return totals
+
+
+def _energy(cfg, totals, report):
+    """Fill report's energies from tally's totals at cfg's figures:
+    integer busy cycles x power, once per rail; an idle component is 0.0."""
     report.energy_nj = {"mvmu": float(totals.get("mvmu", 0)
                                       * cfg.mvm_nj_per_mvmu)}
     for component, rails in COMPONENT_RAILS.items():
@@ -780,14 +806,20 @@ def tally(machine, report):
     report.energy_total_nj = sum(report.energy_nj.values())
 
 
+def _timing(r):
+    """A copy of r's fields that timing fixes, with no values."""
+    return replace(r, outputs={}, saturations=0, blocked_ns=dict(r.blocked_ns),
+                   instr_dynamic=dict(r.instr_dynamic),
+                   instr_cycles=dict(r.instr_cycles))
+
+
 def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     """Execute a configured machine with bound inputs -> RunReport.
 
     Each input is one vector (n,) or a batch (B, n) of B independent
-    inferences, and all inputs must agree on B. A batched run executes
-    every lane on one event loop over the one programmed chip, and its
-    outputs come back as (B, n). Every lane runs the same schedule, so
-    latency, energy, cycles, steps and instruction counts are those of one
+    inferences, and all inputs must agree on B; a batched run's outputs
+    come back as (B, n). Every lane runs the same schedule, so latency,
+    energy, cycles, steps and instruction counts are those of one
     inference; saturations are summed over the lanes. To keep that
     schedule shared, the registers that `aluint` and `brn` read must hold
     the same value in every lane (loop counters set by `set` and updated
@@ -795,14 +827,22 @@ def run(machine, inputs, step_limit=1_000_000, order_seed=None):
     actor and the pc.
 
     Each run starts from fresh run state (`Machine.start`), so running
-    one Machine again gives the same report for the same inputs."""
+    one Machine again gives the same report for the same inputs. A run
+    on a timed chip moves values only: pcs, hits and reader counts stay
+    as `start` leaves them."""
     machine.start(inputs)
     chip = machine.chip
     log.info("run: instructions %s on %d tiles", chip.static, machine.cfg.tiles)
-    sim = _Sim(machine, order_seed)
-    report = sim.run(step_limit)
+    timed, report = chip.timed, None
+    if timed and order_seed is None and step_limit >= timed[0].steps \
+            and not log.isEnabledFor(logging.DEBUG):
+        report = _Sim(machine).replay(timed)
+        if report is None:      # the data took another branch: start over
+            machine.start(inputs)
+    if report is None:
+        report = _Sim(machine, order_seed).run(step_limit)
     log.info("run done: halted=%s cycles=%d steps=%d",
-             sim.all_halted(), report.cycles, report.steps)
+             report.halted, report.cycles, report.steps)
     report.instr_static = dict(chip.static)
     if report.halted:
         report.outputs = machine.collect_outputs()

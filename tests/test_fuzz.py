@@ -27,7 +27,8 @@ model's metamorphic relations are checked too: a slower MVM, hop or mode
 switch never shortens the run, a doubled clock halves its latency, and
 doubled power doubles its energy outside the MVMUs. So is the run
 report's independence from the order of same-cycle events, under three
-order seeds.
+order seeds, and a replay with other inputs on a chip timed by the
+seed's own: it must equal a fresh chip's event-loop run with them.
 
 Known failures are pinned by seed as strict xfails that name their class,
 so that a fix shows as an unexpected pass; a known failure outside the
@@ -44,7 +45,10 @@ two checkouts compare with one `diff`.
 
 With `--orders` it prints, per family, the seeds whose run report differs
 under order seeds None, 1, 2 and 3, marked `*` where `cycles` differs too,
-and exits with status 1 if there is any.
+and exits with status 1 if there is any. With `--replays` it does the same
+for the seeds whose replayed report with other inputs differs from a
+fresh chip's event-loop report, marked `!` where the replay took the
+event loop.
 """
 
 import functools
@@ -58,10 +62,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from xbarsim import container, fixedpoint as fp, graph as gr, regalloc
+from xbarsim import container, fixedpoint as fp, graph as gr, regalloc, \
+    simulator
 from xbarsim.compiler import CompileError, CompileOptions, compile_model
 from xbarsim.machine import MachineConfig
-from xbarsim.simulator import Machine, run
+from xbarsim.simulator import Chip, Machine, run
 
 OPS = ("add", "sub", "mul", "min", "max")
 # named refusals, each stating a limit of the machine
@@ -297,6 +302,36 @@ def test_the_order_of_same_cycle_events_does_not_change_a_report(make, seed):
     assert all(r == first for r in others)
 
 
+def replay_reports(seed, make=make_case):
+    """(replayed, event loop): seed's run reports with other inputs, on a
+    chip timed by a run with the seed's inputs and on a fresh chip. The
+    replayed one is None where the replay took the event loop."""
+    _, inputs, cfg, _ = make(seed)
+    prog = run_case(seed, make)[1]
+    chip = Chip(cfg, prog)
+    run(Machine(cfg, chip), inputs, step_limit=200_000)
+    rng = np.random.default_rng([seed, 1])
+    other = {k: fp.quantize(rng.uniform(-1, 1, len(v)))
+             for k, v in inputs.items()}
+    want = run(Machine(cfg, prog), other, step_limit=200_000).to_dict()
+    with mock.patch.object(simulator._Sim, "run", autospec=True,
+                           side_effect=simulator._Sim.run) as loops:
+        got = run(Machine(cfg, chip), other, step_limit=200_000).to_dict()
+    return None if loops.call_count else got, want
+
+
+@pytest.mark.parametrize("make, seed", SAMPLED)
+def test_a_replay_with_other_inputs_equals_the_event_loop(make, seed):
+    """On a bit-exact seed: compiled code branches on loop counters only,
+    so the replay never leaves the recorded order."""
+    got = outcome(seed, make)
+    if got != "exact":
+        pytest.skip(f"seed class {got}")
+    replayed, want = replay_reports(seed, make)
+    assert replayed is not None, "the replay took the event loop"
+    assert replayed == want
+
+
 def _sha(doc):
     return "-" if doc is None else hashlib.sha256(doc).hexdigest()
 
@@ -316,6 +351,19 @@ if __name__ == "__main__":
                             {r["cycles"] for r in reps}) > 1 else str(s))
             print(f"{family}, seeds {start}..{start + count - 1}: "
                   f"{len(moved)} reports depend on the order, * cycles too")
+            print("        " + " ".join(moved))
+            status |= bool(moved)
+            continue
+        if "--replays" in sys.argv[3:]:
+            moved = []
+            for s in range(start, start + count):
+                rep = run_case(s, make)[2]
+                if rep is not None and rep.halted:
+                    replayed, want = replay_reports(s, make)
+                    if replayed != want:
+                        moved.append(str(s) + "!" * (replayed is None))
+            print(f"{family}, seeds {start}..{start + count - 1}: "
+                  f"{len(moved)} replays differ, ! took the event loop")
             print("        " + " ".join(moved))
             status |= bool(moved)
             continue

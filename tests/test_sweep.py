@@ -119,3 +119,28 @@ def test_a_ragged_eval_set_is_refused():
     with pytest.raises(ValueError):
         cli.sweep_point(g, MachineConfig(tiles=1), pts[0], CompileOptions(),
                         ragged, labels[1:3], "y")
+
+
+def test_a_stalled_sweep_point_raises_its_diagnosis():
+    g, pts, _ = models.trained_tiny_classifier()
+    with pytest.raises(cli.StalledError, match=r"^sweep point hit its step "
+                                               r"limit"):
+        cli.sweep_point(g, MachineConfig(tiles=1), pts[0], CompileOptions(),
+                        step_limit=1)
+
+
+def test_a_sweep_that_stalls_exits_3_with_the_diagnosis(tmp_path, monkeypatch,
+                                                        capsys):
+    """mlp_l4 stopped after one step leaves tile 0 core 1 waiting on a
+    load."""
+    assert cli.main(["example", "mlp_l4", "-o", str(tmp_path)]) == 0
+    point = cli.sweep_point
+    monkeypatch.setattr(cli, "sweep_point",
+                        lambda *a: point(*a, step_limit=1))
+    assert cli.main(["sweep", str(tmp_path / "mlp_l4.json"), "--axis",
+                     "noise_sigma", "--range", "0", "--inputs",
+                     str(tmp_path / "mlp_l4_inputs.json"), "--config",
+                     str(tmp_path / "mlp_l4_machine.cfg")]) == cli.EXIT_STALLED
+    assert capsys.readouterr().err.startswith(
+        "sweep point hit its step limit\ndiag: tile 0 core 1 blocked at pc 0 "
+        "on load waiting on word")
