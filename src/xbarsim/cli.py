@@ -80,28 +80,25 @@ def write_tensors(path, tensors):
         json.dump(doc, fh, indent=1)
 
 
+_SWITCHES = [f for f in fields(CompileOptions) if "doc" in f.metadata]
+
+
 def _opts_from(args):
-    return CompileOptions(
-        coalesce=not args.no_coalesce,
-        input_shuffle=not args.no_input_shuffle,
-        naive_partition=args.naive_partition,
-        naive_order=args.naive_order,
-        conv_loop=getattr(args, "conv_loop", False),
-        seed=args.seed or 0,
-    )
+    return CompileOptions(seed=args.seed or 0,
+                          **{f.name: getattr(args, f.name) for f in _SWITCHES})
 
 
 def _add_compile_flags(p):
-    p.add_argument("--no-coalesce", action="store_true",
-                   help="disable MVM coalescing")
-    p.add_argument("--no-input-shuffle", action="store_true",
-                   help="disable sliding-window XbarIn reuse")
-    p.add_argument("--naive-partition", action="store_true",
-                   help="random MVMU placement instead of affinity clustering")
-    p.add_argument("--naive-order", action="store_true",
-                   help="breadth-first linearization instead of RPO")
-    p.add_argument("--conv-loop", action="store_true",
-                   help="compile windowed layers as counter/branch loops")
+    """One flag per CompileOptions switch: --no-<name> turns off one that
+    is on by default, --<name> turns on one that is off."""
+    for f in _SWITCHES:
+        name = f.name.replace("_", "-")
+        if f.default:
+            p.add_argument(f"--no-{name}", dest=f.name, action="store_false",
+                           help=f"disable {f.metadata['doc']}")
+        else:
+            p.add_argument(f"--{name}", dest=f.name, action="store_true",
+                           help=f.metadata["doc"])
 
 
 def cmd_compile(args):

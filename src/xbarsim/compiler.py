@@ -36,11 +36,16 @@ from .regalloc import Mem, VReg
 
 @dataclass
 class CompileOptions:
-    coalesce: bool = True
-    input_shuffle: bool = True
-    naive_partition: bool = False
-    naive_order: bool = False
-    conv_loop: bool = False
+    """Compile switches; a switch's doc, what it turns on, is its CLI help."""
+    coalesce: bool = field(default=True, metadata={"doc": "MVM coalescing"})
+    input_shuffle: bool = field(default=True, metadata={
+        "doc": "sliding-window XbarIn reuse"})
+    naive_partition: bool = field(default=False, metadata={
+        "doc": "random MVMU placement instead of affinity clustering"})
+    naive_order: bool = field(default=False, metadata={
+        "doc": "breadth-first linearization instead of RPO"})
+    conv_loop: bool = field(default=False, metadata={
+        "doc": "compile windowed layers as counter/branch loops"})
     seed: int = 0
 
 
@@ -494,7 +499,7 @@ def compile_model(graph, machine, opts=None):
     for members in sched.units:
         low.lower_unit(members)
 
-    return _back_end(tg, machine, low, sched.coalesce_groups, sched.maxlive)
+    return _back_end(tg, machine, low, len(groups), sched.maxlive)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +583,9 @@ def _compile_conv_loop(graph, machine, opts):
         raise CompileError("loop mode cannot produce outputs outside the "
                            f"windowed layer: {', '.join(sorted(lost))}")
     # k replicas of the window's row tiles on each looped core's MVMUs
-    cols = tiles0[0].cols
+    cols, regs = tiles0[0].cols, machine.regspace().general_regs
     k = machine.mvmus_per_core // len(tiles0)
-    while k > 1 and (n_windows % k or machine.general_regs < 2 * k * cols + 3):
+    while k > 1 and (n_windows % k or regs < 2 * k * cols + 3):
         k -= 1
     n_loop = min(machine.cores_per_tile - 2, n_windows // k)
     feeder, collector = (0, 0), (0, 2)
@@ -616,7 +621,7 @@ def _compile_conv_loop(graph, machine, opts):
     # beside the image
     groups = [chains[i:i + k] for i in range(0, n_windows, k)]
     image = sum(s.size for s in tg.symbols if s.kind == "input")
-    step = n_loop if image + n_loop * wl <= machine.general_regs else 1
+    step = n_loop if image + n_loop * wl <= regs else 1
     msgs = [(g % n_loop, sum(groups[g:g + step], []))
             for g in range(0, len(groups), step)]
     for j, msg in msgs:

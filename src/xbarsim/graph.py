@@ -109,10 +109,15 @@ class ModelGraph:
 
     # -- build primitives ----------------------------------------------------
 
+    def _claim(self, kind, name):
+        """Claim an input or output name: each is bound once."""
+        names = self.input_names if kind == "input" else self.output_names
+        if name in names:
+            raise GraphError(f"duplicate {kind} name {name!r}")
+        names.append(name)
+
     def input(self, name, n):
-        if name in self.input_names:
-            raise GraphError(f"duplicate input name {name!r}")
-        self.input_names.append(name)
+        self._claim("input", name)
         return self._add("input", name=name, length=n)
 
     def stream(self, name, n, steps):
@@ -196,10 +201,8 @@ class ModelGraph:
         return self.gather(parts, indices)
 
     def output(self, name, x):
-        if name in self.output_names:
-            raise GraphError(f"duplicate output name {name!r}")
         xn = self._check(x)
-        self.output_names.append(name)
+        self._claim("output", name)
         return self._add("output", name=name, inputs=[xn.id], length=xn.length)
 
     # -- queries -------------------------------------------------------------
@@ -343,10 +346,8 @@ def from_json(text):
         if node.kind == "const_matrix":
             g.constants[node.id] = _matrix_from_hex(
                 d["data"], (d["rows"], d["cols"]), node.id)
-        if node.kind == "input":
-            g.input_names.append(node.name)
-        if node.kind == "output":
-            g.output_names.append(node.name)
+        if node.kind in ("input", "output"):
+            g._claim(node.kind, node.name)
     g.check_acyclic()
     g.freeze()
     return g

@@ -71,7 +71,7 @@ class MachineConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         for name in ("register_size", "adc_bits", "noise_sigma", "seed",
-                     "hop_cycles", "mode_switch_cycles"):
+                     "hop_cycles", "mode_switch_cycles", "mvm_nj_per_mvmu"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not self.clock_ghz > 0:
@@ -97,6 +97,9 @@ class MachineConfig:
             raise ConfigError(f"bits_per_device: {e}") from e
         if not 0 <= self.frac_bits <= 15:
             raise ConfigError("frac_bits must be in [0, 15]")
+        if not 1 <= self.lut_bits <= 16:
+            raise ConfigError("lut_bits must be in [1, 16]: ROM inputs are "
+                              "16-bit words")
         if self.dmem_words > FIELD_MAX + 1:
             raise ConfigError("dmem_words beyond 12-bit address operands")
         try:
@@ -104,14 +107,9 @@ class MachineConfig:
         except IsaError as e:
             raise ConfigError(f"register_size: {e}") from e
 
-    @property
-    def general_regs(self):
-        if self.register_size:
-            return self.register_size
-        return 2 * self.xbar_dim * self.mvmus_per_core
-
     def regspace(self):
-        return RegisterSpace(self.xbar_dim, self.mvmus_per_core, self.general_regs)
+        return RegisterSpace(self.xbar_dim, self.mvmus_per_core,
+                             self.register_size or None)
 
     @property
     def words_per_flit(self):

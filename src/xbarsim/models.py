@@ -171,13 +171,9 @@ def classifier_accuracy(outputs, labels):
 
 
 def default_config_for(name):
-    """A machine geometry that fits each shipped example."""
-    if name in ("mlp4",):
-        return MachineConfig(tiles=1)
-    if name in ("mlp128", "mlp256", "lstm8", "lstm128", "conv8x8",
-                "cnn_small", "mvm_pair", "vector"):
-        return MachineConfig(tiles=2)
-    if name == "classifier":
+    """A machine geometry that fits each shipped example: one tile for the
+    smallest two, else the default machine."""
+    if name in ("mlp4", "classifier"):
         return MachineConfig(tiles=1)
     return MachineConfig()
 

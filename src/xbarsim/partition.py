@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fixedpoint as fp
 from .container import TILE_UNIT
-from .graph import apply_node, mvm_blockwise
+from .graph import Node, apply_node, mvm_blockwise
 from .isa import ALUI_OPS, FIELD_MAX, alui_immediate
 from .schedule import linearize
 
@@ -31,19 +31,11 @@ class CompileError(Exception):
 
 
 @dataclass(slots=True, eq=False)
-class TNode:
-    """One block-level operation of the tiled/augmented graph."""
-    id: int
-    kind: str
-    op: str = None
-    imm: int = None
-    inputs: list = field(default_factory=list)
-    length: int = None
+class TNode(Node):
+    """One block-level operation of the tiled/augmented graph: a model
+    node's fields plus the tiling ones."""
     block: int = 0
     orig: int = None
-    name: str = None
-    win: tuple = None
-    indices: list = None
     matrix: int = None
     words: list = None
     place: tuple = None    # (tile, core); core == TILE_UNIT on tile unit

@@ -22,6 +22,7 @@ reads, and reads XbarOut only before that MVMU fires again
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .isa import Instruction, load, registers, store
 
@@ -50,16 +51,6 @@ class Mem:
         return Mem(self.sym, self.off + off)
 
 
-def reads_writes(li):
-    """Register ranges (operand, width) read and written by one
-    instruction, as (reads, writes): isa.registers split by direction
-    (mvm's fixed XbarIn/XbarOut traffic is not included)."""
-    reads, writes = [], []
-    for opnd, words, written in registers(li):
-        (writes if written else reads).append((opnd, words))
-    return reads, writes
-
-
 @dataclass
 class LiveRange:
     vreg: int
@@ -68,6 +59,7 @@ class LiveRange:
     size: int
     writes: list = field(default_factory=list)   # (pos, off, w)
     first_read: int = None
+    reads: int = 0       # register operands that read it
 
     def spillable(self):
         """Single definitions always spill; multi-write values spill only
@@ -94,30 +86,27 @@ class AllocResult:
 
 
 def compute_liveness(instrs):
-    """Exact def/last-use intervals on straight-line code."""
+    """Exact def/last-use intervals on straight-line code. A row lists its
+    written register first (isa.registers), so an instruction's
+    definition is seen before its reads."""
     ranges = {}
     for pos, li in enumerate(instrs):
-        reads, writes = reads_writes(li)
-        for opnd, w in writes:
+        for opnd, w, written in registers(li):
             if not isinstance(opnd, VReg):
                 continue
             r = ranges.get(opnd.v)
-            if r is None:
-                r = LiveRange(opnd.v, pos, pos, opnd.off + w)
-                ranges[opnd.v] = r
-            r.size = max(r.size, opnd.off + w)
-            r.end = max(r.end, pos)
-            r.writes.append((pos, opnd.off, w))
-        for opnd, w in reads:
-            if not isinstance(opnd, VReg):
-                continue
-            r = ranges.get(opnd.v)
-            if r is None:
+            if written:
+                if r is None:
+                    r = ranges[opnd.v] = LiveRange(opnd.v, pos, pos, 0)
+                r.writes.append((pos, opnd.off, w))
+            elif r is None:
                 raise RegAllocError(f"v{opnd.v} used at {pos} before definition")
+            else:
+                r.reads += 1
+                if r.first_read is None:
+                    r.first_read = pos
             r.end = max(r.end, pos)
             r.size = max(r.size, opnd.off + w)
-            if r.first_read is None:
-                r.first_read = pos
     return ranges
 
 
@@ -174,34 +163,28 @@ def _plan(ranges, total, vmax):
             return base, spilled
 
 
-def _rewrite_spills(instrs, to_spill, slot_of, next_vreg):
-    """Insert spill stores after definitions and reloads before uses."""
-    # count reloads per spilled vreg for the store's count operand
-    reload_counts = {v: 0 for v in to_spill}
-    for li in instrs:
-        reads, _ = reads_writes(li)
-        for opnd, _w in reads:
-            if isinstance(opnd, VReg) and opnd.v in reload_counts:
-                reload_counts[opnd.v] += 1
+def _rewrite_spills(instrs, ranges, slot_of, next_vreg):
+    """Insert spill stores after definitions and reloads before uses of
+    the values slot_of names; ranges, the code's liveness, gives each
+    store's count of reloads."""
     out = []
     for li in instrs:
-        reads, writes = reads_writes(li)
         pre = []
         post = []
         repl = {}
-        for opnd, w in reads:
-            if isinstance(opnd, VReg) and opnd.v in to_spill:
-                fresh = next_vreg()
-                pre.append(load(VReg(fresh), Mem(slot_of[opnd.v], opnd.off),
-                                w))
-                repl[opnd] = VReg(fresh)
-        for opnd, w in writes:
-            if isinstance(opnd, VReg) and opnd.v in to_spill:
-                fresh = next_vreg()
-                repl[opnd] = VReg(fresh)
-                if reload_counts[opnd.v]:
-                    post.append(store(Mem(slot_of[opnd.v], opnd.off),
-                                      VReg(fresh), reload_counts[opnd.v], w))
+        # reads first: fresh vreg numbers break allocation ties, and each
+        # reload takes its number before the definition does
+        for opnd, w, written in sorted(registers(li), key=itemgetter(2)):
+            if not (isinstance(opnd, VReg) and opnd.v in slot_of):
+                continue
+            fresh = VReg(next_vreg())
+            repl[opnd] = fresh
+            reloads = ranges[opnd.v].reads
+            if not written:
+                pre.append(load(fresh, Mem(slot_of[opnd.v], opnd.off), w))
+            elif reloads:
+                post.append(store(Mem(slot_of[opnd.v], opnd.off), fresh,
+                                  reloads, w))
 
         def swap(x):
             return repl.get(x, x)
@@ -220,16 +203,12 @@ def allocate(instrs, machine, mk_spill_symbol):
     """
     rs = machine.regspace()
     total = rs.general_regs
-    vmax = 0
-    for li in instrs:
-        for opnd in (li.a, li.b, li.c):
-            if isinstance(opnd, VReg):
-                vmax = max(vmax, opnd.v + 1)
+    ranges = compute_liveness(instrs)
+    vmax = max(ranges, default=-1) + 1      # spill temporaries come after
     next_vreg = itertools.count(vmax).__next__
 
     spill_count = 0
     for rnd in range(16):
-        ranges = compute_liveness(instrs)
         base, spills = _plan(ranges, total, vmax)
         if not spills:
             return AllocResult(instrs, {v: rs.general_base + b
@@ -243,7 +222,8 @@ def allocate(instrs, machine, mk_spill_symbol):
         # later round spills it again
         slot_of = {v: mk_spill_symbol(ranges[v].size) for v in spills}
         spill_count += len(spills)
-        instrs = _rewrite_spills(instrs, spills, slot_of, next_vreg)
+        instrs = _rewrite_spills(instrs, ranges, slot_of, next_vreg)
+        ranges = compute_liveness(instrs)
     raise RegAllocError(f"register allocation did not converge in 16 spill "
                         f"rounds on a {total}-word register file")
 

@@ -30,7 +30,6 @@ UNSCHEDULED = ("input", "const")
 class LinearSchedule:
     units: list                # global order; each unit is its ascending
                                # tnode ids, >1 only for coalesced MVMs
-    coalesce_groups: int = 0
     maxlive: int = 0
 
 
@@ -263,7 +262,6 @@ def linearize(tg, groups=None, naive=False):
     order = _kahn_fifo(ids, dg.preds, dg.succs) if naive \
         else _rpo_order(ids, dg.preds, dg.succs)
     sched = LinearSchedule(units=[members[i] for i in order])
-    sched.coalesce_groups = sum(1 for m in members.values() if len(m) > 1)
     sched.maxlive = max_live(order, dg.preds, dg.succs)
     return sched
 

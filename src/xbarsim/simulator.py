@@ -208,10 +208,11 @@ class Chip:
     """A program checked once against cfg's CHIP_FIELDS, and what they fix:
     the code of each actor that has any (programs, cores first), register
     space (rs), ROM set (luts) and shuffle patterns (patterns) all cores
-    share, spill regions (spills), histogram (static), cost memo (costs),
-    each weight block's digit planes per bits_per_device (`planes`) and the
-    footprint that sizes run state: the words of each tile and the
-    registers of each core with code that the program reaches."""
+    share, spill regions (spills), histogram (static), each weight block's
+    digit planes per bits_per_device (`planes`), the timing record of its
+    first halted run (timed) and the footprint that sizes run state: the
+    words of each tile and the registers of each core with code that the
+    program reaches."""
 
     def __init__(self, cfg, prog):
         for name in GEOMETRY:
@@ -282,7 +283,6 @@ class Chip:
         for r in prog.regions:
             self.spills.setdefault(r.tile, []).append((r.lo, r.hi))
         self.static = prog.static_histogram()
-        self.costs = {}      # tally cost key -> instr_cost, filled by runs
         self._planes = {}    # bits_per_device -> SlicedMatrix per weight block
         self.timed = None    # (report, totals, order) once timed: `run`
 
@@ -763,10 +763,10 @@ def instr_cost(cfg, i, mvmus=(), spills=()):
 def tally(machine, report):
     """Fill report's instr_dynamic, instr_cycles, reg_accesses,
     spill_accesses, mode_switches and energies as sums of hits x instr_cost
-    over the machine's sequencers, and return the summed costs. The chip
-    keeps each cost, worked out once per (op, sub, w), and per place for
-    MVMs and, on a tile with spills, loads/stores."""
-    cfg, spills, costs = machine.cfg, machine.chip.spills, machine.chip.costs
+    over the machine's sequencers, and return the summed costs. Each cost
+    is worked out once per (op, sub, w) executed, and per place for MVMs
+    and, on a tile with spills, loads/stores."""
+    cfg, spills = machine.cfg, machine.chip.spills
     rows = {}    # cost key -> [executions, busy cycles, actor, instruction]
     for actor, unit in machine.units.items():
         placed = ("mvm", "load", "store") if actor[0] in spills else ("mvm",)
@@ -779,13 +779,11 @@ def tally(machine, report):
                 row[0] += n
                 row[1] += busy
     dynamic, cycles, totals = {}, {}, {}
-    for key, (n, busy, actor, i) in rows.items():
+    for n, busy, actor, i in rows.values():
         dynamic[i.op] = dynamic.get(i.op, 0) + n
         cycles[i.op] = cycles.get(i.op, 0) + busy
-        if key not in costs:
-            costs[key] = instr_cost(cfg, i, machine.mvmus.get(actor, ()),
-                                    spills.get(actor[0], ()))
-        for what, amount in costs[key].items():
+        for what, amount in instr_cost(cfg, i, machine.mvmus.get(actor, ()),
+                                       spills.get(actor[0], ())).items():
             totals[what] = totals.get(what, 0) + n * amount
     report.instr_dynamic, report.instr_cycles = dynamic, cycles
     report.reg_accesses = totals.get("reg_words", 0)

@@ -42,6 +42,25 @@ def test_compile_run_round_trip(tmp_path):
     assert doc["outputs"]["y"] == want["y"].tolist()
 
 
+def test_run_seed_flag_sets_the_write_noise_seed(tmp_path):
+    model, inputs, cfgf = _emit_example(tmp_path, "mlp4")
+    noisy = tmp_path / "noisy.cfg"
+    noisy.write_text(pathlib.Path(cfgf).read_text() + "noise_sigma=0.1\n")
+    binpath = str(tmp_path / "prog.bin")
+    assert cli.main(["compile", model, "-o", binpath, "--config", cfgf]) == 0
+    prog, xs = container.load_file(binpath), cli.read_tensors(inputs)
+
+    def outputs(seed):
+        cfg = MachineConfig(tiles=1, noise_sigma=0.1, seed=seed)
+        return run(Machine(cfg, prog), xs).outputs["y"].tolist()
+
+    outdir = str(tmp_path / "out")
+    assert cli.main(["run", binpath, "--inputs", inputs, "--config",
+                     str(noisy), "--seed", "7", "--out", outdir]) == 0
+    got = cli.read_tensors(os.path.join(outdir, "outputs.json"))["y"]
+    assert got.tolist() == outputs(7) != outputs(0)
+
+
 def test_compile_is_deterministic(tmp_path):
     model, _, cfgf = _emit_example(tmp_path, "mlp128")
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")

@@ -59,6 +59,19 @@ def test_slice_rejects_oversized_matrix():
         xb.slice_weights(np.zeros((129, 4), dtype=np.int64), xbar_dim=128)
 
 
+@pytest.mark.parametrize("act, message", [
+    pytest.param(lambda: xb.slice_weights(np.zeros(4, dtype=np.int64)),
+                 "^weight matrix must be 2-D$", id="1-D weights"),
+    pytest.param(lambda: xb.apply_write_noise(
+        xb.slice_weights(np.zeros((2, 2), dtype=np.int64)), -0.01, 0),
+        "^sigma must be nonnegative$", id="negative sigma"),
+])
+def test_crossbar_refuses_weights_it_cannot_hold_and_negative_noise(act,
+                                                                    message):
+    with pytest.raises(ValueError, match=message):
+        act()
+
+
 def test_noise_zero_sigma_is_identity():
     m = xb.slice_weights(np.array([[77, -3], [5, 12000]]))
     noisy = xb.apply_write_noise(m, 0.0, seed=42)

@@ -36,6 +36,11 @@ def test_quantize_rejects_bad_frac_bits():
         fp.quantize(1.0, frac_bits=16)
 
 
+def test_lut_table_refuses_an_unknown_function():
+    with pytest.raises(ValueError, match="^unknown LUT function 'softplus'$"):
+        fp.LutTable("softplus")
+
+
 def _round_even_oracle(num, den):
     """Independent round-half-even of num/den via Fraction + round()."""
     return int(round(Fraction(num, den)))

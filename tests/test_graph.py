@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,52 @@ def test_conv_stride_mismatch_rejected():
                           f=None, in_shape=(1, 4, 4))
 
 
+def _lstm(wx, wh, b=None, c_len=2):
+    def build(g, x):
+        h, c = g.input("h", 2), g.input("c", c_len)
+        return layers.lstm_cell(g, x, h, c, np.zeros(wx), np.zeros(wh),
+                                None if b is None else np.zeros(b))
+    return build
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda g, x: layers.mlp_layer(g, x, np.zeros(4)),
+                 "^mlp_layer: W must be 2-D$", id="mlp W 1-D"),
+    pytest.param(lambda g, x: layers.mlp_layer(g, x, np.zeros((3, 2))),
+                 "^mlp_layer: input length 4 != W rows 3$", id="mlp rows"),
+    pytest.param(lambda g, x: layers.mlp_layer(g, x, np.zeros((4, 2)),
+                                               np.zeros(3)),
+                 r"^mlp_layer: bias shape \(3,\) != \(2,\)$", id="mlp bias"),
+    pytest.param(_lstm((4, 6), (2, 8)),
+                 r"^lstm_cell: wx shape \(4, 6\) != \(4, 8\)$", id="lstm wx"),
+    pytest.param(_lstm((4, 8), (2, 6)),
+                 r"^lstm_cell: wh shape \(2, 6\) != \(2, 8\)$", id="lstm wh"),
+    pytest.param(_lstm((4, 8), (2, 8), c_len=3),
+                 "^lstm_cell: cell state length mismatch$", id="lstm cell"),
+    pytest.param(_lstm((4, 8), (2, 8), b=6),
+                 r"^lstm_cell: bias shape \(6,\) != \(8,\)$", id="lstm bias"),
+    pytest.param(lambda g, x: layers.conv_layer(g, x, np.zeros((2, 2, 1)),
+                                                in_shape=(1, 2, 2)),
+                 "^conv_layer: kernel must be R x S x C x M$", id="conv 3-D"),
+    pytest.param(lambda g, x: layers.conv_layer(g, x, np.zeros((1, 1, 1, 1))),
+                 r"^conv_layer: in_shape \(C, H, W\) required$",
+                 id="conv no shape"),
+    pytest.param(lambda g, x: layers.conv_layer(g, x, np.zeros((1, 1, 2, 1)),
+                                                in_shape=(1, 2, 2)),
+                 "^conv_layer: kernel channels 2 != input channels 1$",
+                 id="conv channels"),
+    pytest.param(lambda g, x: layers.conv_layer(g, x, np.zeros((1, 1, 1, 1)),
+                                                in_shape=(1, 3, 3)),
+                 r"^conv_layer: input length 4 != C\*H\*W 9$",
+                 id="conv length"),
+])
+def test_layer_builders_refuse_shapes_that_do_not_fit(build, message):
+    g = gr.ModelGraph()
+    with pytest.raises(gr.ShapeError, match=message) as e:
+        build(g, g.input("x", 4))
+    assert e.type is gr.ShapeError
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -351,3 +399,79 @@ def test_alu_imm_compiles_to_machine_equivalent():
     rep = run(Machine(cfg, prog), {"a": xs})
     assert rep.halted
     assert rep.outputs["y"].tolist() == want["y"].tolist()
+
+
+def _sum_doc(edit):
+    """The document of o = x + y (nodes x, y, add, o), edited in place."""
+    g = gr.ModelGraph()
+    g.output("o", g.alu("add", g.input("x", 3), g.input("y", 3)))
+    doc = json.loads(gr.to_json(g.freeze()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _loads(edit):
+    return lambda g, x: gr.from_json(_sum_doc(edit))
+
+
+def _second_output(doc):
+    doc["nodes"].append({**doc["nodes"][3], "id": 4})
+
+
+@pytest.mark.parametrize("act, error, message", [
+    pytest.param(lambda g, x: g.mvm(x, x), gr.ShapeError,
+                 "^node 0 is not a constant matrix$", id="vector as matrix"),
+    pytest.param(lambda g, x: g.input("x", 2), gr.GraphError,
+                 "^duplicate input name 'x'$", id="builder input twice"),
+    pytest.param(lambda g, x: [g.output("y", x) for _ in range(2)],
+                 gr.GraphError, "^duplicate output name 'y'$",
+                 id="builder output twice"),
+    pytest.param(lambda g, x: g.const_matrix([1, 2]), gr.ShapeError,
+                 "^constant matrix must be 2-D$", id="matrix 1-D"),
+    pytest.param(lambda g, x: g.const_vector([[1]]), gr.ShapeError,
+                 "^constant vector must be 1-D$", id="vector 2-D"),
+    pytest.param(lambda g, x: g.mvm(g.const_matrix(np.zeros((3, 2))), x),
+                 gr.ShapeError,
+                 "^mvm: vector length 4 does not match matrix rows 3$",
+                 id="mvm rows"),
+    pytest.param(lambda g, x: g.alu("pow", x, x), gr.GraphError,
+                 "^unknown vector op 'pow'$", id="alu op"),
+    pytest.param(lambda g, x: g.alu("add", x, g.input("z", 3)), gr.ShapeError,
+                 "^alu add: lengths 4 != 3$", id="alu lengths"),
+    pytest.param(lambda g, x: g.alu_imm("pow", x, 1), gr.GraphError,
+                 "^unknown vector op 'pow'$", id="alu_imm op"),
+    pytest.param(lambda g, x: g.act("softmax", x), gr.GraphError,
+                 "^unknown activation 'softmax'$", id="act"),
+    pytest.param(lambda g, x: g.gather([x], [(0, 4)]), gr.ShapeError,
+                 "^gather: element 4 outside source 0$", id="gather"),
+    pytest.param(lambda g, x: gr.evaluate(g, {}), gr.GraphError,
+                 "^missing value for input 'x'$", id="evaluate missing"),
+    pytest.param(lambda g, x: gr.evaluate(g, {"x": [1, 2]}), gr.ShapeError,
+                 r"^input 'x': got shape \(2,\), want \(4,\)$",
+                 id="evaluate shape"),
+    pytest.param(_loads(lambda d: d["nodes"][1].update(name="x")),
+                 gr.GraphError, "^duplicate input name 'x'$",
+                 id="document input twice"),
+    pytest.param(_loads(_second_output), gr.GraphError,
+                 "^duplicate output name 'o'$", id="document output twice"),
+    pytest.param(_loads(lambda d: d["nodes"][2].update(inputs=[0, 3])),
+                 gr.GraphError, "^node 2 consumes later node 3$",
+                 id="forward reference"),
+    pytest.param(_loads(lambda d: d.update(version=2)), gr.GraphError,
+                 "^unsupported model format version 2$", id="version"),
+    pytest.param(_loads(lambda d: d["nodes"][1].update(id=5)), gr.GraphError,
+                 "^node ids must be dense and ordered$", id="sparse ids"),
+    pytest.param(lambda g, x: gr.evaluate(gr.from_json(_sum_doc(
+        lambda d: d["nodes"][2].update(kind="pow"))), {"x": [0] * 3,
+                                                      "y": [0] * 3}),
+                 gr.GraphError, "^interpreter: unknown node kind 'pow'$",
+                 id="unknown kind"),
+])
+def test_graph_refuses_what_the_builder_cannot_mean(act, error, message):
+    """Each refusal of the builder, of `from_json` and of `evaluate`, with
+    its error class; a document's input and output names are held to the
+    builder's rule that each is bound once."""
+    g = gr.ModelGraph()
+    with pytest.raises(error, match=message) as e:
+        act(g, g.input("x", 4))
+    assert e.type is error

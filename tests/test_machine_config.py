@@ -28,7 +28,10 @@ def _case(message, **overrides):
     *(_case(f"^{name} must be >= 0$", **{name: value})
       for name, value in (("register_size", -1), ("adc_bits", -3),
                           ("noise_sigma", -0.1), ("seed", -1),
-                          ("hop_cycles", -1), ("mode_switch_cycles", -2))),
+                          ("hop_cycles", -1), ("mode_switch_cycles", -2),
+                          ("mvm_nj_per_mvmu", -43.97))),
+    *(_case(r"^lut_bits must be in \[1, 16\]: ROM inputs are 16-bit words$",
+            lut_bits=bits) for bits in (-1, 0, 17)),
     _case("^clock_ghz must be > 0$", clock_ghz=0),
     _case("^clock_ghz must be > 0$", clock_ghz=-1.0),
     pytest.param({"power_mw": {**POWER, "vfu": -1.9}},
@@ -42,7 +45,9 @@ def test_a_value_outside_its_limits_is_a_config_error(overrides, message):
 def test_each_limit_admits_its_bound():
     MachineConfig(mvm_cycles=1, register_size=0, adc_bits=0, noise_sigma=0.0,
                   seed=0, hop_cycles=0, mode_switch_cycles=0, clock_ghz=1e-3,
+                  mvm_nj_per_mvmu=0.0, lut_bits=1,
                   power_mw=dict.fromkeys(POWER, 0.0))
+    MachineConfig(lut_bits=16)
 
 
 @pytest.mark.parametrize("power, message", [
@@ -62,12 +67,23 @@ def test_power_must_name_exactly_the_default_rails(power, message):
     ("seed=1\ntiles=1.5", r"^line 2: tiles must be of type int, got '1\.5'$"),
     ("power.vfu=abc", r"^line 1: power\.vfu must be of type float, got 'abc'$"),
     ("noise_sigma=lots", r"^line 1: noise_sigma must be of type float, got 'lots'$"),
+    ("# geometry\ntiles 1", r"^line 2: expected key=value, got 'tiles 1'$"),
+    ("tiles=", r"^line 1: expected key=value, got 'tiles='$"),
 ], ids=["unknown rail", "power_mw", "float for int", "power word",
-        "float word"])
+        "float word", "no =", "no value"])
 def test_parse_config_names_an_unknown_rail_and_a_value_not_a_number(text,
                                                                      message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("word", ["ideal", "none", "IDEAL"])
+def test_parse_config_skips_comments_and_blank_lines_and_reads_an_ideal_adc(
+        word):
+    cfg = parse_config(f"# a 9-bit ADC first\n\nadc_bits=9\n  \n"
+                       f"adc_bits={word}  # then none\ntiles=1\n",
+                       MachineConfig(adc_bits=4))
+    assert (cfg.adc_bits, cfg.tiles) == (0, 1)
 
 
 @pytest.mark.parametrize("overrides, message", [

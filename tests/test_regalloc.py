@@ -53,6 +53,17 @@ def _chain(n, width):
     return seq
 
 
+def test_audit_refuses_overlapping_live_ranges_that_share_a_register():
+    seq = [Instruction("load", 0, VReg(0), Mem(0), 0, 2),
+           Instruction("load", 0, VReg(1), Mem(1), 0, 2),
+           Instruction("alu", isa.ALU_OPS["add"], VReg(2), VReg(0), VReg(1), 2),
+           Instruction("store", 0, Mem(2), VReg(2), 1, 2)]
+    assert regalloc.audit(seq, regalloc.AllocResult(seq, {0: 0, 1: 2, 2: 4}))
+    # v1's words 1-2 overlap v0's 0-1 while both are live
+    assert not regalloc.audit(seq, regalloc.AllocResult(seq,
+                                                        {0: 0, 1: 1, 2: 4}))
+
+
 def test_no_spills_when_values_fit():
     res, slots = _alloc(_chain(4, 4), general=64)
     assert res.spill_count == 0 and not slots

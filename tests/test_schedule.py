@@ -194,7 +194,7 @@ def test_independent_mvms_fuse_on_one_core():
     assert len(groups) == 1 and len(groups[0]) == 2
     assert schedule.check_groups_independent(tg, groups)
     sched = schedule.linearize(tg, groups)
-    assert sched.coalesce_groups == 1
+    assert [u for u in sched.units if len(u) > 1] == [sorted(groups[0])]
 
 
 def test_dependent_mvm_chain_never_fuses():
